@@ -35,6 +35,12 @@ python -m pytest -x -q
 echo "== slow suite =="
 python -m pytest -x -q -m slow
 
+echo "== paper-claim benches (Figs. 1, 5-8, Table IV, ablations) =="
+# pytest only collects test_*.py, so `pytest benchmarks` runs nothing;
+# name the files so a speed-only change cannot silently flip one of
+# the paper's qualitative results (14 tests, a few seconds).
+python -m pytest -q benchmarks/bench_*.py
+
 echo "== engine microbench gate (plan seam vs imperative, bit-identity) =="
 # ISSUE acceptance gate: the declarative plan seam must not run
 # slower than the legacy imperative seam on the engine microbench

@@ -18,7 +18,7 @@ urgency transitions (as Planaria's epoch-based scheduler does).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.prediction import RemainingPrediction
 from repro.sim.plan import EMPTY_PLAN, AllocationPlan
@@ -27,6 +27,10 @@ from repro.sim.policy import Policy
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
     from repro.sim.job import Job
+
+
+def _neg_priority(job: "Job") -> int:
+    return -job.task.priority
 
 
 class PlanariaPolicy(Policy):
@@ -47,7 +51,11 @@ class PlanariaPolicy(Policy):
         self.max_concurrent = max_concurrent
         self.min_tiles = min_tiles
         self._predictor: Optional[RemainingPrediction] = None
-        self._last_signature: tuple = ()
+        #: ``{job_id: urgency bucket}`` of the last re-derived fission.
+        self._last_buckets: Dict[str, float] = {}
+        #: job_id -> (block_idx, tiles, predicted remaining cycles),
+        #: refreshed when the job's (block, tiles) key moves.
+        self._remain: Dict[str, Tuple[int, int, float]] = {}
 
     # ------------------------------------------------------------------
 
@@ -67,16 +75,15 @@ class PlanariaPolicy(Policy):
         # (Planaria's scheduler runs on task events and deadline
         # epochs; re-deriving on every simulator event would cascade
         # the migration stalls unboundedly).
-        signature = tuple(
-            sorted(
-                (j.job_id, self._urgency_bucket(sim, j)) for j in candidates
-            )
-        )
-        if signature == self._last_signature and not admit:
+        # Each candidate's bucket is computed once per round and reused
+        # by the signature, the fission weights and the grow test.
+        now = sim.now
+        buckets = {j.job_id: self._urgency_bucket(j, now) for j in candidates}
+        if buckets == self._last_buckets and not admit:
             return EMPTY_PLAN
-        self._last_signature = signature
+        self._last_buckets = buckets
 
-        desired = self._fission_shares(sim, candidates)
+        desired = self._fission_shares(sim, candidates, buckets)
 
         def wants_change(job: "Job") -> bool:
             # Pod-granularity hysteresis: a one-tile shrink is not
@@ -86,7 +93,7 @@ class PlanariaPolicy(Policy):
                 return False
             if abs(delta) >= 2:
                 return True
-            return delta > 0 and self._urgency_bucket(sim, job) >= 2.0
+            return delta > 0 and buckets[job.job_id] >= 2.0
 
         # Shrinks on running jobs free tiles for the newcomers, the
         # remainder funds the grows — the controller's canonical
@@ -120,30 +127,36 @@ class PlanariaPolicy(Policy):
         )
 
     def _admission_order(self, sim: "Simulator") -> List["Job"]:
-        """Waiting tasks to admit, best priority/age first."""
+        """Waiting tasks to admit, best priority/age first.
+
+        ``sim.ready`` is already ordered by ``(dispatch_cycle, job_id)``,
+        so a stable sort on priority alone ranks by (priority, age, id).
+        """
         slots = self.max_concurrent - len(sim.running)
         if slots <= 0 or not sim.ready:
             return []
-        ranked = sorted(
-            sim.ready,
-            key=lambda j: (
-                -(j.task.priority + 1),
-                j.task.dispatch_cycle,
-                j.job_id,
-            ),
-        )
+        ranked = sorted(sim.ready, key=_neg_priority)
         return ranked[:slots]
 
     # ------------------------------------------------------------------
 
-    def _urgency_bucket(self, sim: "Simulator", job: "Job") -> float:
+    def _urgency_bucket(self, job: "Job", now: float) -> float:
         """Quantized urgency from deadline slack vs remaining work."""
         assert self._predictor is not None
-        tiles = max(job.tiles, self.min_tiles)
-        remain = self._predictor.remaining(
-            job.task.cost, job.block_idx, tiles
-        )
-        slack = job.task.deadline - sim.now
+        tiles = job.tiles
+        if tiles < self.min_tiles:
+            tiles = self.min_tiles
+        block = job.block_idx
+        cached = self._remain.get(job.job_id)
+        if cached is None or cached[0] != block or cached[1] != tiles:
+            cached = (
+                block,
+                tiles,
+                self._predictor.remaining(job.task.cost, block, tiles),
+            )
+            self._remain[job.job_id] = cached
+        remain = cached[2]
+        slack = job.task.deadline - now
         if slack <= 0 or remain <= 0:
             return 4.0
         ratio = slack / remain
@@ -154,12 +167,15 @@ class PlanariaPolicy(Policy):
         return 1.0
 
     def _fission_shares(
-        self, sim: "Simulator", candidates: List["Job"]
+        self,
+        sim: "Simulator",
+        candidates: List["Job"],
+        buckets: Dict[str, float],
     ) -> Dict[str, int]:
         """Apportion all tiles by priority x urgency (min 1 each)."""
         total = sim.soc.num_tiles
         weights = {
-            j.job_id: (j.task.priority + 1) * self._urgency_bucket(sim, j)
+            j.job_id: (j.task.priority + 1) * buckets[j.job_id]
             for j in candidates
         }
         weight_sum = sum(weights.values())
@@ -184,7 +200,12 @@ class PlanariaPolicy(Policy):
             shares[jid] += 1
         return shares
 
+    def on_job_finished(self, sim: "Simulator", job: "Job") -> None:
+        """Drop the finished job's cached remaining-work prediction."""
+        self._remain.pop(job.job_id, None)
+
     def reset(self) -> None:
-        """Drop the prediction cache (new simulation)."""
+        """Drop the prediction caches (new simulation)."""
         self._predictor = None
-        self._last_signature = ()
+        self._last_buckets = {}
+        self._remain.clear()

@@ -19,7 +19,7 @@ is why PREMA trails every spatial scheme on SLA and STP in Figures
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.sim.plan import EMPTY_PLAN, AllocationPlan
 from repro.sim.policy import Policy
@@ -31,6 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Cycles to checkpoint + restore accelerator state on a preemption
 #: (scratchpad/accumulator flush and refill over the memory system).
 PREEMPTION_OVERHEAD_CYCLES = 50_000
+
+#: Static priority levels 0..11 (validated by :class:`~repro.sim.job.Task`).
+_PRIORITY_LEVELS = 12
 
 
 class PremaPolicy(Policy):
@@ -75,11 +78,13 @@ class PremaPolicy(Policy):
         """
         if sim.running:
             runner = sim.running[0]
+            # Preemption happens only at an unstalled block checkpoint;
+            # test that before paying for the challenger search.
+            if not runner.at_block_boundary or runner.is_stalled(sim.now):
+                return EMPTY_PLAN
             challenger = self._best_waiting(sim)
             if (
                 challenger is not None
-                and runner.at_block_boundary
-                and not runner.is_stalled(sim.now)
                 and self.tokens(challenger, sim.now)
                 > self.preemption_threshold
                 * max(self.tokens(runner, sim.now), 1e-12)
@@ -107,18 +112,45 @@ class PremaPolicy(Policy):
         )
 
     def _best_waiting(self, sim: "Simulator") -> Optional["Job"]:
-        """The waiting job with the most tokens (stable tie-break)."""
-        if not sim.ready:
-            return None
-        return max(
-            sim.ready,
-            key=lambda j: (
-                self.tokens(j, sim.now),
-                j.task.priority,
-                -j.task.dispatch_cycle,
-                j.job_id,
-            ),
-        )
+        """The waiting job maximising ``(tokens, priority, -dispatch,
+        job_id)``.
+
+        ``sim.ready`` is kept sorted by ``(dispatch_cycle, job_id)``,
+        and within one priority class tokens never grow with the
+        dispatch cycle.  So each class's best job is its earliest
+        dispatch, ties going to the largest job id — the last of the
+        equal-dispatch run in ready order.  One pass finds those heads;
+        the full key is then compared only among them (at most one per
+        priority level).
+        """
+        heads: List[Optional["Job"]] = [None] * _PRIORITY_LEVELS
+        for job in sim.ready:
+            task = job.task
+            head = heads[task.priority]
+            if (
+                head is None
+                or head.task.dispatch_cycle == task.dispatch_cycle
+            ):
+                heads[task.priority] = job
+        now = sim.now
+        best = None
+        best_key = None
+        for job in heads:
+            if job is None:
+                continue
+            task = job.task
+            # tokens(job, now), inlined: the same float.
+            waited = now - task.dispatch_cycle
+            key = (
+                (task.priority + 1) * (waited if waited > 0.0 else 0.0),
+                task.priority,
+                -task.dispatch_cycle,
+                job.job_id,
+            )
+            if best is None or key > best_key:
+                best = job
+                best_key = key
+        return best
 
     def reset(self) -> None:
         """Stateless between runs."""

@@ -366,6 +366,11 @@ class MoCAPolicy(Policy):
             return []
         queue = [self._schedulable(sim, job) for job in sim.ready]
         selected = self._scheduler.select(sim.now, queue, sim.free_tiles)
+        if not selected and not sim.running and not sim.has_pending_arrivals:
+            # Nothing runs and nothing is left to arrive, so the clock
+            # cannot advance and no score can rise past the threshold:
+            # waiting would deadlock.  Admit the top-ranked task anyway.
+            selected = [self._scheduler.top_ranked(sim.now, queue)]
         base = self.scheduler_config.tiles_per_task
         free = sim.free_tiles
         admissions: List[Tuple[str, int]] = []

@@ -153,6 +153,19 @@ class MoCAScheduler:
                     group.append(partner)
         return group
 
+    def top_ranked(
+        self, now: float, queue: Sequence[SchedulableTask]
+    ) -> Optional[SchedulableTask]:
+        """The waiting task :meth:`select` ranks first, ignoring
+        ``score_threshold`` (``None`` for an empty queue)."""
+        if not queue:
+            return None
+        return min(
+            queue,
+            key=lambda t: (-self.score_task(t, now), t.dispatched_at,
+                           t.task_id),
+        )
+
     @staticmethod
     def _find_non_mem_intensive(
         ex_queue: Sequence[SchedulableTask],

@@ -58,7 +58,8 @@ DECISION_COUNTER_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+# Slotted: a sweep holds one record per cell for its whole lifetime.
+@dataclass(frozen=True, slots=True)
 class CellResult:
     """Outcome of one (scenario, policy, seed) cell of a sweep.
 

@@ -12,7 +12,8 @@ from repro.metrics.throughput import normalized_progress_mean, system_throughput
 from repro.sim.job import TaskResult
 
 
-@dataclass(frozen=True)
+# Slotted: every sweep cell carries one bundle for the sweep's lifetime.
+@dataclass(frozen=True, slots=True)
 class MetricsSummary:
     """All Section IV-C metrics for one simulated scenario.
 

@@ -296,6 +296,11 @@ class Simulator:
         """
         return self.soc.num_tiles - self._tiles_held
 
+    @property
+    def has_pending_arrivals(self) -> bool:
+        """Whether any task has yet to be dispatched (read-only)."""
+        return bool(self._pending)
+
     def start_job(self, job: Job, tiles: int) -> None:
         """Admit a READY job onto ``tiles`` tiles."""
         if job.phase is not JobPhase.READY:

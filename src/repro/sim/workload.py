@@ -40,10 +40,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import SoCConfig
-from repro.core.latency import build_network_cost
+from repro.core.latency import NetworkCost, build_network_cost
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.models.graph import Network
 from repro.sim.job import Task
@@ -56,6 +57,9 @@ PRIORITY_WEIGHTS: Sequence[float] = (
     9.0, 8.0, 7.0, 6.0, 5.0, 4.0,  # p-Mid  (3-8)
     2.5, 1.5, 1.0,             # p-High (9-11)
 )
+
+#: The static priority levels the weight tables index.
+_PRIORITIES = range(12)
 
 #: Priority-group boundaries used by Figure 6 (p-Low 0-2, p-Mid 3-8,
 #: p-High 9-11).
@@ -237,7 +241,7 @@ class WorkloadGenerator:
         """Draw a static priority from the Google-trace-shaped table
         (or a caller-supplied 12-entry weight override)."""
         table = PRIORITY_WEIGHTS if weights is None else weights
-        return rng.choices(range(12), weights=table, k=1)[0]
+        return rng.choices(_PRIORITIES, weights=table, k=1)[0]
 
     def arrival_window(self, config: WorkloadConfig) -> float:
         """Length of the dispatch window in cycles for a scenario.
@@ -347,19 +351,42 @@ class WorkloadGenerator:
             window = self.arrival_window(config)
             if window <= 0:
                 raise ValueError("arrival window must be positive")
+        # ``choices(weights=w)`` accumulates ``w`` into the same floats
+        # on every call; accumulating once and passing ``cum_weights``
+        # draws identically.
+        mix_cum = (
+            None if mix_weights is None else list(accumulate(mix_weights))
+        )
+        prio_table = (
+            PRIORITY_WEIGHTS if config.priority_weights is None
+            else config.priority_weights
+        )
+        prio_cum = list(accumulate(prio_table))
+        # Cost, isolated latency and QoS target depend only on the
+        # network (the level is fixed per call): computed on first
+        # sight with the same calls and arguments, then reused.  Keyed
+        # by identity: ``pool`` holds every network for the whole call.
+        per_network: Dict[int, Tuple[NetworkCost, float, float]] = {}
         tasks: List[Task] = []
         for i in range(config.num_tasks):
-            if mix_weights is None:
+            if mix_cum is None:
                 network = rng.choice(pool)
             else:
-                network = rng.choices(pool, weights=mix_weights, k=1)[0]
+                network = rng.choices(pool, cum_weights=mix_cum, k=1)[0]
             dispatch = self._sample_dispatch(
                 rng, config, window, trace_cycles, i
             )
-            priority = self.sample_priority(rng, config.priority_weights)
-            cost = build_network_cost(network, self.soc, self.mem)
-            isolated = self.qos.isolated_latency_from_cost(cost, self.mem)
-            target = self.qos.target(network, config.qos_level, self.mem)
+            priority = rng.choices(_PRIORITIES, cum_weights=prio_cum, k=1)[0]
+            known = per_network.get(id(network))
+            if known is None:
+                cost = build_network_cost(network, self.soc, self.mem)
+                known = (
+                    cost,
+                    self.qos.isolated_latency_from_cost(cost, self.mem),
+                    self.qos.target(network, config.qos_level, self.mem),
+                )
+                per_network[id(network)] = known
+            cost, isolated, target = known
             tasks.append(
                 Task(
                     task_id=f"t{i:04d}",

@@ -160,3 +160,49 @@ class TestEndToEnd:
         mean_high = sum(r.latency for r in high) / len(high)
         mean_low = sum(r.latency for r in low) / len(low)
         assert mean_high < mean_low
+
+
+class TestIdleAdmission:
+    """An idle SoC with nothing left to arrive must not wait on the
+    admission threshold: the clock cannot advance, so no waiting
+    task's score can ever rise past it."""
+
+    def test_lone_zero_score_task_runs(self, soc, mem, task_factory):
+        # Priority 0, zero wait: score 0.0, not above the default
+        # threshold of 0.0.
+        tasks = [task_factory(task_id="lone", priority=0, dispatch=0.0)]
+        result = run_simulation(soc, tasks, MoCAPolicy(), mem=mem)
+        assert [r.task_id for r in result.results] == ["lone"]
+
+    def test_threshold_still_holds_while_arrivals_pending(
+        self, soc, mem, task_factory
+    ):
+        tasks = [
+            task_factory(task_id="early", priority=0, dispatch=0.0),
+            task_factory(task_id="late", priority=0, dispatch=1e6),
+        ]
+        sim, policy = _sim(soc, mem, tasks)
+        sim._dispatch_arrivals()
+        assert sim.has_pending_arrivals
+        policy.on_event(sim)
+        assert sim.running == []
+
+    def test_pending_arrivals_property(self, soc, mem, task_factory):
+        sim, _ = _sim(soc, mem, [task_factory(task_id="a", dispatch=5.0)])
+        assert sim.has_pending_arrivals
+        sim.now = 5.0
+        sim._dispatch_arrivals()
+        assert not sim.has_pending_arrivals
+
+    def test_diurnal_light_seed_8_cell_completes(self):
+        # The benchmark cell that used to raise "deadlock ... 1 ready,
+        # 0 running".
+        from dataclasses import replace
+
+        from repro.experiments.runner import default_policies, run_cell
+        from repro.scenarios import get_scenario
+
+        spec = replace(get_scenario("diurnal-light"), num_tasks=16,
+                       seeds=(8,))
+        summary = run_cell(spec, "moca", default_policies()["moca"], 8)
+        assert 0.0 <= summary.sla_rate <= 1.0
