@@ -1,11 +1,11 @@
-"""Performance trajectory benchmark: serial vs parallel, engine hot path.
+"""Performance trajectory benchmark: serial vs parallel, engine event rate.
 
 Times a fixed reference matrix (the paper's nine scenarios at a reduced
 size) through the serial and parallel experiment executors, measures
-the simulator's event rate with and without the incremental
-(epoch-cached) hot path, checks the two executor paths produce
-bit-identical metrics, and writes everything to ``BENCH_perf.json`` so
-every future performance PR has a trajectory to beat.
+the simulator's event rate on one reference MoCA run, checks the two
+executor paths produce bit-identical metrics, and writes everything to
+``BENCH_perf.json`` so every future performance PR has a trajectory to
+beat.
 
 Both timed legs run warm and symmetric: the parent's caches are
 pre-built, then the worker pool is started and cache-warmed (via the
@@ -49,24 +49,17 @@ plans emitted/applied/no-op and the allocation-epoch cache reuse
 ratio under the every-event and block-boundary cadences (both pure
 simulation counters, deterministic per configuration).
 
-Exit status is non-zero when the parallel path or the sharded merge
-produced different metrics than the serial path, or when any of the
-controlled ratio gates fail: the engine's ``event_rate_speedup``
-must be >= 1.0, ``plan_seam_speedup`` must be >= 0.95 (parity within
-measurement noise; the pre-fix seam regression measured ~0.92 and
-fails this floor) and the block-boundary cadence
-must achieve a strictly higher epoch-cache reuse ratio than
-every-event.  The raw serial/parallel wall-clock ``speedup`` is
-recorded but deliberately *not* gated — on a 1-CPU container a
-process pool can only add overhead, which made the old wall-clock
-gate flaky; the ratio metrics are same-process A/Bs of deterministic
-work and cannot be perturbed by box load.
-
-``--engine-only`` runs just the engine microbench, the
-reference-matrix scalar-vs-vector identity spot check, and the
-plan-seam gates (including the fresh-run-vs-recorded-baseline
-comparison when ``--out`` exists) — the fast mode ``scripts/ci.sh``
-invokes.
+Exit status is non-zero when the parallel path, the supervised run,
+the coordinator or the sharded merge produced different metrics than
+the serial path, or when a controlled ratio gate fails: the
+block-boundary cadence must achieve a strictly higher epoch reuse
+ratio than every-event, and the coordinator's lease efficiency must
+stay >= 0.67.  The raw serial/parallel wall-clock ``speedup`` and the
+engine event rate are recorded but deliberately *not* gated — on a
+1-CPU container a process pool can only add overhead, and absolute
+rates swing with box load.  ``perfbench/`` is the end-to-end sweep
+benchmark; engine-vs-reference identity is pinned by
+``tests/test_kernel.py``.
 """
 
 from __future__ import annotations
@@ -118,21 +111,9 @@ from repro.experiments.execution import (
 from repro.experiments.sharding import run_shard
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.models.zoo import workload_set
-from repro.sim.engine import Simulator, run_simulation
+from repro.sim.engine import Simulator
 from repro.sim.qos import QosLevel, QosModel
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
-
-# Floor for the plan-seam A/B gate (declarative vs imperative seam):
-# parity within measurement noise on the 1-CPU reference box.  The
-# pre-fix seam regression measured ~0.92 and fails this floor.
-_PLAN_SEAM_FLOOR = 0.95
-
-# Floor for the horizon-kernel A/B gate (kernel vs incremental
-# single-step engine, best-of-rounds, same box/process): the kernel
-# measures ~1.5-1.8x on the reference workload, so 1.5 trips on a
-# real regression while the doubled-reps re-measure backstop absorbs
-# noise dips.
-_KERNEL_FLOOR = 1.5
 
 try:
     import numpy as _numpy
@@ -142,118 +123,16 @@ except ImportError:  # the engine's scalar paths run without numpy
     _NUMPY_VERSION = None
 
 
-class _AlwaysRecomputeSimulator(Simulator):
-    """The seed behaviour for comparison: scalar per-job solves with
-    the allocation-epoch cache and the per-block prediction memos
-    defeated, so every event re-predicts every block and re-solves
-    the arbiter — same algorithm, no reuse, no vectorization."""
-
-    def __init__(self, *args, **kwargs):
-        kwargs["solver"] = "scalar"
-        super().__init__(*args, **kwargs)
-
-    def _times_now(self):
-        # The engine's internal hot-path probe (current_block_times is
-        # only the external proxy wrapper now); hooking it here keeps
-        # the defeat effective on every event.
-        self._times_epoch = -1
-        for job in self.running:
-            job.current_block.clear_predict_memo()
-        return super()._times_now()
-
-
-class _NoFastPathMoCA(MoCAPolicy):
-    """MoCA without the boundary-counter decision fast path (the
-    policy as shipped at the plan-seam PR)."""
-
-    fast_path = False
-
-
-class _ImperativeMoCA(MoCAPolicy):
-    """Pre-plan-seam MoCA: identical decisions, applied imperatively.
-
-    The engine sees ``emits_plans = False`` and drives ``on_event``,
-    which recomputes the full decision round every event (no boundary
-    fast path) and pushes each action through the direct engine
-    primitives — every mutation charging its own stall and bumping
-    the allocation epoch individually, exactly the seam the
-    declarative controller replaced.  The primitives share their
-    no-op detection and stall charging with the controller, so the
-    simulated metrics stay bit-identical and the A/B below measures
-    pure seam overhead.
-    """
-
-    fast_path = False
-
-    @property
-    def emits_plans(self) -> bool:
-        return False
-
-    def on_event(self, sim) -> None:
-        plan = MoCAPolicy.decide(self, sim)
-        jobs = sim.jobs
-        for jid, tiles in plan.admissions:
-            sim.start_job(jobs[jid], tiles)
-        for jid, tiles in plan.tiles:
-            sim.set_tiles(jobs[jid], tiles)
-        for jid, cap in plan.bw_caps:
-            sim.set_bw_cap(jobs[jid], cap)
-
-
-#: The engine microbench legs: label -> (simulator class, policy
-#: factory).  ``kernel`` (the engine default: epoch-horizon batched
-#: advance) is the shipping configuration; ``incremental`` is the
-#: single-step vectorized path it replaced as default (kept as the
-#: kernel's oracle and as the reference leg of the historical
-#: ratios); the rest are controlled comparators.  The non-kernel legs
-#: pin their solver explicitly — the engine default is now the
-#: kernel, and each ratio must keep comparing what it always
-#: compared.
-_ENGINE_LEGS = (
-    ("incremental",
-     lambda *a, **kw: Simulator(*a, solver="vector", **kw),
-     MoCAPolicy),
-    ("kernel", Simulator, MoCAPolicy),
-    ("scalar", lambda *a, **kw: Simulator(*a, solver="scalar", **kw),
-     MoCAPolicy),
-    ("imperative",
-     lambda *a, **kw: Simulator(*a, solver="vector", **kw),
-     _ImperativeMoCA),
-    ("always_recompute", _AlwaysRecomputeSimulator, _NoFastPathMoCA),
-)
-
-
 def _bench_engine(
     num_tasks: int, seed: int, reps: int = 3
 ) -> Dict[str, object]:
     """Event-rate micro-benchmark of one reference MoCA simulation.
 
-    Five legs over the same task list: the epoch-horizon kernel (the
-    shipping engine default), the incremental single-step vectorized
-    path it replaced as default, the scalar reference oracle, the
-    imperative-seam comparator, and the seed model (scalar, caches
-    defeated).  Every leg is simulated ``reps`` times in interleaved
-    rounds and the fastest wall time is kept (the simulation is
-    deterministic; only the clock is noisy), every leg must produce
-    bit-identical results, and the ratios — not the raw wall-clock
-    rates — are what the gates read:
-
-    - ``event_rate_speedup``: incremental vs seed model (the ROADMAP
-      item 2 trajectory number);
-    - ``kernel.event_rate_speedup``: horizon kernel vs the
-      incremental single-step engine, gated >= 1.5;
-    - ``plan_seam_speedup``: incremental (declarative) vs imperative
-      seam — the plan-seam regression A/B, gated >= 0.95 (parity
-      within noise; the pre-fix regression sat at ~0.92);
-    - ``vector_speedup``: vectorized vs scalar solver,
-      informational.
-
-    Each ratio is a ratio of per-leg *best* times.  The legs are
-    deterministic, so each has one true cost and timing noise is
-    purely additive — the minimum over rounds is the low-variance
-    estimator.  (A paired per-round median was tried first and swung
-    roughly +/-5% on the 1-CPU reference box; best-of ratios hold
-    within about +/-2% there.)
+    The same task list is simulated ``reps`` times and the fastest
+    wall time is kept (the simulation is deterministic; only the clock
+    is noisy, and timing noise is purely additive, so the minimum is
+    the low-variance estimator).  Informational: absolute rates swing
+    with box load.
     """
     soc = DEFAULT_SOC
     mem = MemoryHierarchy.from_soc(soc)
@@ -268,98 +147,22 @@ def _bench_engine(
             seed=seed,
         )
     )
-    out: Dict[str, object] = {}
-    results_by_leg = {}
-    times: Dict[str, List[float]] = {label: []
-                                     for label, _, _ in _ENGINE_LEGS}
-    last_result = {}
-    # Interleaved rounds: each rep times every leg once, in the same
-    # order, so slow drift in box speed hits every leg's best time
-    # from the same era of the run; the ratio metrics below compare
-    # per-leg bests and the absolute rates keep the same bests.
+    best = float("inf")
     for _ in range(max(reps, 1)):
-        for label, sim_factory, policy_cls in _ENGINE_LEGS:
-            policy = policy_cls()
-            policy.reset()
-            sim = sim_factory(soc, tasks, policy, mem=mem)
-            t0 = time.perf_counter()
-            result = sim.run()
-            elapsed = time.perf_counter() - t0
-            times[label].append(elapsed)
-            last_result[label] = result
-    for label, _, _ in _ENGINE_LEGS:
-        result = last_result[label]
-        best = min(times[label])
-        out[label] = {
-            "seconds": round(best, 4),
-            "events": result.events,
-            "events_per_sec": round(result.events / best, 1),
-            "block_time_recomputes": result.block_time_recomputes,
-            "block_time_reuses": result.block_time_reuses,
-            "makespan": result.makespan,
-        }
-        # Full per-task results for the divergence gate below (makespan
-        # alone could mask a cache bug that leaves the last finish
-        # time untouched).
-        results_by_leg[label] = tuple(result.results)
-    reference = results_by_leg["incremental"]
-    for label, leg_results in results_by_leg.items():
-        if (
-            leg_results != reference
-            or out[label]["makespan"] != out["incremental"]["makespan"]
-        ):
-            raise AssertionError(
-                f"engine leg {label!r} diverged from the incremental "
-                f"configuration"
-            )
-    def best_ratio(other: str) -> float:
-        return min(times[other]) / min(times["incremental"])
-
-    out["event_rate_speedup"] = round(
-        best_ratio("always_recompute"), 3
-    )
-    out["plan_seam_speedup"] = round(best_ratio("imperative"), 3)
-    out["vector_speedup"] = round(best_ratio("scalar"), 3)
-    # The horizon-kernel A/B: kernel (shipping default) vs the
-    # incremental single-step engine it replaced, gated >= 1.5.
-    out["kernel"]["event_rate_speedup"] = round(
-        min(times["incremental"]) / min(times["kernel"]), 3
-    )
-    return out
-
-
-def _bench_engine_stable(
-    num_tasks: int, seed: int, reps: int
-) -> Dict[str, object]:
-    """``_bench_engine`` with one automatic re-measure backstop.
-
-    If the first measurement lands below the plan-seam or the
-    horizon-kernel floor, the bench is re-run once with doubled
-    rounds and that measurement is the one reported.  A real
-    regression (the pre-fix seam sat at ~0.92; a disabled kernel
-    measures ~1.0) fails both measurements; a one-off noise dip at
-    true parity almost never survives the doubled-reps re-measure,
-    which keeps the CI gate's flake rate negligible without loosening
-    the floors.
-    """
-    engine = _bench_engine(num_tasks, seed=seed, reps=reps)
-    below = [
-        f"plan seam x{engine['plan_seam_speedup']} < "
-        f"{_PLAN_SEAM_FLOOR}"
-    ] if engine["plan_seam_speedup"] < _PLAN_SEAM_FLOOR else []
-    if engine["kernel"]["event_rate_speedup"] < _KERNEL_FLOOR:
-        below.append(
-            f"kernel x{engine['kernel']['event_rate_speedup']} < "
-            f"{_KERNEL_FLOOR}"
-        )
-    if below:
-        print(
-            f"{'; '.join(below)} below floor; re-measuring once "
-            f"with {reps * 2} rounds",
-            file=sys.stderr,
-        )
-        engine = _bench_engine(num_tasks, seed=seed, reps=reps * 2)
-    return engine
+        policy = MoCAPolicy()
+        policy.reset()
+        sim = Simulator(soc, tasks, policy, mem=mem)
+        t0 = time.perf_counter()
+        result = sim.run()
+        best = min(best, time.perf_counter() - t0)
+    return {
+        "seconds": round(best, 4),
+        "events": result.events,
+        "events_per_sec": round(result.events / best, 1),
+        "block_time_recomputes": result.block_time_recomputes,
+        "block_time_reuses": result.block_time_reuses,
+        "makespan": result.makespan,
+    }
 
 
 def _bench_decisions(num_tasks: int, seeds) -> Dict[str, object]:
@@ -412,117 +215,6 @@ def _bench_decisions(num_tasks: int, seeds) -> Dict[str, object]:
     return out
 
 
-def _check_matrix_identity(num_tasks: int, seed: int) -> int:
-    """Scalar-vs-vector identity spot check on the reference matrix.
-
-    Runs every (scenario, policy) cell of the 9-scenario matrix once
-    under each solver and asserts the full per-task results (not just
-    the makespan) are bit-identical.  Returns the number of cells
-    checked.
-    """
-    soc = DEFAULT_SOC
-    mem = MemoryHierarchy.from_soc(soc)
-    checked = 0
-    for spec in standard_matrix(num_tasks=num_tasks, seeds=(seed,)):
-        qos = QosModel(soc, slack_factor=spec.slack_factor)
-        gen = WorkloadGenerator(soc, spec.networks(), mem, qos)
-        tasks = gen.generate(spec.workload_config(seed))
-        for name, factory in default_policies().items():
-            legs = {
-                solver: run_simulation(
-                    soc, tasks, factory(), mem=mem,
-                    cadence=spec.cadence(), solver=solver,
-                )
-                for solver in ("vector", "scalar")
-            }
-            if (
-                tuple(legs["vector"].results)
-                != tuple(legs["scalar"].results)
-                or legs["vector"].makespan != legs["scalar"].makespan
-            ):
-                raise AssertionError(
-                    f"vector/scalar divergence: scenario "
-                    f"{spec.label()!r}, policy {name!r}, seed {seed}"
-                )
-            checked += 1
-    return checked
-
-
-def _engine_only(args) -> int:
-    """The ``--engine-only`` mode backing ``scripts/ci.sh``'s
-    microbench gate: the four-leg engine bench (with its built-in
-    all-legs identity assertion), the reference-matrix scalar/vector
-    identity spot check, and the plan-seam gates — the in-run
-    ``plan_seam_speedup >= 0.95`` ratio, plus, when ``--out`` already
-    exists, the fresh plan-seam rate measured against the imperative
-    baseline recorded there (the cross-run form of the same
-    assertion; the recorded number is from the same class of box, and
-    the ratio gate is the flake-proof primary)."""
-    engine = _bench_engine_stable(args.tasks, seed=args.seeds[0],
-                                  reps=args.engine_reps)
-    print(
-        f"engine: {engine['kernel']['events_per_sec']:,} ev/s kernel "
-        f"vs {engine['incremental']['events_per_sec']:,} ev/s "
-        f"incremental (x{engine['kernel']['event_rate_speedup']}), "
-        f"x{engine['plan_seam_speedup']} vs imperative seam, "
-        f"x{engine['event_rate_speedup']} vs seed model, "
-        f"x{engine['vector_speedup']} vs scalar oracle",
-        file=sys.stderr,
-    )
-    cells = _check_matrix_identity(
-        max(args.tasks // 3, 20), seed=args.seeds[0]
-    )
-    print(
-        f"identity: vector == scalar on {cells} reference-matrix "
-        f"cells",
-        file=sys.stderr,
-    )
-    failed = False
-    if engine["plan_seam_speedup"] < _PLAN_SEAM_FLOOR:
-        print(
-            f"FAIL: plan seam slower than imperative seam "
-            f"(x{engine['plan_seam_speedup']} < {_PLAN_SEAM_FLOOR})",
-            file=sys.stderr,
-        )
-        failed = True
-    if engine["kernel"]["event_rate_speedup"] < _KERNEL_FLOOR:
-        print(
-            f"FAIL: horizon kernel below its floor vs the "
-            f"incremental engine "
-            f"(x{engine['kernel']['event_rate_speedup']} < "
-            f"{_KERNEL_FLOOR})",
-            file=sys.stderr,
-        )
-        failed = True
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            recorded = json.load(fh).get("engine", {})
-        baseline = recorded.get("imperative", {}).get("events_per_sec")
-        if baseline is not None:
-            # Cross-run rates compare different box states, so this
-            # form gets a 0.7x noise allowance; the pre-fix engine ran
-            # at ~0.3x the recorded imperative rate, so a real
-            # regression still trips it.  The paired in-run ratio
-            # above is the precise gate.
-            fresh = engine["incremental"]["events_per_sec"]
-            if fresh < 0.7 * baseline:
-                print(
-                    f"FAIL: plan seam ({fresh:,} ev/s) below 0.7x "
-                    f"the recorded imperative baseline ({baseline:,} "
-                    f"ev/s) in {args.out}",
-                    file=sys.stderr,
-                )
-                failed = True
-            else:
-                print(
-                    f"gate: plan seam {fresh:,} ev/s within noise of "
-                    f"the recorded imperative baseline "
-                    f"({baseline:,} ev/s)",
-                    file=sys.stderr,
-                )
-    return 1 if failed else 0
-
-
 def _prewarm_caches() -> None:
     """Warm the parent's network-cost and predict-memo caches up front
     so the timed serial leg starts warm — symmetric with the parallel
@@ -531,83 +223,6 @@ def _prewarm_caches() -> None:
     soc = DEFAULT_SOC
     mem = MemoryHierarchy.from_soc(soc)
     warm_network_cost_cache(workload_set("C"), soc, mem)
-
-
-def _bench_precompute(num_tasks: int, seeds) -> Dict[str, object]:
-    """Cross-cell precompute sharing A/B on a 2-worker sweep.
-
-    Runs a reduced reference matrix through a cold 2-worker runner
-    (parent cache cleared, warm-start off) twice: once bare, once
-    against an on-disk :class:`~repro.core.latency.PrecomputeStore`
-    pre-seeded from this process's warm caches.  The per-cell
-    ``cost_cache_misses`` totals (deterministic cache telemetry, not
-    wall clock) are the measurement: the store leg must rebuild
-    strictly less than the cold leg — the sharing gate.  Runs LAST
-    (it clears this process's caches).
-    """
-    import shutil
-    import tempfile
-
-    from repro.core.latency import (
-        clear_network_cost_cache,
-        precompute_stats,
-        reset_precompute_stats,
-        warm_network_cost_cache as warm,
-    )
-    from repro.experiments.parallel import _spec_model_names
-    from repro.models.zoo import build_model
-
-    specs = standard_matrix(num_tasks=num_tasks, seeds=seeds)
-    soc = DEFAULT_SOC
-    store_dir = tempfile.mkdtemp(prefix="bench-precompute-")
-    try:
-        reset_precompute_stats()
-        # Seed the store from the warm parent (pure cache hits +
-        # disk saves).
-        models = [
-            build_model(name) for name in _spec_model_names(specs)
-        ]
-        warm(models, soc, store=store_dir)
-        saves = precompute_stats()["precompute_saves"]
-
-        legs: Dict[str, object] = {}
-        matrices = {}
-        for leg, store in (("cold", None), ("with_store", store_dir)):
-            clear_network_cost_cache()
-            runner = ParallelRunner(
-                workers=2, warm_start=False, precompute_dir=store
-            )
-            t0 = time.perf_counter()
-            matrices[leg] = runner.run_matrix(specs)
-            seconds = time.perf_counter() - t0
-            cache = runner.last_sweep.cache_stats()
-            legs[leg] = {
-                "seconds": round(seconds, 3),
-                "mode": runner.last_mode,
-                "cost_cache_misses": cache["cost_cache_misses"],
-                "cost_cache_hits": cache["cost_cache_hits"],
-            }
-        cold = legs["cold"]["cost_cache_misses"]
-        shared = legs["with_store"]["cost_cache_misses"]
-        return {
-            **legs,
-            "store_entries_saved": saves,
-            "store_stats": precompute_stats(),
-            "identical_metrics": matrices_identical(
-                matrices["cold"], matrices["with_store"]
-            ),
-            "gate": {
-                "passed": cold > 0 and shared < cold,
-                "note": (
-                    "a 2-worker sweep warmed from the precompute "
-                    "store must rebuild strictly fewer network costs "
-                    "than the same sweep cold (per-cell "
-                    "cost_cache_misses totals; deterministic)"
-                ),
-            },
-        }
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -624,22 +239,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--out", default="BENCH_perf.json")
     parser.add_argument(
         "--engine-reps", type=int, default=5,
-        help="interleaved timing rounds over all engine-bench legs "
-             "(per-leg best times feed both the gated ratios and the "
-             "absolute rates; doubled once automatically if the "
-             "plan-seam ratio lands below its floor)",
-    )
-    parser.add_argument(
-        "--engine-only", action="store_true",
-        help="run only the engine microbench + identity spot check "
-        "and its gates (the scripts/ci.sh mode); does not rewrite "
-        "--out",
+        help="timing rounds of the engine microbench (the best time "
+             "is reported)",
     )
     args = parser.parse_args(argv)
     if not args.seeds:
         parser.error("--seeds must name at least one seed")
-    if args.engine_only:
-        return _engine_only(args)
     cpu_count = os.cpu_count() or 1
 
     print(
@@ -648,16 +253,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         file=sys.stderr,
     )
 
-    engine = _bench_engine_stable(args.tasks, seed=args.seeds[0],
-                                  reps=args.engine_reps)
+    engine = _bench_engine(args.tasks, seed=args.seeds[0],
+                           reps=args.engine_reps)
     print(
-        f"engine: {engine['kernel']['events_per_sec']:,} ev/s kernel "
-        f"vs {engine['incremental']['events_per_sec']:,} ev/s "
-        f"incremental (x{engine['kernel']['event_rate_speedup']}), "
-        f"{engine['always_recompute']['events_per_sec']:,} ev/s "
-        f"seed model (x{engine['event_rate_speedup']}), "
-        f"x{engine['plan_seam_speedup']} vs imperative seam, "
-        f"x{engine['vector_speedup']} vs scalar oracle",
+        f"engine: {engine['events_per_sec']:,} ev/s "
+        f"({engine['events']} events in {engine['seconds']}s)",
         file=sys.stderr,
     )
 
@@ -820,23 +420,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         p["shard"]["wall_seconds"] for p in shard_partials
     ]
 
-    # Cross-cell precompute sharing A/B — LAST of the sweep legs (it
-    # clears this process's warm caches).  A reduced matrix keeps it
-    # cheap; the measurement is deterministic cache telemetry, not
-    # wall clock.
-    precompute = _bench_precompute(
-        max(args.tasks // 6, 10), seeds=args.seeds[:1]
-    )
-    print(
-        f"precompute:      cold 2-worker sweep rebuilt "
-        f"{precompute['cold']['cost_cache_misses']} network costs, "
-        f"store-warmed rebuilt "
-        f"{precompute['with_store']['cost_cache_misses']} "
-        f"(store: {precompute['store_entries_saved']} entries; gate "
-        f"{'ok' if precompute['gate']['passed'] else 'FAILED'})",
-        file=sys.stderr,
-    )
-
     identical = matrices_identical(serial_matrix, parallel_matrix)
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
     cell_seconds = sorted(t.seconds for t in parallel_timings)
@@ -847,19 +430,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     # overhead and made the old gate flaky (ROADMAP perf note).  The
     # wall-clock speedup stays recorded (informational) above.
     ratio_gates = {
-        "event_rate_speedup": (engine["event_rate_speedup"], 1.0),
-        "kernel_event_rate_speedup": (
-            engine["kernel"]["event_rate_speedup"], _KERNEL_FLOOR
-        ),
-        "plan_seam_speedup": (engine["plan_seam_speedup"],
-                              _PLAN_SEAM_FLOOR),
         "epoch_reuse_ratio_improves": (
             1.0 if decisions["gate"]["passed"] else 0.0, 1.0
         ),
         "coordinator_efficiency": (coordinator_efficiency, 0.67),
-        "precompute_store_sharing": (
-            1.0 if precompute["gate"]["passed"] else 0.0, 1.0
-        ),
     }
     gate_ok = all(v >= floor for v, floor in ratio_gates.values())
 
@@ -891,7 +465,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "warmed_workers": len(warm_pids),
             "warmup_timeouts": warmup_timeouts,
             "worker_pids_seen": parallel_pids,
-            "cache": {**cell_cache, "precompute": precompute},
+            "cache": cell_cache,
             "cell_seconds_min": round(cell_seconds[0], 3),
             "cell_seconds_max": round(cell_seconds[-1], 3),
             "cell_seconds_mean": round(
@@ -966,11 +540,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             },
             "wall_clock_speedup": round(speedup, 3),
             "note": (
-                "gated on controlled same-process ratio metrics "
-                "(engine event-rate and plan-seam speedups, "
-                "epoch-reuse improvement, coordinator lease "
-                "efficiency vs static shards); the raw wall-clock "
-                "serial/parallel speedup is recorded but not gated "
+                "gated on controlled ratio metrics (epoch-reuse "
+                "improvement, coordinator lease efficiency vs static "
+                "shards); the raw wall-clock serial/parallel speedup "
+                "and the engine event rate are recorded but not gated "
                 "(flaky on 1-CPU containers)"
             ),
         },
@@ -1002,13 +575,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not coordinator_identical:
         print(
             "FAIL: coordinator-drained metrics differ from serial",
-            file=sys.stderr,
-        )
-        return 1
-    if not precompute["identical_metrics"]:
-        print(
-            "FAIL: store-warmed sweep metrics differ from the cold "
-            "sweep",
             file=sys.stderr,
         )
         return 1

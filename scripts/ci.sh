@@ -41,17 +41,6 @@ echo "== paper-claim benches (Figs. 1, 5-8, Table IV, ablations) =="
 # the paper's qualitative results (14 tests, a few seconds).
 python -m pytest -q benchmarks/bench_*.py
 
-echo "== engine microbench gate (plan seam vs imperative, bit-identity) =="
-# ISSUE acceptance gate: the declarative plan seam must not run
-# slower than the legacy imperative seam on the engine microbench
-# (best-of-rounds ratio with one re-measure backstop, plus the
-# recorded BENCH_perf.json
-# imperative baseline as a cross-run backstop), and the vectorized
-# solver must stay bit-identical to the scalar oracle across a
-# reference-matrix spot check.  Both are asserted inside
-# bench_perf.py --engine-only, which exits non-zero on violation.
-python scripts/bench_perf.py --engine-only --tasks 120 --seeds 1
-
 echo "== smoke =="
 python scripts/smoke.py A 24 M
 
@@ -78,10 +67,11 @@ diff -r "$EXPORT_TMP/streamed" "$EXPORT_TMP/serial"
 echo "exports byte-identical"
 
 echo "== sanitized run (REPRO_CHECK=1, byte-exact vs unchecked) =="
-# The runtime invariant sanitizer (vector-vs-scalar solver spot
-# checks, trusted-plan re-validation, ledger state-machine checks)
-# must be a pure observer: the same sweep under REPRO_CHECK=1 must
-# write byte-identical artifacts to the unchecked serial reference.
+# The runtime invariant sanitizer (engine-vs-reference block-time
+# spot checks, trusted-plan re-validation, ledger state-machine
+# checks) must be a pure observer: the same sweep under
+# REPRO_CHECK=1 must write byte-identical artifacts to the unchecked
+# serial reference.
 REPRO_CHECK=1 python -m repro.cli sweep \
     --scenarios bursty-mixed,diurnal-light \
     --tasks 16 --seeds 1,2 --workers 1 \

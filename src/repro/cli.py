@@ -417,17 +417,12 @@ def _ordered_manifest_policies(manifest, prog: str):
 
 def _sweep_runner(args):
     """The :class:`~repro.experiments.parallel.ParallelRunner` a
-    sweep-family invocation asked for — worker count, engine solver
-    override and precompute-store directory all ride on the runner,
-    so the local, shard and coordinator-worker execution paths pick
-    them up identically."""
+    sweep-family invocation asked for — the worker count rides on
+    the runner, so the local, shard and coordinator-worker execution
+    paths pick it up identically."""
     from repro.experiments.parallel import ParallelRunner
 
-    return ParallelRunner(
-        workers=args.workers or None,
-        solver=getattr(args, "solver", None),
-        precompute_dir=getattr(args, "precompute", None),
-    )
+    return ParallelRunner(workers=args.workers or None)
 
 
 def _supervised_sweep(specs, args, out=None, manifest=None, acc=None,
@@ -1199,24 +1194,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="worker processes for the matrix cells "
              "(1 = serial, 0 = one per CPU)",
-    )
-    p_sweep.add_argument(
-        "--solver", choices=("kernel", "vector", "scalar"),
-        default=None,
-        help="engine block-time solver for every cell (default: the "
-             "engine's default, the epoch-horizon kernel); all three "
-             "are bit-identical — this is an operational/debugging "
-             "knob, never part of the sweep's identity",
-    )
-    p_sweep.add_argument(
-        "--precompute", default=None, dest="precompute", metavar="DIR",
-        help="on-disk precompute store: load network block costs "
-             "from DIR instead of rebuilding them, and save fresh "
-             "builds back; shared safely by concurrent sweeps and "
-             "workers (entries are keyed by a digest of the full "
-             "model + SoC configuration, so a stale entry can never "
-             "alias); treat DIR with the same trust as the source "
-             "tree",
     )
     p_sweep.add_argument(
         "--tasks", type=int, default=None,

@@ -18,7 +18,7 @@ The paper validates this estimator within 10 % of FireSim RTL
 measurements; our benchmark ``bench_latency_validation`` replays that
 check against the fluid simulator.
 
-Besides the per-layer API, this module precomputes *block costs* — the
+Besides the per-layer API, this module derives *block costs* — the
 static shape numbers of a layer block — so the simulator and runtime
 can re-evaluate predictions under changing resource allocations
 (tiles, bandwidth share) in O(1).
@@ -26,12 +26,8 @@ can re-evaluate predictions under changing resource allocations
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.accelerator.tile import max_useful_tiles
 from repro.accelerator.tiling import plan_tiling
@@ -335,7 +331,7 @@ class RuntimeTable:
     The simulator's hot loop evaluates ``BlockCost.predict`` only at a
     tiny, fixed grid of points: every block of the network crossed with
     every tile count the SoC can grant, at the constant per-simulation
-    bandwidths.  This table batch-precomputes that whole grid at once
+    bandwidths.  This table evaluates that whole grid in one batch
     (with numpy array ops when available — the fpgahart-style SoA
     layout — or a scalar fallback) and exposes it as plain nested
     lists, so the per-event solve is pure list indexing: no memo-dict
@@ -503,30 +499,6 @@ _NetworkCostKey = Tuple[
 
 _NETWORK_COST_CACHE: Dict[_NetworkCostKey, NetworkCost] = {}
 
-#: Default block granularity — the one :func:`build_network_cost`
-#: uses; the precompute-store warmers must key with the same value.
-_DEFAULT_BLOCK_GRANULARITY = 6
-
-
-def _cost_cache_key(
-    network: Network,
-    soc: SoCConfig,
-    mem: MemoryHierarchy,
-    num_sharers: int,
-    max_layers_per_block: int,
-) -> _NetworkCostKey:
-    """The full identity a cached :class:`NetworkCost` depends on —
-    shared by the in-process cache probe and the on-disk precompute
-    store's digest, so the two can never key differently."""
-    return (
-        network.name,
-        network.structural_digest,
-        soc,
-        mem,
-        num_sharers,
-        max_layers_per_block,
-    )
-
 #: The cache telemetry contract: every counter name consumers
 #: (``SimResult``, ``CellResult``, ``BENCH_perf.json``) carry.  Code
 #: that splats counter deltas into those dataclasses iterates THIS
@@ -655,8 +627,13 @@ def build_network_cost(
     """
     if mem is None:
         mem = MemoryHierarchy.from_soc(soc)
-    key = _cost_cache_key(
-        network, soc, mem, num_sharers, max_layers_per_block
+    key: _NetworkCostKey = (
+        network.name,
+        network.structural_digest,
+        soc,
+        mem,
+        num_sharers,
+        max_layers_per_block,
     )
     if key in _NETWORK_COST_CACHE:
         _CACHE_STATS["cost_cache_hits"] += 1
@@ -675,258 +652,39 @@ def build_network_cost(
     return cost
 
 
-#: Process-global telemetry for the on-disk precompute store (same
-#: inline-increment convention as ``_CACHE_STATS``; these counters are
-#: *not* part of ``CACHE_COUNTER_FIELDS`` — they are published by the
-#: perf bench and the CLI directly, not threaded through every
-#: ``CellResult``).
-PRECOMPUTE_COUNTER_FIELDS: Tuple[str, ...] = (
-    "precompute_loads",
-    "precompute_load_misses",
-    "precompute_saves",
-)
-
-_PRECOMPUTE_STATS: Dict[str, int] = {
-    name: 0 for name in PRECOMPUTE_COUNTER_FIELDS
-}
-
-
-def precompute_stats() -> Dict[str, int]:
-    """Snapshot of the process-global precompute-store counters."""
-    return dict(_PRECOMPUTE_STATS)
-
-
-def reset_precompute_stats() -> None:
-    """Zero the precompute-store telemetry counters."""
-    for key in _PRECOMPUTE_STATS:
-        _PRECOMPUTE_STATS[key] = 0
-
-
-def precompute_digest(key: _NetworkCostKey) -> str:
-    """Stable on-disk identity of one network-cost cache key.
-
-    Hashes the ``repr`` of the full in-memory key — the network name,
-    its order-sensitive structural digest, both frozen config
-    dataclasses, the sharer count and the block granularity — so a
-    store entry can only ever be served back to the exact
-    configuration that produced it.  ``repr`` of frozen dataclasses
-    of primitives is deterministic across processes (no ids, no
-    addresses), unlike ``hash()``, which is salted per process.
-    """
-    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-
-
-def _cost_to_payload(cost: NetworkCost) -> dict:
-    """JSON payload for one :class:`NetworkCost` with exact float
-    round-trip (``float.hex``)."""
-    return {
-        "version": 1,
-        "network_name": cost.network_name,
-        "blocks": [
-            {
-                "name": b.name,
-                "kind": b.kind.name,
-                "compute_terms": [
-                    [cycles.hex(), max_tiles]
-                    for cycles, max_tiles in b.compute_terms
-                ],
-                "from_dram_bytes": b.from_dram_bytes.hex(),
-                "total_mem_bytes": b.total_mem_bytes.hex(),
-                "scaling_alpha": b.scaling_alpha.hex(),
-            }
-            for b in cost.blocks
-        ],
-    }
-
-
-def _cost_from_payload(payload: dict) -> Optional[NetworkCost]:
-    """Rebuild a :class:`NetworkCost` from a store payload; ``None``
-    on any structural mismatch (a malformed or foreign file is a
-    cache miss, never an error)."""
-    try:
-        if payload["version"] != 1:
-            return None
-        blocks = tuple(
-            BlockCost(
-                name=b["name"],
-                kind=LayerKind[b["kind"]],
-                compute_terms=tuple(
-                    (float.fromhex(cycles), int(max_tiles))
-                    for cycles, max_tiles in b["compute_terms"]
-                ),
-                from_dram_bytes=float.fromhex(b["from_dram_bytes"]),
-                total_mem_bytes=float.fromhex(b["total_mem_bytes"]),
-                scaling_alpha=float.fromhex(b["scaling_alpha"]),
-            )
-            for b in payload["blocks"]
-        )
-        return NetworkCost(
-            network_name=payload["network_name"], blocks=blocks
-        )
-    except (KeyError, TypeError, ValueError, EstimationError):
-        return None
-
-
-# repro-lint: thread-shared lock=_lock
-class PrecomputeStore:
-    """On-disk cross-cell precompute store for network block costs.
-
-    One JSON file per :func:`precompute_digest` key under ``root``.
-    Multiple worker processes (a warm pool's initializers, several
-    ``sweep --worker`` hosts on a shared filesystem) read and write
-    the same directory concurrently: reads never block writers, and
-    writes go through a per-pid temp file plus an atomic
-    ``os.replace``, so a reader can never observe a torn entry.
-
-    Trust and keying story (also in the README): entries are plain
-    JSON — the store never unpickles anything — and floats round-trip
-    through ``float.hex``, so a loaded :class:`NetworkCost` is
-    bit-identical to the one that was saved.  The digest covers the
-    network's order-sensitive structural digest *and* every
-    configuration parameter the block accounting reads, so a stale,
-    reordered or differently-configured entry cannot alias; what the
-    digest cannot defend against is deliberate tampering inside the
-    directory, which therefore carries the same trust level as the
-    working tree itself (the solver-identity gates would catch a
-    divergence downstream, but treat ``--precompute DIR`` like code,
-    not like untrusted input).
-    """
-
-    def __init__(self, root: Union[str, os.PathLike]) -> None:
-        self.root = os.fspath(root)
-        self._lock = threading.Lock()
-        self._stats: Dict[str, int] = {
-            name: 0 for name in PRECOMPUTE_COUNTER_FIELDS
-        }
-
-    def _path(self, digest: str) -> str:
-        return os.path.join(self.root, digest + ".json")
-
-    def _count(self, name: str) -> None:
-        self._stats[name] += 1
-        _PRECOMPUTE_STATS[name] += 1
-
-    def stats(self) -> Dict[str, int]:
-        """Snapshot of this store's load/save counters."""
-        with self._lock:
-            return dict(self._stats)
-
-    def get(self, digest: str) -> Optional[NetworkCost]:
-        """Load the entry for ``digest``; ``None`` on miss (absent,
-        unreadable or malformed — all equivalent to cold)."""
-        path = self._path(digest)
-        cost: Optional[NetworkCost] = None
-        found = False
-        try:
-            fh = open(path)
-        except OSError:
-            fh = None
-        if fh is not None:
-            found = True
-            try:
-                with fh:
-                    payload = json.load(fh)
-            except (OSError, ValueError):
-                pass
-            else:
-                cost = _cost_from_payload(payload)
-        if cost is None and found:
-            # A malformed entry would otherwise shadow ``put``'s
-            # skip-if-exists forever; drop it so the next save heals
-            # the store.
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        with self._lock:
-            if cost is None:
-                self._count("precompute_load_misses")
-            else:
-                self._count("precompute_loads")
-        return cost
-
-    def put(self, digest: str, cost: NetworkCost) -> bool:
-        """Persist ``cost`` under ``digest`` unless already present.
-
-        Returns whether a new entry was written.  Concurrent writers
-        racing on the same digest both compute the identical payload
-        (the entry is a pure function of its key), so the atomic
-        replace makes the race benign.
-        """
-        path = self._path(digest)
-        if os.path.exists(path):
-            return False
-        os.makedirs(self.root, exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w") as fh:
-                json.dump(_cost_to_payload(cost), fh)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
-        with self._lock:
-            self._count("precompute_saves")
-        return True
-
-
 def warm_network_cost_cache(
     networks: Sequence[Network],
     soc: SoCConfig,
     mem: Optional[MemoryHierarchy] = None,
     num_sharers: int = 1,
-    store: Optional[Union[PrecomputeStore, str, os.PathLike]] = None,
 ) -> int:
     """Pre-build network costs and pre-evaluate their predict memos.
 
     For every network, builds (or cache-hits) its :class:`NetworkCost`
     and evaluates each block's :meth:`BlockCost.predict` memo at every
     tile count the SoC can grant, at full DRAM/L2 bandwidth — exactly
-    the ``T_full`` points the simulator's ``current_block_times`` and
-    the workload generator's isolated/QoS sizing evaluate, so a warmed
+    the ``T_full`` points the reference block-time solve and the
+    workload generator's isolated/QoS sizing evaluate, so a warmed
     process serves those lookups from memo from the first cell.  The
     parallel executor's worker initializer calls this once per worker
     process; ``scripts/bench_perf.py`` uses it to keep cold-start out
     of the timed legs.
-
-    With ``store`` (a :class:`PrecomputeStore` or a directory path),
-    cold networks are first looked up on disk — a hit installs the
-    saved :class:`NetworkCost` into the in-process cache instead of
-    rebuilding it — and fresh builds are saved back, so separate
-    processes (warm-pool workers, repeated sweeps) share the block
-    accounting instead of each redoing it.
 
     Returns:
         The number of networks warmed.
     """
     if mem is None:
         mem = MemoryHierarchy.from_soc(soc)
-    if store is not None and not isinstance(store, PrecomputeStore):
-        store = PrecomputeStore(store)
     for network in networks:
-        if store is not None:
-            key = _cost_cache_key(
-                network, soc, mem, num_sharers,
-                _DEFAULT_BLOCK_GRANULARITY,
-            )
-            if key not in _NETWORK_COST_CACHE:
-                loaded = store.get(precompute_digest(key))
-                if loaded is not None:
-                    _NETWORK_COST_CACHE[key] = loaded
         cost = build_network_cost(network, soc, mem, num_sharers)
-        if store is not None:
-            store.put(precompute_digest(key), cost)
         for block in cost.blocks:
             for tiles in range(1, soc.num_tiles + 1):
                 block.predict(
                     tiles, mem.dram_bandwidth, mem.l2_bandwidth,
                     soc.overlap_f,
                 )
-        # The vectorized engine reads these exact points from the SoA
-        # runtime table instead of the memo; warm it alongside.
+        # The engine reads these exact points from the SoA runtime
+        # table instead of the memo; warm it alongside.
         cost.runtime_table(
             mem.dram_bandwidth, mem.l2_bandwidth, soc.overlap_f,
             soc.num_tiles,

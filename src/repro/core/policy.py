@@ -31,10 +31,9 @@ from repro.core.scoreboard import ScoreboardEntry
 from repro.memory.arbiter import _REL_TOL, waterfill_grant_last
 from repro.sim.plan import EMPTY_PLAN, AllocationPlan
 from repro.sim.policy import Policy
-from repro.sim.trace import TraceEvent
 
 #: Shared empty admitted-tiles overlay for regulation rounds with no
-#: admissions (the kernel seam's steady state); read-only by contract.
+#: admissions (the fused hook's steady state); read-only by contract.
 _NO_TILES: Dict[str, int] = {}
 
 #: Bound on the per-job suffix-prediction and regulation-item caches.
@@ -86,7 +85,7 @@ class MoCAPolicy(Policy):
         )
         self.enable_compute_repartition = enable_compute_repartition
         # The admission slot size, probed once per decision round on
-        # the kernel seam (scheduler_config is fixed at construction).
+        # the fused hook (scheduler_config is fixed at construction).
         self._tiles_per_task = self.scheduler_config.tiles_per_task
         self._runtime: Optional[MoCARuntime] = None
         self._scheduler: Optional[MoCAScheduler] = None
@@ -229,102 +228,49 @@ class MoCAPolicy(Policy):
             admissions=tuple(admissions), tiles=tiles, bw_caps=bw_caps
         )
 
-    # -- Horizon-kernel protocol (engine-private fused seam) -----------
-
-    def kernel_noop_guard(self, sim: "Simulator") -> bool:
-        """True only when this decision round *provably* returns
-        :data:`EMPTY_PLAN` with zero internal state change, so the
-        engine's horizon kernel may skip :meth:`decide` outright.
-
-        The proof mirrors decide()'s own gating: the retired-blocks
-        counter is unchanged (so the fast path would skip the whole
-        regulation sweep), no admission can fit (``free_tiles`` below
-        one scheduler slot when anything is waiting), and the rare
-        compute repartition cannot trigger (nothing waiting and
-        either no free tiles or the feature off).  Every read is a
-        plain engine attribute; nothing is written.
-        """
-        if sim._boundaries != self._seen_boundaries or not self.fast_path:
-            return False
-        free = sim.soc.num_tiles - sim._tiles_held
-        if sim.ready:
-            return free < self._tiles_per_task
-        return not (self.enable_compute_repartition and free > 0)
+    # -- Fused engine hook ----------------------------------------------
 
     def kernel_decide_apply(self, sim: "Simulator") -> None:
-        """Fused decision round for the engine's horizon kernel.
+        """Fused decision round for the engine loop.
 
         Makes exactly the decisions :meth:`decide` would make, but
-        applies the caps-only steady state in place through the
-        controller's trusted same-instant journal (see
-        :meth:`_plan_regulation`'s ``apply_to`` mode) instead of
-        round-tripping an :class:`AllocationPlan`.  Rounds that can
-        admit, land on a dirty same-instant journal, or trigger the
-        rare compute repartition fall back to the plan seam, so every
-        non-steady-state mutation still flows through the controller
-        verbatim.  Never called under ``REPRO_CHECK=1`` (the engine
+        applies the caps-only steady state through
+        :meth:`~repro.sim.plan.AllocationController.apply_caps`
+        instead of round-tripping an :class:`AllocationPlan`.  Rounds
+        that can admit take the plan seam verbatim; the rare compute
+        repartition still rides a plan, applied after the caps
+        (retiles read nothing the caps change, and stall extensions
+        commute).  Never called under ``REPRO_CHECK=1`` (the engine
         drops to decide()/apply so the sanitizer re-validates every
         trusted plan).
         """
         ctrl = sim.controller
         if self._runtime is None:
             self._lazy_init(sim)
-        free = sim.soc.num_tiles - sim._tiles_held
+        free = sim.free_tiles
         if sim.ready and free >= self._tiles_per_task:
             # Admission rounds (rare): the plan seam verbatim.
-            plan = self.decide(sim)
-            if plan is EMPTY_PLAN:
-                ctrl.plans_noop += 1
-            else:
-                ctrl.apply(plan)
-            return
-        now = sim.now
-        if now != ctrl._paid_instant:
-            ctrl._paid_instant = now
-            if ctrl._paid:
-                ctrl._paid.clear()
-            if ctrl._pending_caps:
-                ctrl._pending_caps.clear()
-        elif ctrl._paid or ctrl._pending_caps:
-            # Same-instant dirty journal — unreachable under the
-            # engine's strictly-increasing event clock (dt is clamped
-            # to a positive minimum), kept as a correctness backstop:
-            # the plan seam's journal semantics handle it.
-            plan = self.decide(sim)
-            if plan is EMPTY_PLAN:
-                ctrl.plans_noop += 1
-            else:
-                ctrl.apply(plan)
+            ctrl.apply(self.decide(sim))
             return
         boundaries = sim._boundaries
-        applied = 0
         if self.fast_path and boundaries == self._seen_boundaries:
             # Unchanged retired-blocks counter ⇒ the regulation sweep
             # would skip every co-runner (see decide()).
-            pass
+            caps: Tuple[Tuple[str, Optional[float]], ...] = ()
         else:
             if boundaries != self._seen_boundaries:
                 self._seen_boundaries = boundaries
                 self._epoch += 1
-            applied = self._plan_regulation(
-                sim, sim.running, _NO_TILES, apply_to=ctrl
-            )
+            caps = self._plan_regulation(sim, sim.running, _NO_TILES)
         tiles: Tuple[Tuple[str, int], ...] = ()
         if self.enable_compute_repartition and free > 0 and not sim.ready:
             tiles = self._plan_compute_repartition(
                 sim, sim.running, _NO_TILES, free, False
             )
-        if applied:
-            ctrl.plans_applied += 1
-            ctrl.actions_applied += applied
+        if caps or not tiles:
+            ctrl.apply_caps(caps)
         if tiles:
-            # The repartition (rare) still rides the plan seam; note
-            # the caps above were already applied, matching the
-            # combined plan's apply order (retiles read nothing the
-            # caps change, and stall extensions commute).
             ctrl.apply(AllocationPlan.trusted(tiles=tiles))
-        elif not applied:
-            ctrl.plans_noop += 1
 
     # -- Algorithm 3: admission -----------------------------------------
 
@@ -399,37 +345,26 @@ class MoCAPolicy(Policy):
         sim: "Simulator",
         planned_running: List["Job"],
         admitted_tiles: Dict[str, int],
-        apply_to=None,
-    ) -> object:
+    ) -> Tuple[Tuple[str, Optional[float]], ...]:
         """Algorithm 2 over the planned running set; returns the
         ``bw_caps`` overlay.  Jobs whose regulation key is unchanged
-        get no entry (their cap is left alone).  ``admitted_tiles``
+        get no entry (their cap is left alone), and neither do jobs
+        whose derived cap restates the live one.  ``admitted_tiles``
         overlays this plan's admissions onto the live tile counts.
-
-        With ``apply_to`` set to the engine's controller (the horizon
-        kernel's fused mode, see :meth:`kernel_decide_apply`), each
-        changed cap is applied in place the moment the sweep derives
-        it — the exact primitives of the controller's trusted
-        caps-only path: the tolerance-filtered recap, the central
-        memory-reconfiguration stall, the same-instant charge journal
-        append, and the trace record — and the return value is the
-        applied-mutation count instead of the overlay tuple.  The
-        application order equals the overlay's tuple order, so engine
-        state after the round is bit-identical either way.
 
         The whole decision round runs as **one fused sweep**: per-job
         demand/remain extraction (cached per ``(block, tiles)``),
         dynamic scoring, contention detection against a round-local
         mirror of the scoreboard, publication, and the cap diff all
         happen in a single loop — no intermediate item tuples, no
-        second pass.  :meth:`~repro.core.runtime.MoCARuntime.\\
-        regulate_batch` (itself pinned to ``update_app``) stays as the
-        validated reference for this sweep: every float operation here
-        replicates its sequence exactly — the co-runner demand sum and
-        the water-fill input lists walk the scoreboard in publication
-        order, each job sees its predecessors' freshly published
-        rates, and the cap tolerance compare is unchanged — so the
-        emitted overlay is bit-identical (property-pinned in
+        second pass.  A sequence of
+        :meth:`~repro.core.runtime.MoCARuntime.update_app` calls stays
+        as the validated reference for this sweep: every float
+        operation here replicates its sequence exactly — the
+        co-runner demand sum and the water-fill input lists walk the
+        scoreboard in publication order, each job sees its
+        predecessors' freshly published rates — so the emitted
+        overlay is bit-identical (property-pinned in
         ``tests/test_vectorized.py``).
         """
         assert self._runtime is not None and self._predictor is not None
@@ -475,13 +410,6 @@ class MoCAPolicy(Policy):
             _, ent_arr, demand_arr, score_arr, idx_of = mirror
         n_apps = len(ent_arr)
         caps: List[Tuple[str, Optional[float]]] = []
-        n_applied = 0
-        bumps = 0
-        if apply_to is not None:
-            mem_stall = apply_to._memory_stall
-            pend = apply_to._pending_caps
-            trace = sim.trace
-            trace_on = trace.enabled
         for job in planned_running:
             # Algorithm 2 runs once per (layer block, co-runner epoch):
             # at every block boundary, plus once more whenever the
@@ -618,43 +546,7 @@ class MoCAPolicy(Policy):
                 # entry — most regulation rounds then emit EMPTY_PLAN
                 # and skip plan construction entirely.
                 continue
-            if apply_to is None:
-                caps.append((jid, cap))
-                continue
-            # Fused in-place recap — set_bw_cap(charge=False) plus the
-            # controller's central stall charge and journal append,
-            # with the validation the state proves: the job is RUNNING
-            # (planned_running is the live running list here; admission
-            # rounds take the plan seam) and a non-None cap is positive
-            # (min_bw_rate > 0 is validated at runtime construction).
-            # The kernel never applies inside an allocation batch, so
-            # the epoch bumps are raw increments — accumulated locally
-            # and added to the engine's counter once at the end of the
-            # sweep (nothing reads the epoch mid-round; only that it
-            # moved matters, and the final count is identical).
-            job.bw_cap = cap
-            job.bw_reconfigs += 1
-            bumps += 1
-            if trace_on:
-                trace.log(
-                    now, TraceEvent.BW_RECONFIG, jid,
-                    f"cap="
-                    f"{'none' if cap is None else f'{cap:.2f}B/cyc'}",
-                )
-            if mem_stall:
-                su = job.stall_until
-                base = su if su > now else now
-                new_until = now + mem_stall
-                if new_until > base:
-                    job.stall_cycles += new_until - base
-                    job.stall_until = new_until
-                    bumps += 1
-            pend.append((jid, cap))
-            n_applied += 1
-        if apply_to is not None:
-            if bumps:
-                sim._alloc_epoch += bumps
-            return n_applied
+            caps.append((jid, cap))
         return tuple(caps)
 
     # -- Rare compute repartition -----------------------------------------

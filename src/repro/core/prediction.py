@@ -3,7 +3,7 @@
 Both MoCA's runtime (Algorithm 2's ``remain_prediction``) and
 Planaria's urgency estimate need "predicted latency of the network's
 remaining blocks" at every block boundary.  Computed naively that is
-O(blocks) per query; this helper precomputes suffix sums per
+O(blocks) per query; this helper caches suffix sums per
 (network, tile-count) so each query is O(1).
 """
 

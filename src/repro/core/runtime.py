@@ -29,12 +29,8 @@ from typing import Optional
 from repro.accelerator.dma import bytes_to_requests
 from repro.config import SoCConfig
 from repro.core.latency import BlockCost
-from repro.core.scoreboard import Scoreboard, ScoreboardEntry
-from repro.memory.arbiter import (
-    _REL_TOL,
-    allocate_bandwidth,
-    waterfill_grant_last,
-)
+from repro.core.scoreboard import Scoreboard
+from repro.memory.arbiter import allocate_bandwidth
 from repro.memory.hierarchy import MemoryHierarchy
 
 
@@ -242,130 +238,6 @@ class MoCARuntime:
             window=window,
             threshold_load=threshold_load,
         )
-
-    def regulate_batch(self, items) -> list:
-        """Run Algorithm 2 for a whole decision round in one sweep.
-
-        The hot-path counterpart of :meth:`update_app`, which stays as
-        the validated reference oracle (``tests/test_vectorized.py``
-        pins them equal).  The caller pre-extracts per-app state into
-        structure-of-arrays tuples — the block's unconstrained
-        prediction and bandwidth demand come from the simulator's
-        runtime tables instead of ``block.predict`` memo probes — and
-        this sweep touches the scoreboard's live entries directly
-        instead of copying the demand/score dicts per app.  Apps are
-        processed sequentially in item order: each sees its
-        predecessors' freshly published rates, exactly like the
-        equivalent sequence of ``update_app`` calls (the paper's
-        distributed convergence, Section IV-A).
-
-        Args:
-            items: Per-app tuples ``(app_id, demand, user_priority,
-                remain_prediction, slack)`` where ``demand`` is the
-                block's unconstrained bandwidth demand at the app's
-                tile count (``BlockCost.bw_demand``, as a runtime-table
-                lookup).
-
-        Returns:
-            ``[(app_id, contention, bw_rate), ...]`` in item order —
-            bit-identical to the ``(contention, bw_rate)`` fields of
-            the :class:`RuntimeDecision`\\ s ``update_app`` returns
-            (the HW window/threshold derivation, whose inputs the
-            simulator never consumes, is skipped; the arbiter sees
-            only the cap).
-        """
-        dram_bw = self._dram_bw
-        entries = self.scoreboard.entries()
-        urgency_cap = self.urgency_cap
-        overflow_cut = self._overflow_cut
-        min_bw_rate = self.min_bw_rate
-        # Round-local mirror of the scoreboard in publication order:
-        # parallel demand/score/entry lists plus an id -> index map,
-        # snapshotted once per round and updated in place as each app
-        # publishes.  Per-item co-runner sweeps then read plain list
-        # slots instead of re-walking ``entries.items()`` with a string
-        # compare and two attribute loads per co-runner — the same
-        # values in the same publication order, so every float sum
-        # below keeps the reference operation sequence.
-        ids = list(entries)
-        ent_arr = [entries[a] for a in ids]
-        demand_arr = [e.demand for e in ent_arr]
-        score_arr = [e.score for e in ent_arr]
-        idx_of = {a: i for i, a in enumerate(ids)}
-        n_apps = len(ids)
-        out = []
-        for (
-            app_id, demand, user_priority, remain_prediction, slack,
-        ) in items:
-            # dynamic_score inlined (its remain >= 0 validation is
-            # guaranteed by the predictor feeding this path).
-            if slack <= 0:
-                score = user_priority + urgency_cap
-            else:
-                score = user_priority + min(
-                    remain_prediction / slack, urgency_cap
-                )
-            # Co-runner demand sum in publication order, exactly as
-            # sum(other_demands.values()) does.
-            i_self = idx_of.get(app_id, -1)
-            other_bw = 0.0
-            for i in range(n_apps):
-                if i != i_self:
-                    other_bw += demand_arr[i]
-            overflow = demand + other_bw - dram_bw
-            if overflow > overflow_cut and demand > 0:
-                # Contention.  ``other_bw + demand`` is the same float
-                # sequence the reference wants sum produced (same
-                # addends, same order), so the early-exit threshold is
-                # bit-identical.  Only this app's grant is consumed,
-                # and it sits at a fixed index: last — the water-fill
-                # input lists (co-runners in scoreboard order, this
-                # app last, uncapped wants = demands, scores as
-                # weights with the denormal filter) are built only
-                # when the fill actually runs.
-                if other_bw + demand <= dram_bw * (1 + _REL_TOL):
-                    share = demand
-                else:
-                    wants = []
-                    weights = []
-                    for i in range(n_apps):
-                        if i != i_self:
-                            wants.append(demand_arr[i])
-                            s = score_arr[i]
-                            weights.append(s if s > 1e-9 else 0.0)
-                    wants.append(demand)
-                    weights.append(score if score > 1e-9 else 0.0)
-                    share = waterfill_grant_last(wants, weights, dram_bw)
-                bw_rate = min(demand, max(share, min_bw_rate))
-                contention = True
-            else:
-                bw_rate = demand
-                contention = False
-            # Publish (Alg. 2 line 25) straight into the live entry —
-            # rates/demands are non-negative here by construction, so
-            # Scoreboard.update's validation adds nothing.  The round
-            # mirror is updated in the same step so successor items
-            # see this publication.
-            if i_self < 0:
-                entry = ScoreboardEntry(
-                    bw_rate=bw_rate, demand=demand, score=score
-                )
-                entries[app_id] = entry
-                idx_of[app_id] = n_apps
-                ids.append(app_id)
-                ent_arr.append(entry)
-                demand_arr.append(demand)
-                score_arr.append(score)
-                n_apps += 1
-            else:
-                entry = ent_arr[i_self]
-                entry.bw_rate = bw_rate
-                entry.demand = demand
-                entry.score = score
-                demand_arr[i_self] = demand
-                score_arr[i_self] = score
-            out.append((app_id, contention, bw_rate))
-        return out
 
     def retire_app(self, app_id: str) -> None:
         """Remove a finished application from the scoreboard."""

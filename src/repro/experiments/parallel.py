@@ -62,7 +62,7 @@ Reading ``BENCH_perf.json``
 paths and writes ``BENCH_perf.json``: ``serial.seconds`` vs
 ``parallel.seconds`` (and their ratio, ``speedup``) measure this
 module; ``engine.events_per_sec`` and the ``block_time_*`` counters
-measure the simulator's incremental hot path; ``identical_metrics``
+measure the simulator's engine loop; ``identical_metrics``
 asserts the two paths agreed bit-for-bit; ``host.start_method`` and
 ``parallel.cache`` record the worker start method and the aggregated
 cache counters the warm-worker path is judged by.  Every future
@@ -108,17 +108,11 @@ from repro.experiments.runner import (
 from repro.scenarios import ScenarioLike, resolve_scenarios
 
 #: One unit of parallel work: (global cell index, spec index, spec,
-#: policy name, policy factory, seed, SoC, solver).  The global index
-#: is the deterministic aggregation key; the spec index disambiguates
-#: duplicate labels.  The solver override rides at the *end* so the
-#: positional reads of the leading fields (quarantine, sharding)
-#: stay stable; ``None`` means the engine default and is never
-#: serialized into manifests or exports — all three solvers are
-#: bit-identical, so the choice is operational, not part of a cell's
-#: identity.
+#: policy name, policy factory, seed, SoC).  The global index is the
+#: deterministic aggregation key; the spec index disambiguates
+#: duplicate labels.
 _CellPayload = Tuple[
     int, int, ScenarioSpec, str, PolicyFactory, int, SoCConfig,
-    Optional[str],
 ]
 
 
@@ -203,14 +197,12 @@ def _run_cell(payload: _CellPayload, attempt: int = 0) -> CellResult:
     """
     from repro.core.latency import track_cache_deltas
 
-    index, spec_idx, spec, policy_name, factory, seed, soc, solver = (
-        payload
-    )
+    index, spec_idx, spec, policy_name, factory, seed, soc = payload
     faults.maybe_inject(index, attempt)
     t0 = time.perf_counter()
     with track_cache_deltas() as cache_delta:
         summary, sim_result = run_cell_detail(
-            spec, policy_name, factory, seed, soc, solver=solver
+            spec, policy_name, factory, seed, soc
         )
     seconds = time.perf_counter() - t0
     return CellResult(
@@ -246,7 +238,6 @@ def _warm_worker(
     model_names: Sequence[str],
     soc: SoCConfig,
     fault_plan: Optional[FaultPlan] = None,
-    store_dir: Optional[str] = None,
 ) -> int:
     """Pool initializer: pre-warm this worker's cost/predict caches.
 
@@ -258,19 +249,13 @@ def _warm_worker(
     worker* (the per-cell harness of :mod:`repro.experiments.faults`);
     installing it here — rather than per payload — means every cell
     the worker ever runs consults the same plan, spawn or fork alike.
-
-    ``store_dir`` points the warm at an on-disk
-    :class:`~repro.core.latency.PrecomputeStore`: spawn-start workers
-    (which inherit nothing) load the parent's saved block accounting
-    instead of each rebuilding it from the layer graphs.
     """
     from repro.core.latency import warm_network_cost_cache
     from repro.models.zoo import build_model
 
     faults.install_plan(fault_plan, in_worker=True)
     return warm_network_cost_cache(
-        [build_model(name) for name in model_names], soc,
-        store=store_dir,
+        [build_model(name) for name in model_names], soc
     )
 
 
@@ -391,8 +376,6 @@ class ParallelRunner:
         chunk_size: Optional[int] = None,
         warm_start: bool = True,
         fault_plan: Optional[FaultPlan] = None,
-        solver: Optional[str] = None,
-        precompute_dir: Optional[str] = None,
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
@@ -400,35 +383,9 @@ class ParallelRunner:
             raise ValueError("workers must be >= 1")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if solver is not None and solver not in (
-            "kernel", "vector", "scalar"
-        ):
-            raise ValueError(
-                f"unknown solver {solver!r} "
-                f"(expected 'kernel', 'vector' or 'scalar')"
-            )
         self.workers = workers
         self.chunk_size = chunk_size
         self.warm_start = warm_start
-        #: Engine solver override for every cell this runner executes
-        #: (``None`` = the engine default).  Operational only — all
-        #: solvers are pinned bit-identical — so it never enters
-        #: manifests, digests or exports.
-        self.solver = solver
-        #: Directory of an on-disk
-        #: :class:`~repro.core.latency.PrecomputeStore`; when set,
-        #: the parent warms from/into it before building payloads and
-        #: every pool worker's initializer does the same, sharing the
-        #: block-cost precompute across processes and runs.
-        self.precompute_dir = (
-            os.fspath(precompute_dir)
-            if precompute_dir is not None else None
-        )
-        #: (model names, soc) combinations already store-warmed in
-        #: this process — the parent-side warm is once per sweep
-        #: shape, not once per run_matrix call.
-        self._precompute_warmed: Set[Tuple[Tuple[str, ...], SoCConfig]]
-        self._precompute_warmed = set()
         #: Deterministic fault plan installed into every pool worker
         #: (via the initializer) — the testing seam that makes the
         #: failure paths below reproducible.  ``None`` in production.
@@ -557,11 +514,7 @@ class ParallelRunner:
         soc: SoCConfig,
     ) -> ProcessPoolExecutor:
         warm = self.warm_start and spec_list
-        if (
-            warm
-            or self.fault_plan is not None
-            or self.precompute_dir is not None
-        ):
+        if warm or self.fault_plan is not None:
             return ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_warm_worker,
@@ -569,7 +522,6 @@ class ParallelRunner:
                     _spec_model_names(spec_list) if warm else (),
                     soc,
                     self.fault_plan,
-                    self.precompute_dir,
                 ),
             )
         return ProcessPoolExecutor(max_workers=workers)
@@ -1052,13 +1004,6 @@ class ParallelRunner:
             soc = DEFAULT_SOC
         spec_list = resolve_scenarios(specs)
         check_unique_labels(spec_list)
-        if self.precompute_dir is not None and spec_list:
-            # Parent-side store warm: loads (or builds and saves) the
-            # block accounting here, before any payload ships.  This
-            # covers the serial fallback and fork-start pools (the
-            # children inherit the warmed cache); spawn-start workers
-            # re-warm from the same store in their initializer.
-            self._warm_from_store(spec_list, soc)
         cells = [
             (spec_idx, spec, name, factory, seed)
             for spec_idx, spec in enumerate(spec_list)
@@ -1066,8 +1011,7 @@ class ParallelRunner:
             for seed in spec.seeds
         ]
         payloads: List[_CellPayload] = [
-            (index, spec_idx, spec, name, factory, seed, soc,
-             self.solver)
+            (index, spec_idx, spec, name, factory, seed, soc)
             for index, (spec_idx, spec, name, factory, seed)
             in enumerate(cells)
         ]
@@ -1086,26 +1030,6 @@ class ParallelRunner:
             chosen = set(wanted)
             payloads = [p for p in payloads if p[0] in chosen]
         return spec_list, policies, soc, payloads
-
-    def _warm_from_store(
-        self,
-        spec_list: Sequence[ScenarioSpec],
-        soc: SoCConfig,
-    ) -> None:
-        """Warm the parent's cost cache from ``precompute_dir`` (and
-        save anything it had to build back), once per distinct
-        (model set, SoC) this runner sees."""
-        from repro.core.latency import warm_network_cost_cache
-        from repro.models.zoo import build_model
-
-        names = _spec_model_names(spec_list)
-        if (names, soc) in self._precompute_warmed:
-            return
-        warm_network_cost_cache(
-            [build_model(name) for name in names], soc,
-            store=self.precompute_dir,
-        )
-        self._precompute_warmed.add((names, soc))
 
     # ------------------------------------------------------------------
 

@@ -129,7 +129,6 @@ def run_cell_detail(
     factory: PolicyFactory,
     seed: int,
     soc: Optional[SoCConfig] = None,
-    solver: Optional[str] = None,
 ) -> Tuple[MetricsSummary, "SimResult"]:
     """Run one cell; return its metric bundle *and* the raw
     :class:`~repro.sim.engine.SimResult`.
@@ -144,10 +143,6 @@ def run_cell_detail(
     carries the engine/decision telemetry (events, epoch-cache
     reuse, plans emitted/applied/no-op) the streaming executor
     threads into each :class:`~repro.experiments.results.CellResult`.
-
-    ``solver`` picks the engine's block-time solver (``None`` = the
-    engine default); all solvers are pinned bit-identical, so this is
-    an operational knob, never part of the cell's identity.
     """
     if soc is None:
         soc = DEFAULT_SOC
@@ -156,10 +151,8 @@ def run_cell_detail(
     networks: List[Network] = spec.networks()
     gen = WorkloadGenerator(soc, networks, mem, qos)
     tasks = gen.generate(spec.workload_config(seed))
-    kwargs = {} if solver is None else {"solver": solver}
     result = run_simulation(
-        soc, tasks, factory(), mem=mem, cadence=spec.cadence(),
-        **kwargs,
+        soc, tasks, factory(), mem=mem, cadence=spec.cadence()
     )
     return summarize(policy_name, result.results), result
 

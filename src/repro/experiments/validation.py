@@ -22,6 +22,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.models.zoo import build_model, model_names
 from repro.sim.engine import run_simulation
 from repro.sim.job import Task
+from repro.sim.plan import EMPTY_PLAN, AllocationPlan
 from repro.sim.policy import Policy
 
 
@@ -33,9 +34,12 @@ class _FixedTilesPolicy(Policy):
     def __init__(self, tiles: int) -> None:
         self.tiles = tiles
 
-    def on_event(self, sim) -> None:
+    def decide(self, sim) -> AllocationPlan:
         if sim.ready and not sim.running:
-            sim.start_job(sim.ready[0], self.tiles)
+            return AllocationPlan(
+                admissions=((sim.ready[0].job_id, self.tiles),)
+            )
+        return EMPTY_PLAN
 
     def reset(self) -> None:
         """Stateless."""

@@ -37,8 +37,8 @@ def waterfill_grants(wants, weights, total):
 
     The allocation core shared by :func:`allocate_bandwidth` (which
     wraps it in input validation and dict plumbing) and the trusted
-    hot paths — the simulator's vectorized block-time solver and
-    MoCA's batched regulation — which call it directly on
+    hot paths — the engine's epoch block-time solve and MoCA's
+    batched regulation — which call it directly on
     structure-of-arrays state.  One implementation, so the fast paths
     cannot drift from the validated reference semantics.
 

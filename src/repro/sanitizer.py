@@ -4,18 +4,21 @@ The static pass (:mod:`repro.devtools.lint`) proves what it can from
 source: no unseeded RNGs, no unordered iteration feeding ordered
 output, lock coverage over the thread-shared execution layer, frozen
 value objects only mutated inside their own modules.  What it cannot
-prove — that the vectorized solver really computes the scalar oracle's
-floats, that a *trusted* plan really satisfies the validation it was
-allowed to skip, that the work ledger's state machine stays coherent
-across a lease/expire/steal interleaving — this module cross-checks at
-runtime, behind one switch.
+prove — that the engine's epoch solve really computes the reference
+oracle's floats, that a *trusted* plan really satisfies the
+validation it was allowed to skip, that the work ledger's state
+machine stays coherent across a lease/expire/steal interleaving —
+this module cross-checks at runtime, behind one switch.
 
 Set ``REPRO_CHECK=1`` in the environment (or call :func:`enable`) and
 the guarded hot paths turn on their asserts:
 
-- :meth:`repro.sim.engine.Simulator._times_now` spot-checks the
-  vectorized block-time solve against the scalar oracle (first
-  recompute, then every 64th — the bit-identical contract, sampled).
+- :meth:`repro.sim.engine.Simulator._advance_horizon` spot-checks
+  its epoch block-time solve against
+  :func:`repro.sim.reference.solve_block_times` (first epoch, then
+  every 64th — the bit-identical contract, sampled), and bypasses
+  policies' fused decision hooks so every plan reaches the
+  controller.
 - :class:`repro.sim.plan.AllocationController` re-validates every
   trusted :class:`~repro.sim.plan.AllocationPlan` through the public
   constructor and the validated resolve before applying it — the
@@ -80,55 +83,29 @@ def require(condition: bool, message: str) -> None:
         raise SanitizerError(message)
 
 
-def check_solver_agreement(
-    vector: dict, scalar: dict, now: float
-) -> None:
-    """Assert the vectorized and scalar block-time solves agree
-    exactly (same jobs, bit-identical floats)."""
-    if vector == scalar:
-        return
-    extra = sorted(set(vector) - set(scalar))
-    missing = sorted(set(scalar) - set(vector))
-    if extra or missing:
-        raise SanitizerError(
-            f"solver divergence at t={now}: vector solve has "
-            f"extra jobs {extra}, missing jobs {missing}"
-        )
-    for jid in sorted(scalar):
-        if vector[jid] != scalar[jid]:
-            raise SanitizerError(
-                f"solver divergence at t={now}: job {jid!r} "
-                f"vector={vector[jid]!r} scalar={scalar[jid]!r}"
-            )
-    raise SanitizerError(f"solver divergence at t={now}")
+def check_block_times(fast: dict, reference: dict, now: float) -> None:
+    """Assert the engine's epoch solve matches the reference solve
+    exactly (same jobs, bit-identical floats).
 
-
-def check_kernel_agreement(
-    kernel: dict, oracle: dict, now: float
-) -> None:
-    """Assert the horizon kernel's fused per-job block times match the
-    single-step incremental oracle's solve exactly.
-
-    ``kernel`` is the kernel's live per-job time map restricted to the
-    jobs it solved this epoch; ``oracle`` is the engine's incremental
-    solver (:meth:`~repro.sim.engine.Simulator._solve_vector`, itself
-    spot-checked against the scalar reference) run on the same state.
-    The kernel replicates the oracle's float sequence operation for
-    operation, so the comparison is exact equality, not tolerance.
+    ``fast`` maps each job the engine solved this epoch to its block
+    time; ``reference`` is :func:`repro.sim.reference.solve_block_times`
+    on the same state.  The engine replicates the reference's float
+    sequence operation for operation, so the comparison is exact
+    equality, not tolerance.
     """
-    if kernel == oracle:
+    if fast == reference:
         return
-    extra = sorted(set(kernel) - set(oracle))
-    missing = sorted(set(oracle) - set(kernel))
+    extra = sorted(set(fast) - set(reference))
+    missing = sorted(set(reference) - set(fast))
     if extra or missing:
         raise SanitizerError(
-            f"horizon-kernel divergence at t={now}: kernel solve has "
+            f"block-time divergence at t={now}: engine solve has "
             f"extra jobs {extra}, missing jobs {missing}"
         )
-    for jid in sorted(oracle):
-        if kernel[jid] != oracle[jid]:
+    for jid in sorted(reference):
+        if fast[jid] != reference[jid]:
             raise SanitizerError(
-                f"horizon-kernel divergence at t={now}: job {jid!r} "
-                f"kernel={kernel[jid]!r} oracle={oracle[jid]!r}"
+                f"block-time divergence at t={now}: job {jid!r} "
+                f"engine={fast[jid]!r} reference={reference[jid]!r}"
             )
-    raise SanitizerError(f"horizon-kernel divergence at t={now}")
+    raise SanitizerError(f"block-time divergence at t={now}")

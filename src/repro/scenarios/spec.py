@@ -52,8 +52,8 @@ class ScenarioSpec:
         decision_cadence: When the engine consults its policy for an
             allocation plan (see
             :class:`repro.sim.plan.DecisionCadence`): ``"every-event"``
-            (default — the historical behaviour, bit-identical to the
-            imperative seam), ``"block-boundary"`` or ``"interval"``.
+            (default — the historical behaviour, pinned by the
+            goldens), ``"block-boundary"`` or ``"interval"``.
             A sweep axis: the same scenario can be evaluated under
             different regulation regimes.
         decision_interval: Regulation period in cycles; required

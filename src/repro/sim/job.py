@@ -112,16 +112,16 @@ class Job:
     _table: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Horizon-kernel per-job solve cache: the ``(block_idx, tiles,
+    #: Engine per-job solve cache: the ``(block_idx, tiles,
     #: t_full, from_dram, demand)`` tuple of the last table row read,
     #: refreshed when the (block, tiles) key moves.  Engine-private
     #: scratch (slots forbid ad-hoc attributes), never part of results.
     _kval: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Horizon-kernel per-job block time under the last solved
-    #: allocation epoch (valid only while the kernel's solved epoch
-    #: matches; see ``Simulator._advance_horizon``).
+    #: Engine per-job block time under the last solved allocation
+    #: epoch (valid only while the engine's solved epoch matches; see
+    #: ``Simulator._solve_epoch``).
     _kT: float = field(
         default=0.0, init=False, repr=False, compare=False
     )

@@ -1,12 +1,8 @@
 """Declarative allocation plans and the controller that applies them.
 
 MoCA's core claim is that a lightweight runtime can repartition
-compute and memory at *regulated* decision points.  The original
-policy seam was imperative — every policy mutated engine state
-directly (``start_job`` / ``set_tiles`` / ``set_bw_cap`` / ``preempt``)
-at every event, so every event invalidated the engine's
-allocation-epoch cache and reconfiguration costs were charged ad hoc
-inside each mutation.  This module inverts that seam:
+compute and memory at *regulated* decision points.  Policies never
+mutate engine state; this module is the seam between them:
 
 - :class:`AllocationPlan` is a frozen, diffable value object — *what*
   the policy wants (admissions, per-job tile counts, bandwidth caps,
@@ -21,8 +17,8 @@ inside each mutation.  This module inverts that seam:
   allocation epoch **once per applied plan** instead of once per
   mutation.
 - :class:`DecisionCadence` makes the decision *schedule* explicit and
-  configurable: every event (the default, bit-identical to the
-  imperative seam), block boundaries only, or a fixed cycle interval.
+  configurable: every event (the default), block boundaries only, or
+  a fixed cycle interval.
 
 Policies implement :meth:`repro.sim.policy.Policy.decide` and never
 touch engine state; the engine consults the cadence, collects the
@@ -43,10 +39,21 @@ from typing import (
 )
 
 import repro.sanitizer as sanitizer
+from repro.sim.job import JobPhase
+from repro.sim.trace import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
     from repro.sim.job import Job
+
+
+def _simulation_error(message: str) -> Exception:
+    """A :class:`~repro.sim.engine.SimulationError` (imported lazily:
+    the engine imports this module)."""
+    from repro.sim.engine import SimulationError
+
+    return SimulationError(message)
+
 
 #: Recognised decision-cadence modes (see :class:`DecisionCadence`).
 CADENCE_MODES = ("every-event", "block-boundary", "interval")
@@ -61,8 +68,7 @@ class DecisionCadence:
 
             - ``"every-event"`` — consult at every simulation event
               (dispatch, block completion, stall expiry).  The
-              default; proven bit-identical to the historical
-              imperative seam by the golden suite.
+              default; pinned by the golden suite.
             - ``"block-boundary"`` — consult only when a layer block
               retired (or a job finished) since the last decision,
               the paper's "regulated interval": reconfiguration
@@ -202,9 +208,8 @@ class AllocationPlan:
     returned to the ready queue, then started again — the paper's
     checkpoint-and-restart at a different allocation).  A job may be
     admitted and re-tiled in one plan (the retile applies after the
-    admission and charges the migration stall, exactly like the
-    imperative ``start_job`` + ``set_tiles`` sequence).  A job may
-    not appear twice within one field.
+    admission and charges the migration stall).  A job may not appear
+    twice within one field.
     """
 
     preemptions: Tuple[str, ...] = ()
@@ -328,10 +333,12 @@ class AllocationController:
        target value) is re-applied free: coincident-event
        re-decisions can no longer double-charge
        ``COMPUTE_RECONFIG_CYCLES``;
-    5. bumps the allocation epoch **once** for the whole plan (via
-       :meth:`~repro.sim.engine.Simulator.atomic_allocation`) —
-       an applied plan invalidates the block-time cache exactly once,
+    5. bumps the allocation epoch **once** for the whole plan — an
+       applied plan invalidates the engine's epoch solve exactly once,
        an empty or all-no-op plan not at all.
+
+    Caps-only plans — the regulation steady state — take
+    :meth:`apply_caps`, which fused policy hooks also call directly.
 
     Attributes:
         sim: The simulator this controller mutates.
@@ -360,7 +367,7 @@ class AllocationController:
         #: per-key instant tags it replaced.
         self._paid: Dict[Tuple[str, str], set] = {}
         self._paid_instant: Optional[float] = None
-        #: Charges made by trusted caps-only plans at the current
+        #: Charges made by :meth:`apply_caps` at the current
         #: instant, as raw ``(job_id, cap)`` pairs.  The journal is
         #: only ever *queried* by a second plan application at the
         #: same instant — rare — so the hot path records into this
@@ -401,7 +408,6 @@ class AllocationController:
     def _resolve(self, plan: AllocationPlan) -> Dict[str, "Job"]:
         """Map the plan's job ids to live jobs, or fail cleanly."""
         from repro.sim.engine import SimulationError
-        from repro.sim.job import JobPhase
 
         sim_jobs = self.sim.jobs
         jobs: Dict[str, "Job"] = {}
@@ -469,96 +475,18 @@ class AllocationController:
             return 0
         if plan._trusted and sanitizer.enabled:
             self._sanitize_trusted(plan)
-        sim = self.sim
-        if (
-            plan._trusted
-            and not plan.admissions and not plan.tiles
-            and not plan.preemptions and not plan.stalls
-        ):
-            if not plan.bw_caps:
-                self.plans_noop += 1
-                return 0
-            # Trusted caps-only plan — the regulation steady state,
-            # and the overwhelmingly common shape on the hot path.
-            # Skip the resolve dict and the retile classification
-            # entirely: index the live job table inside the loop,
-            # inline :meth:`_recap` (the per-cap call frame was the
-            # last measurable seam tax vs the imperative primitives),
-            # and let each mutation bump the epoch raw (a cap change
-            # plus its stall is at most two counter increments —
-            # cheaper than a deferred-batch enter/exit pair per plan).
-            sim_jobs = sim.jobs
-            set_cap = sim.set_bw_cap
-            stall = sim.stall_job
-            mem_stall = self._memory_stall
-            applied = 0
-            now = sim.now
-            paid = self._paid
-            pending = self._pending_caps
-            if now != self._paid_instant:
-                self._paid_instant = now
-                if paid:
-                    paid.clear()
-                if pending:
-                    pending.clear()
-            try:
-                if paid or pending:
-                    # A same-instant predecessor already charged
-                    # something: full journal semantics.
-                    already_paid = self._already_paid
-                    for jid, cap in plan.bw_caps:
-                        job = sim_jobs[jid]
-                        if set_cap(job, cap, charge=False):
-                            if not already_paid((jid, "bw_cap"), cap):
-                                stall(job, mem_stall)
-                            applied += 1
-                else:
-                    # First charging plan at this instant (the
-                    # steady state): nothing can be already paid —
-                    # charge unconditionally and record each charge
-                    # as a raw pair for lazy folding.
-                    append = pending.append
-                    for item in plan.bw_caps:
-                        job = sim_jobs[item[0]]
-                        if set_cap(job, item[1], charge=False):
-                            stall(job, mem_stall)
-                            append(item)
-                            applied += 1
-            except KeyError as exc:
-                from repro.sim.engine import SimulationError
-
-                raise SimulationError(
-                    f"trusted plan references unknown job "
-                    f"{exc.args[0]!r}"
-                ) from None
-            if applied:
-                self.plans_applied += 1
-            else:
-                self.plans_noop += 1
-            self.actions_applied += applied
-            return applied
-        if plan._trusted:
-            jobs = self._resolve_trusted(plan)
-        else:
-            jobs = self._resolve(plan)
         if (
             not plan.admissions and not plan.tiles
             and not plan.preemptions and not plan.stalls
         ):
-            # Caps-only but untrusted: same shape, validated resolve.
-            applied = 0
-            sim._begin_allocation_batch()
-            try:
-                for jid, cap in plan.bw_caps:
-                    applied += self._recap(jobs[jid], cap)
-            finally:
-                sim._end_allocation_batch()
-            if applied:
-                self.plans_applied += 1
-            else:
-                self.plans_noop += 1
-            self.actions_applied += applied
-            return applied
+            if not plan._trusted:
+                self._resolve(plan)
+            return self.apply_caps(plan.bw_caps)
+        if plan._trusted:
+            jobs = self._resolve_trusted(plan)
+        else:
+            jobs = self._resolve(plan)
+        sim = self.sim
         admitted = {jid for jid, _ in plan.admissions}
         # Classify retiles against pre-plan state: entries on jobs
         # being admitted in this same plan necessarily apply *after*
@@ -573,9 +501,6 @@ class AllocationController:
             if jid in admitted or tiles >= jobs[jid].tiles
         ]
         applied = 0
-        # The direct batch pair, not atomic_allocation(): one
-        # contextmanager generator per applied plan is measurable
-        # overhead on the engine's hottest path.
         sim._begin_allocation_batch()
         try:
             for jid in plan.preemptions:
@@ -603,10 +528,98 @@ class AllocationController:
         self.actions_applied += applied
         return applied
 
+    def apply_caps(
+        self, bw_caps: Tuple[Tuple[str, Optional[float]], ...]
+    ) -> int:
+        """Apply a caps-only overlay in place, counted as one plan.
+
+        ``bw_caps`` is ``((job_id, cap), ...)`` over live jobs, as in
+        :attr:`AllocationPlan.bw_caps`.  Each entry keeps
+        :meth:`~repro.sim.engine.Simulator.set_bw_cap`'s checks (the
+        job is RUNNING, a cap is positive) and its tolerance no-op
+        filter; each changed cap charges the memory-reconfiguration
+        stall centrally, deduplicated through the same-instant
+        journal, and the allocation epoch moves once if anything
+        changed.
+
+        Returns:
+            The number of caps actually changed.
+        """
+        if not bw_caps:
+            self.plans_noop += 1
+            return 0
+        sim = self.sim
+        now = sim.now
+        paid = self._paid
+        pending = self._pending_caps
+        if now != self._paid_instant:
+            self._paid_instant = now
+            if paid:
+                paid.clear()
+            if pending:
+                pending.clear()
+        # A same-instant predecessor already charged something: full
+        # journal semantics.  Otherwise (the steady state) nothing can
+        # be already paid — charge unconditionally and record each
+        # charge as a raw pair for lazy folding (see _fold_pending).
+        dirty = bool(paid or pending)
+        sim_jobs = sim.jobs
+        mem_stall = self._memory_stall
+        trace = sim.trace
+        running = JobPhase.RUNNING
+        applied = 0
+        for item in bw_caps:
+            jid, cap = item
+            try:
+                job = sim_jobs[jid]
+            except KeyError:
+                raise _simulation_error(
+                    f"trusted plan references unknown job {jid!r}"
+                ) from None
+            if job.phase is not running:
+                raise _simulation_error(f"{jid} is not running")
+            if cap is not None and cap <= 0:
+                raise _simulation_error("bandwidth cap must be positive")
+            old = job.bw_cap
+            if old == cap or (
+                old is not None and cap is not None
+                and abs(old - cap) < 1e-9
+            ):
+                continue
+            job.bw_cap = cap
+            job.bw_reconfigs += 1
+            applied += 1
+            if trace.enabled:
+                trace.log(
+                    now, TraceEvent.BW_RECONFIG, jid,
+                    f"cap={'none' if cap is None else f'{cap:.2f}B/cyc'}",
+                )
+            if dirty:
+                if self._already_paid((jid, "bw_cap"), cap):
+                    continue
+            else:
+                pending.append(item)
+            # Simulator.stall_job inlined (mem_stall is a non-negative
+            # class constant).
+            if mem_stall:
+                su = job.stall_until
+                base = su if su > now else now
+                new_until = now + mem_stall
+                if new_until > base:
+                    job.stall_cycles += new_until - base
+                    job.stall_until = new_until
+        if applied:
+            sim._bump_epoch()
+            self.plans_applied += 1
+            self.actions_applied += applied
+        else:
+            self.plans_noop += 1
+        return applied
+
     # ------------------------------------------------------------------
 
     def _fold_pending(self) -> None:
-        """Materialise the fast path's pending cap charges into the
+        """Materialise :meth:`apply_caps`'s pending cap charges into the
         ``_paid`` journal (called lazily, before any actual query)."""
         paid = self._paid
         for jid, cap in self._pending_caps:
@@ -649,7 +662,7 @@ class AllocationController:
         at this instant.  The engine primitive is the single source
         of no-op detection (it returns whether it mutated)."""
         sim = self.sim
-        if not sim.set_tiles(job, tiles, charge=False):
+        if not sim.set_tiles(job, tiles):
             return 0
         if not self._already_paid((job.job_id, "tiles"), tiles):
             sim.stall_job(job, self._compute_stall)
@@ -659,7 +672,7 @@ class AllocationController:
         """Apply one bandwidth-cap target; charge the DMA issue-rate
         update centrally, with the same same-instant dedupe."""
         sim = self.sim
-        if not sim.set_bw_cap(job, cap, charge=False):
+        if not sim.set_bw_cap(job, cap):
             return 0
         if not self._already_paid((job.job_id, "bw_cap"), cap):
             sim.stall_job(job, self._memory_stall)

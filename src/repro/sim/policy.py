@@ -10,14 +10,8 @@ engine calls :meth:`Policy.decide`, which inspects engine state
 bandwidth caps, preemptions.  The engine-side
 :class:`~repro.sim.plan.AllocationController` diffs the plan against
 live state, applies it atomically, and charges the reconfiguration
-costs centrally.
-
-Legacy imperative policies (overriding :meth:`Policy.on_event` and
-issuing ``sim.start_job`` / ``sim.set_tiles`` / ... directly) keep
-working: the engine falls back to ``on_event`` when ``decide`` is not
-overridden, and the default ``on_event`` bridges the other way for
-plan-emitting policies, so ``policy.on_event(sim)`` remains a valid
-way to drive either kind in tests.
+costs centrally.  Driving one decision point by hand (as the tests
+do) is ``sim.controller.apply(policy.decide(sim))``.
 
 Reconfiguration costs (Section V-A):
 
@@ -49,8 +43,8 @@ MEMORY_RECONFIG_CYCLES = 8
 class Policy(abc.ABC):
     """Base class for multi-tenancy policies.
 
-    Subclasses implement :meth:`decide` (preferred, declarative) or
-    :meth:`on_event` (legacy, imperative) — at least one of the two.
+    Subclasses implement :meth:`decide`; a policy without it fails
+    at construction.
 
     Attributes:
         name: Human-readable policy name (used in reports).
@@ -64,22 +58,18 @@ class Policy(abc.ABC):
     compute_reconfig_cycles: int = COMPUTE_RECONFIG_CYCLES
     memory_reconfig_cycles: int = MEMORY_RECONFIG_CYCLES
 
-    #: Horizon-kernel protocol (optional, engine-private).  A policy
-    #: may implement ``kernel_noop_guard(sim) -> bool`` — return True
-    #: only when this decision round *provably* returns
-    #: :data:`~repro.sim.plan.EMPTY_PLAN` with zero internal state
-    #: change, letting the kernel skip the call entirely — and
-    #: ``kernel_decide_apply(sim) -> None`` — a fused decision round
-    #: that makes exactly the same decisions as :meth:`decide` but
-    #: applies the steady-state caps-only overlay in place through the
-    #: controller's trusted journal.  Both default to None: the kernel
-    #: then drives the policy through the ordinary decide()/apply
-    #: seam.  Under ``REPRO_CHECK=1`` the engine ignores
-    #: ``kernel_decide_apply`` so every plan passes the sanitizer's
+    #: Optional fused decision round for the engine loop: a policy
+    #: may implement ``kernel_decide_apply(sim) -> None``, making
+    #: exactly the decisions :meth:`decide` would make but applying
+    #: them itself through the controller (e.g. a caps-only overlay
+    #: via :meth:`~repro.sim.plan.AllocationController.apply_caps`,
+    #: skipping the plan object).  None means the engine drives
+    #: :meth:`decide` plus a plan apply.  Under ``REPRO_CHECK=1`` the
+    #: engine ignores the hook so every plan passes the sanitizer's
     #: trusted-plan re-validation.
-    kernel_noop_guard = None
     kernel_decide_apply = None
 
+    @abc.abstractmethod
     def decide(self, sim: "Simulator") -> AllocationPlan:
         """Compute this decision point's allocation plan.
 
@@ -90,29 +80,6 @@ class Policy(abc.ABC):
         :data:`~repro.sim.plan.EMPTY_PLAN` (or ``None``) means "no
         changes".
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither decide() nor "
-            f"on_event(); policies must provide one of the two"
-        )
-
-    @property
-    def emits_plans(self) -> bool:
-        """Whether this policy implements the declarative seam."""
-        return type(self).decide is not Policy.decide
-
-    def on_event(self, sim: "Simulator") -> None:
-        """Legacy imperative seam: react to a simulation event.
-
-        Imperative policies override this and mutate the engine
-        directly (each mutation then charges its own cost and bumps
-        the allocation epoch, as before the declarative refactor).
-        The default implementation bridges plan-emitting policies:
-        it applies :meth:`decide`'s plan through the simulator's
-        controller, so driving either kind of policy via
-        ``policy.on_event(sim)`` is equivalent to one engine
-        decision point.
-        """
-        sim.controller.apply(self.decide(sim))
 
     def on_job_finished(self, sim: "Simulator", job: "Job") -> None:
         """Hook invoked right after a job completes."""

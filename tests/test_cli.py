@@ -209,53 +209,6 @@ class TestCadenceCli:
         explicit_out = capsys.readouterr().out
         assert explicit_out == default_out
 
-class TestSolverCli:
-    """ISSUE satellite: ``sweep --solver {kernel,vector,scalar}`` is a
-    debug flag threaded to the engine — documented, validated, and
-    operational-only (outputs identical whichever solver runs)."""
-
-    def test_solver_documented_in_help(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--help"])
-        helptext = capsys.readouterr().out
-        assert "--solver" in helptext
-        assert "kernel" in helptext
-        assert "--precompute" in helptext
-
-    def test_unknown_solver_exits_cleanly(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--scenarios", "ref-a-qos-m",
-                  "--solver", "turbo"])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_solver_threaded_to_runner(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["sweep", "--scenarios", "ref-a-qos-m",
-             "--solver", "scalar"]
-        )
-        from repro.cli import _sweep_runner
-
-        runner = _sweep_runner(args)
-        assert runner.solver == "scalar"
-        # Default: no override, engine picks its own (kernel).
-        default_args = parser.parse_args(
-            ["sweep", "--scenarios", "ref-a-qos-m"]
-        )
-        assert _sweep_runner(default_args).solver is None
-
-    @pytest.mark.parametrize("solver", ["kernel", "vector", "scalar"])
-    def test_solver_output_identical_to_default(self, solver, capsys):
-        base = ["sweep", "--scenarios", "ref-a-qos-m", "--tasks", "6",
-                "--seeds", "1"]
-        assert main(base) == 0
-        default_out = capsys.readouterr().out
-        assert main(base + ["--solver", solver]) == 0
-        solver_out = capsys.readouterr().out
-        assert solver_out == default_out
-
-
 class TestSweepGuards:
     def test_format_without_out_rejected(self):
         with pytest.raises(SystemExit) as excinfo:

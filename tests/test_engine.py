@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.static_partition import StaticPartitionPolicy
 from repro.sim.engine import SimulationError, Simulator, run_simulation
 from repro.sim.job import JobPhase
+from repro.sim.plan import EMPTY_PLAN, AllocationPlan
 from repro.sim.policy import Policy
 from repro.sim.trace import TraceEvent
 
@@ -14,9 +15,12 @@ class _AllTilesPolicy(Policy):
 
     name = "all-tiles"
 
-    def on_event(self, sim):
+    def decide(self, sim):
         if sim.ready and not sim.running:
-            sim.start_job(sim.ready[0], sim.soc.num_tiles)
+            return AllocationPlan(
+                admissions=((sim.ready[0].job_id, sim.soc.num_tiles),)
+            )
+        return EMPTY_PLAN
 
     def reset(self):
         pass
@@ -27,9 +31,11 @@ class _GreedyPairPolicy(Policy):
 
     name = "greedy"
 
-    def on_event(self, sim):
-        while sim.ready and sim.free_tiles >= 2:
-            sim.start_job(sim.ready[0], 2)
+    def decide(self, sim):
+        slots = sim.free_tiles // 2
+        return AllocationPlan(
+            admissions=tuple((job.job_id, 2) for job in sim.ready[:slots])
+        )
 
     def reset(self):
         pass
@@ -158,12 +164,16 @@ class TestEngineApi:
             sim.start_job(job, soc.num_tiles + 1)
 
     def test_set_tiles_charges_stall(self, soc, mem, task_factory):
+        # The primitive only retiles; the controller charges the
+        # migration stall centrally.
         sim = self._sim(soc, mem, task_factory)
         sim._dispatch_arrivals()
         job = sim.ready[0]
         sim.start_job(job, 2)
-        sim.set_tiles(job, 4)
-        assert job.tile_repartitions == 1
+        assert sim.set_tiles(job, 3)
+        assert job.stall_until == 0.0
+        sim.controller.apply(AllocationPlan(tiles=((job.job_id, 4),)))
+        assert job.tile_repartitions == 2
         assert job.stall_until == pytest.approx(
             sim.now + sim.policy.compute_reconfig_cycles
         )
@@ -181,8 +191,10 @@ class TestEngineApi:
         sim._dispatch_arrivals()
         job = sim.ready[0]
         sim.start_job(job, 2)
-        sim.set_bw_cap(job, 4.0)
-        assert job.bw_reconfigs == 1
+        assert sim.set_bw_cap(job, 2.0)
+        assert job.stall_until == 0.0
+        sim.controller.apply(AllocationPlan(bw_caps=((job.job_id, 4.0),)))
+        assert job.bw_reconfigs == 2
         assert job.stall_until == pytest.approx(
             sim.now + sim.policy.memory_reconfig_cycles
         )
@@ -238,13 +250,16 @@ class TestEngineApi:
 class _OverallocatingPolicy(Policy):
     name = "bad"
 
-    def on_event(self, sim):
+    def decide(self, sim):
+        # Misbehaves on purpose: mutates the engine directly instead
+        # of returning a plan, then sneaks extra tiles onto the first
+        # runner, bypassing set_tiles.
         for job in list(sim.ready):
             if sim.free_tiles > 0:
                 sim.start_job(job, sim.free_tiles)
-        # Sneak extra tiles onto the first runner, bypassing set_tiles.
         if sim.running:
             sim.running[0].tiles = sim.soc.num_tiles + 1
+        return EMPTY_PLAN
 
     def reset(self):
         pass

@@ -1,27 +1,28 @@
-"""Property pins for the epoch-horizon kernel (ISSUE 10 tentpole).
+"""Property pins for the engine loop against the reference oracle.
 
-``solver="kernel"`` collapses runs of pure-completion events into one
-fused advance+retire sweep, but it replicates the incremental loop's
-float sequence operation for operation — so every simulation it runs
-must be **bit-identical** (``==`` on floats, no tolerance) to both the
-incremental vector path and the scalar reference.  These tests pin
-that across:
+The engine's horizon loop solves once per allocation epoch and fuses
+runs of pure-completion events into one advance+retire sweep (and MoCA
+applies its steady-state caps through a fused hook), but it replicates
+the reference loop's float sequence operation for operation — so every
+simulation it runs must be **bit-identical** (``==`` on floats, no
+tolerance) to :func:`repro.sim.reference.run_reference`.  These tests
+pin that across:
 
 - random scenarios (workload set, QoS level, load factor, task count
   all drawn from a seeded RNG) crossed with *all three* decision
   cadences;
 - fault-injected supervised sweeps (transient faults + retries), where
-  the retried cells must land bit-identical whichever solver ran them;
+  the retried cells must land bit-identical to the reference;
 - the 36-cell reference matrix (nine scenarios x four policies) at
   spot-check size;
-- the REPRO_CHECK sanitizer hook: an injected kernel divergence is
-  caught, and agreement reports carry per-job detail.
+- the REPRO_CHECK sanitizer hook: a corrupted engine solve is caught.
 """
 
 import random
 
 import pytest
 
+import repro.experiments.runner as runner
 import repro.sanitizer as sanitizer
 from repro.core.policy import MoCAPolicy
 from repro.experiments.faults import FaultPlan
@@ -33,9 +34,8 @@ from repro.scenarios import ScenarioSpec
 from repro.sim.engine import Simulator
 from repro.sim.plan import DecisionCadence
 from repro.sim.qos import QosLevel, QosModel
+from repro.sim.reference import run_reference
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
-
-SOLVERS = ("kernel", "vector", "scalar")
 
 #: Every decision-cadence mode the engine supports.
 CADENCES = (
@@ -65,16 +65,26 @@ def _random_tasks(soc, mem, seed):
     )
 
 
-def _run(soc, mem, tasks, cadence, solver):
+def _run(soc, mem, tasks, cadence, reference=False):
     policy = MoCAPolicy()
     policy.reset()
-    return Simulator(
-        soc, tasks, policy, mem=mem, cadence=cadence, solver=solver
-    ).run()
+    sim = Simulator(soc, tasks, policy, mem=mem, cadence=cadence)
+    return run_reference(sim) if reference else sim.run()
+
+
+def _reference_run_simulation(soc, tasks, policy, mem=None, trace=False,
+                              cadence=None):
+    """Drop-in for :func:`repro.sim.engine.run_simulation` that drives
+    the reference loop instead of the engine's."""
+    policy.reset()
+    return run_reference(
+        Simulator(soc, tasks, policy, mem=mem, trace=trace,
+                  cadence=cadence)
+    )
 
 
 class TestKernelBitIdentity:
-    """Random scenarios x all cadences: three solvers, one result."""
+    """Random scenarios x all cadences: engine == reference."""
 
     @pytest.mark.parametrize(
         "cadence", CADENCES, ids=[c.key for c in CADENCES]
@@ -84,28 +94,25 @@ class TestKernelBitIdentity:
         self, soc, mem, seed, cadence
     ):
         tasks = _random_tasks(soc, mem, seed)
-        runs = {
-            solver: _run(soc, mem, tasks, cadence, solver)
-            for solver in SOLVERS
-        }
-        kernel = runs["kernel"]
-        for other in ("vector", "scalar"):
-            assert kernel.makespan == runs[other].makespan
-            assert tuple(kernel.results) == tuple(runs[other].results)
+        engine = _run(soc, mem, tasks, cadence)
+        reference = _run(soc, mem, tasks, cadence, reference=True)
+        assert engine.makespan == reference.makespan
+        assert tuple(engine.results) == tuple(reference.results)
+        assert engine.decisions == reference.decisions
 
     def test_kernel_fuses_events(self, soc, mem):
-        """The kernel must actually reuse the epoch solve across the
-        fused sweeps — otherwise it is just a slower incremental
-        loop wearing the default's name."""
+        """The engine must actually reuse the epoch solve across the
+        fused sweeps — otherwise it is just a slower single-step loop
+        wearing the default's name."""
         tasks = _random_tasks(soc, mem, seed=0)
-        result = _run(soc, mem, tasks, DecisionCadence(), "kernel")
+        result = _run(soc, mem, tasks, DecisionCadence())
         assert result.block_time_reuses > 0
         assert result.block_time_recomputes < result.events
 
 
 class TestKernelUnderSupervision:
-    """Fault-injected supervised sweeps land bit-identical whichever
-    solver ran the (possibly retried) cells."""
+    """Fault-injected supervised sweeps land bit-identical to the
+    reference loop running the same (possibly retried) cells."""
 
     SPEC = ScenarioSpec(
         workload_set="A", qos_level=QosLevel.MEDIUM, num_tasks=8,
@@ -113,93 +120,84 @@ class TestKernelUnderSupervision:
     )
     PLAN = FaultPlan.parse("transient:cells=0,5")
 
-    def _supervised(self, solver):
-        runner = ParallelRunner(workers=1, solver=solver)
-        return runner.run_supervised(
+    def _supervised(self):
+        return ParallelRunner(workers=1).run_supervised(
             [self.SPEC],
             supervision=Supervision(
                 fault_plan=self.PLAN, backoff_base=0.0
             ),
         )
 
-    def test_fault_injected_sweep_identical_across_solvers(self):
-        accs = {s: self._supervised(s) for s in SOLVERS}
-        for acc in accs.values():
+    def test_fault_injected_sweep_identical_across_solvers(
+        self, monkeypatch
+    ):
+        engine = self._supervised()
+        monkeypatch.setattr(
+            runner, "run_simulation", _reference_run_simulation
+        )
+        reference = self._supervised()
+        for acc in (engine, reference):
             assert acc.complete and not acc.degraded
-        reference = accs["kernel"].matrix()
-        assert accs["vector"].matrix() == reference
-        assert accs["scalar"].matrix() == reference
+        assert engine.matrix() == reference.matrix()
 
 
 class TestReferenceMatrixSpotCheck:
     """The 36 reference cells (nine scenarios x four policies) at
-    spot-check size: kernel and incremental fingerprints identical."""
+    spot-check size: engine and reference fingerprints identical."""
 
-    def test_all_36_cells_identical(self):
+    def test_all_36_cells_identical(self, monkeypatch):
         specs = reference_specs(num_tasks=10, seeds=(1,))
         policies = default_policies()
         assert len(specs) * len(policies) == 36
+        engine = {}
         for spec in specs:
             for name, factory in policies.items():
-                prints = {}
-                for solver in ("kernel", "vector"):
-                    summary, _ = run_cell_detail(
-                        spec, name, factory, seed=1, solver=solver
-                    )
-                    prints[solver] = summary_fingerprint(summary)
-                assert prints["kernel"] == prints["vector"], (
-                    f"cell ({spec.label}, {name}) diverged"
-                )
+                summary, _ = run_cell_detail(spec, name, factory, seed=1)
+                engine[spec.label, name] = summary_fingerprint(summary)
+        monkeypatch.setattr(
+            runner, "run_simulation", _reference_run_simulation
+        )
+        for spec in specs:
+            for name, factory in policies.items():
+                summary, _ = run_cell_detail(spec, name, factory, seed=1)
+                assert summary_fingerprint(summary) == engine[
+                    spec.label, name
+                ], f"cell ({spec.label}, {name}) diverged"
 
 
 class TestKernelSanitizer:
-    """REPRO_CHECK=1 spot-checks the fused solve against the
-    incremental oracle; an injected divergence must be caught."""
+    """REPRO_CHECK=1 spot-checks the engine's epoch solve against the
+    reference solve; a corrupted engine solve must be caught."""
 
     def test_injected_kernel_divergence_caught(
         self, soc, mem, task_factory, monkeypatch
     ):
         monkeypatch.setattr(sanitizer, "enabled", True)
+        solve = Simulator._solve_epoch
+
+        def corrupted(self, now, best):
+            act, stl, best = solve(self, now, best)
+            for job in act:
+                job._kT *= 2.0
+            return act, stl, best
+
+        monkeypatch.setattr(Simulator, "_solve_epoch", corrupted)
         tasks = [task_factory(task_id=f"t{i}") for i in range(3)]
         sim = Simulator(soc, tasks, MoCAPolicy(), mem=mem)
-        assert sim.solver == "kernel"
-        # Lie consistently through both incremental oracles so the
-        # vector-vs-scalar agreement check stays silent and the
-        # divergence is attributed to the kernel solve itself.
-        sim._solve = lambda: {}
-        sim._solve_scalar = lambda: {}
         with pytest.raises(
-            sanitizer.SanitizerError, match="horizon-kernel divergence"
+            sanitizer.SanitizerError, match="block-time divergence"
         ):
             sim.run()
-
-    def test_check_kernel_agreement_reports_job_detail(self):
-        with pytest.raises(
-            sanitizer.SanitizerError, match="job 'a'"
-        ):
-            sanitizer.check_kernel_agreement(
-                {"a": 1.0}, {"a": 2.0}, now=3.0
-            )
-        with pytest.raises(
-            sanitizer.SanitizerError, match="extra jobs \\['x'\\]"
-        ):
-            sanitizer.check_kernel_agreement(
-                {"x": 1.0}, {}, now=3.0
-            )
-        # Agreement is silent.
-        sanitizer.check_kernel_agreement(
-            {"a": 1.0}, {"a": 1.0}, now=3.0
-        )
 
     def test_sanitized_kernel_run_identical_to_unchecked(
         self, soc, mem, monkeypatch
     ):
-        """The spot-check is a pure observer: a sanitized kernel run
-        returns the same floats as an unchecked one."""
+        """The spot-check is a pure observer: a sanitized run returns
+        the same floats as an unchecked one."""
         tasks = _random_tasks(soc, mem, seed=2)
         monkeypatch.setattr(sanitizer, "enabled", False)
-        plain = _run(soc, mem, tasks, DecisionCadence(), "kernel")
+        plain = _run(soc, mem, tasks, DecisionCadence())
         monkeypatch.setattr(sanitizer, "enabled", True)
-        checked = _run(soc, mem, tasks, DecisionCadence(), "kernel")
+        checked = _run(soc, mem, tasks, DecisionCadence())
         assert checked.makespan == plain.makespan
         assert tuple(checked.results) == tuple(plain.results)

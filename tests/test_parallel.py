@@ -109,39 +109,40 @@ def _tasks(num_tasks=12, seed=3):
 
 
 def _force_recompute(sim):
-    """Drop the epoch cache and the per-block prediction memos and
-    solve from scratch (via the base implementation, so subclass
-    instrumentation doesn't recurse)."""
-    sim._times_epoch = -1
+    """Solve from scratch: drop the per-block prediction memos and run
+    the reference solve."""
     for job in sim.running:
         job.current_block.clear_predict_memo()
-    return dict(Simulator._times_now(sim))
+    return sim.current_block_times()
+
+
+def _epoch_solve(sim):
+    """The engine's own epoch solve on the simulator's current state."""
+    active, _, _ = sim._solve_epoch(sim.now, float("inf"))
+    return {job.job_id: job._kT for job in active}
 
 
 class _CheckedSimulator(Simulator):
-    """Cross-checks every cached solve against a from-scratch one.
-
-    Hooks ``_times_now`` — the internal cache probe every engine read
-    (including the fused ``_step`` loop) funnels through.
-    """
+    """Cross-checks every epoch solve of a run against a from-scratch
+    one."""
 
     checks = 0
 
-    def _times_now(self):
-        cached = super()._times_now()
+    def _solve_epoch(self, now, best):
+        out = super()._solve_epoch(now, best)
+        solved = {job.job_id: job._kT for job in out[0]}
         forced = _force_recompute(self)
-        assert cached == forced, (
-            f"epoch cache diverged at t={self.now}: {cached} != {forced}"
+        assert solved == forced, (
+            f"epoch solve diverged at t={now}: {solved} != {forced}"
         )
         type(self).checks += 1
-        return cached
+        return out
 
 
 class TestEpochCachedBlockTimes:
     def test_cache_matches_recompute_under_churn(self):
-        """ISSUE satellite: epoch-cached current_block_times must match
-        a from-scratch recompute after tile / bandwidth / preemption
-        churn."""
+        """The engine's epoch solve must match a from-scratch
+        recompute after tile / bandwidth / stall / preemption churn."""
         soc, mem, tasks = _tasks()
         policy = PremaPolicy()
         policy.reset()
@@ -151,34 +152,30 @@ class TestEpochCachedBlockTimes:
         jobs = list(sim.ready)
         sim.start_job(jobs[0], 2)
         sim.start_job(jobs[1], 2)
-        assert sim.current_block_times() == _force_recompute(sim)
+        assert _epoch_solve(sim) == _force_recompute(sim)
         sim.set_tiles(jobs[0], 4)
-        assert sim.current_block_times() == _force_recompute(sim)
+        assert _epoch_solve(sim) == _force_recompute(sim)
         sim.set_bw_cap(jobs[1], 2.0)
-        assert sim.current_block_times() == _force_recompute(sim)
-        # Advance past the reconfiguration stalls: the stall expiry
-        # must invalidate the cache even without an allocation call.
-        sim._block_T = sim.current_block_times()
-        sim._advance(float(policy.compute_reconfig_cycles) + 1.0)
-        assert sim.current_block_times() == _force_recompute(sim)
+        assert _epoch_solve(sim) == _force_recompute(sim)
+        # A stalled job drops out of the arbiter's active set, and
+        # rejoins once the clock passes its stall.
+        sim.stall_job(jobs[0], 1000.0)
+        assert _epoch_solve(sim) == _force_recompute(sim)
+        assert jobs[0].job_id not in _epoch_solve(sim)
+        sim.now += 1001.0
+        assert _epoch_solve(sim) == _force_recompute(sim)
         sim.preempt(jobs[0])
-        assert sim.current_block_times() == _force_recompute(sim)
+        assert _epoch_solve(sim) == _force_recompute(sim)
 
     def test_full_run_cross_checked(self):
-        """Every solve of a whole MoCA simulation agrees with a
+        """Every epoch solve of a whole MoCA simulation agrees with a
         from-scratch recompute (stall expiries, block retirements,
-        repartitions, the lot).  Pinned to the incremental engine:
-        ``_times_now`` is that path's cache seam — the horizon
-        kernel's own epoch cache is pinned bit-identical against this
-        path in tests/test_kernel.py."""
+        repartitions, the lot)."""
         soc, mem, tasks = _tasks(num_tasks=10, seed=5)
         policy = MoCAPolicy()
         policy.reset()
         _CheckedSimulator.checks = 0
-        sim = _CheckedSimulator(
-            soc, tasks, policy, mem=mem, solver="vector"
-        )
-        result = sim.run()
+        result = _CheckedSimulator(soc, tasks, policy, mem=mem).run()
         assert len(result.results) == 10
         assert _CheckedSimulator.checks > 0
 

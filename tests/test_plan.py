@@ -121,18 +121,18 @@ class TestControllerDiffing:
     def test_atomic_allocation_coalesces_manual_mutations(
         self, soc, mem, task_factory
     ):
-        # The public contextmanager shares the controller's batching
-        # implementation: N mutations inside -> one epoch bump, and
-        # an empty block bumps nothing.
+        # The controller's batching pair: N mutations inside -> one
+        # epoch bump, and an empty batch bumps nothing.
         sim = _sim(soc, mem, task_factory, n=2)
         sim._dispatch_arrivals()
         epoch = sim._alloc_epoch
-        with sim.atomic_allocation():
-            sim.start_job(sim.jobs["t0"], 2)
-            sim.start_job(sim.jobs["t1"], 2)
+        sim._begin_allocation_batch()
+        sim.start_job(sim.jobs["t0"], 2)
+        sim.start_job(sim.jobs["t1"], 2)
+        sim._end_allocation_batch()
         assert sim._alloc_epoch == epoch + 1
-        with sim.atomic_allocation():
-            pass
+        sim._begin_allocation_batch()
+        sim._end_allocation_batch()
         assert sim._alloc_epoch == epoch + 1
 
     def test_plan_applies_atomically_one_epoch_bump(self, soc, mem,
@@ -397,29 +397,16 @@ class TestDecisionCadence:
 
 
 class TestPolicyBridge:
-    def test_plan_policy_via_on_event_bridge(self, soc, mem,
-                                             task_factory):
-        # policy.on_event(sim) must remain a valid way to drive a
-        # plan-emitting policy (the legacy seam's spelling).
-        sim = _sim(soc, mem, task_factory, policy=_PlannedPairs())
-        sim._dispatch_arrivals()
-        sim.policy.on_event(sim)
-        assert len(sim.running) == 2
-
-    def test_policy_without_either_hook_fails_at_construction(
-        self, soc, mem, task_factory
-    ):
+    def test_policy_without_either_hook_fails_at_construction(self):
         class _Hollow(Policy):
             name = "hollow"
 
-        # Fail fast: the simulator refuses the policy up front
-        # instead of raising mid-simulation at the first decision.
-        with pytest.raises(SimulationError, match="neither"):
-            _sim(soc, mem, task_factory, policy=_Hollow())
-        with pytest.raises(NotImplementedError, match="neither"):
-            _Hollow().decide(None)
+        # Fail fast: decide() is abstract, so the policy cannot even
+        # be built, let alone handed to a simulator.
+        with pytest.raises(TypeError, match="decide"):
+            _Hollow()
 
-    def test_builtin_policies_emit_plans(self):
+    def test_builtin_policies_emit_plans(self, soc, mem, task_factory):
         from repro.baselines import (
             PlanariaPolicy,
             PremaPolicy,
@@ -429,27 +416,9 @@ class TestPolicyBridge:
 
         for cls in (PlanariaPolicy, PremaPolicy, StaticPartitionPolicy,
                     MoCAPolicy):
-            assert cls().emits_plans
-
-    def test_legacy_imperative_policy_still_supported(self, soc, mem,
-                                                      task_factory):
-        class _Legacy(Policy):
-            name = "legacy"
-
-            def on_event(self, sim):
-                while sim.ready and sim.free_tiles >= 2:
-                    sim.start_job(sim.ready[0], 2)
-
-        assert not _Legacy().emits_plans
-        result = run_simulation(
-            soc,
-            [task_factory(task_id=f"t{i}") for i in range(3)],
-            _Legacy(),
-            mem=mem,
-        )
-        assert len(result.results) == 3
-        # Imperative mutations bypass the controller entirely.
-        assert result.plan_actions == 0
+            sim = _sim(soc, mem, task_factory, policy=cls())
+            sim._dispatch_arrivals()
+            assert isinstance(sim.policy.decide(sim), AllocationPlan)
 
 
 class TestTrustedPlans:

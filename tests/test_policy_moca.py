@@ -19,7 +19,7 @@ class TestAdmission:
         tasks = [task_factory(task_id=f"t{i}") for i in range(6)]
         sim, policy = _sim(soc, mem, tasks)
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         assert len(sim.running) == 4
 
     def test_priority_order(self, soc, mem, task_factory):
@@ -29,7 +29,7 @@ class TestAdmission:
         ]
         sim, policy = _sim(soc, mem, tasks)
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         running = {j.job_id for j in sim.running}
         # Top-4 priorities admitted (5, 4, 3, 2).
         assert running == {"t5", "t4", "t3", "t2"}
@@ -39,7 +39,7 @@ class TestAdmission:
         tasks = [task_factory(task_id="only")]
         sim, policy = _sim(soc, mem, tasks)
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         job = sim.running[0]
         # No backlog: the single admitted job gets an enlarged slot.
         assert job.tiles > SchedulerConfig().tiles_per_task
@@ -48,7 +48,7 @@ class TestAdmission:
         tasks = [task_factory(task_id=f"t{i}") for i in range(8)]
         sim, policy = _sim(soc, mem, tasks)
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         assert all(
             j.tiles == SchedulerConfig().tiles_per_task for j in sim.running
         )
@@ -77,7 +77,7 @@ class TestRegulation:
                  for i in range(4)]
         sim, policy = _sim(soc, mem, tasks)
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         caps = [j.bw_cap for j in sim.running if j.bw_cap is not None]
         if caps:
             assert sum(caps) <= mem.dram_bandwidth * 1.3
@@ -184,7 +184,7 @@ class TestIdleAdmission:
         sim, policy = _sim(soc, mem, tasks)
         sim._dispatch_arrivals()
         assert sim.has_pending_arrivals
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         assert sim.running == []
 
     def test_pending_arrivals_property(self, soc, mem, task_factory):

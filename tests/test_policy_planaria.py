@@ -27,7 +27,7 @@ class TestFission:
         policy = PlanariaPolicy()
         sim = _sim(soc, mem, tasks, policy)
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         assert sim.running[0].tiles == soc.num_tiles
 
     def test_tiles_fully_apportioned(self, soc, mem, task_factory):
@@ -36,7 +36,7 @@ class TestFission:
         policy = PlanariaPolicy()
         sim = _sim(soc, mem, tasks, policy)
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         assert sum(j.tiles for j in sim.running) == soc.num_tiles
 
     def test_priority_weighted_shares(self, soc, mem, task_factory):
@@ -47,7 +47,7 @@ class TestFission:
         policy = PlanariaPolicy()
         sim = _sim(soc, mem, tasks, policy)
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         by_id = {j.job_id: j.tiles for j in sim.running}
         assert by_id["high"] > by_id["low"]
 
@@ -57,7 +57,7 @@ class TestFission:
         policy = PlanariaPolicy()
         sim = _sim(soc, mem, tasks, policy)
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         assert all(j.tiles >= policy.min_tiles for j in sim.running)
 
     def test_max_concurrent_respected(self, soc, mem, task_factory):
@@ -65,7 +65,7 @@ class TestFission:
         policy = PlanariaPolicy(max_concurrent=4)
         sim = _sim(soc, mem, tasks, policy)
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         assert len(sim.running) == 4
 
 
@@ -107,5 +107,5 @@ class TestMigrationCost:
         policy = PlanariaPolicy()
         sim = _sim(soc, mem, tasks, policy)
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         assert all(j.bw_cap is None for j in sim.running)

@@ -32,7 +32,7 @@ class TestScheduling:
         policy.reset()
         sim = Simulator(soc, tasks, policy, mem=mem)
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         assert len(sim.running) == 1
         assert sim.running[0].tiles == soc.num_tiles
 
@@ -46,7 +46,7 @@ class TestScheduling:
         sim = Simulator(soc, tasks, policy, mem=mem)
         sim.now = 1000.0
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         assert sim.running[0].job_id == "high"
 
     def test_all_finish(self, soc, mem, task_factory):

@@ -31,7 +31,7 @@ class TestStaticPartition:
         policy.reset()
         sim = Simulator(soc, tasks, policy, mem=mem)
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         assert len(sim.running) == 4
         assert sim.free_tiles == 0
 
@@ -55,5 +55,5 @@ class TestStaticPartition:
         policy.reset()
         sim = Simulator(soc, tasks, policy, mem=mem)
         sim._dispatch_arrivals()
-        policy.on_event(sim)
+        sim.controller.apply(policy.decide(sim))
         assert len(sim.running) == 2

@@ -12,6 +12,7 @@ from repro.core.policy import MoCAPolicy
 from repro.experiments.execution.leases import WorkLedger
 from repro.experiments.results import cell_manifest
 from repro.scenarios import ScenarioSpec
+from repro.sim import reference
 from repro.sim.engine import Simulator
 from repro.sim.plan import AllocationPlan
 
@@ -86,54 +87,48 @@ class TestPureObserver:
         monkeypatch.setattr(sanitizer, "enabled", True)
         sim, checked = _run(soc, mem, task_factory)
         assert checked == plain
-        # The solver spot-check actually ran (first recompute at
+        # The block-time spot-check actually ran (first epoch at
         # minimum) — identity above wasn't vacuous.
         assert sim._solve_checks >= 1
-
-    def test_scalar_solver_runs_unchecked(
-        self, soc, mem, task_factory, sanitized
-    ):
-        # The spot-check compares vector against the scalar oracle;
-        # a scalar-solver sim has nothing to cross-check.
-        tasks = [task_factory(task_id="t0")]
-        sim = Simulator(
-            soc, tasks, MoCAPolicy(), mem=mem, solver="scalar"
-        )
-        sim.run()
-        assert sim._solve_checks == 0
 
 
 class TestSolverSpotCheck:
     def test_injected_divergence_caught(
-        self, soc, mem, task_factory, sanitized
+        self, soc, mem, task_factory, sanitized, monkeypatch
     ):
+        # Corrupt the reference side of the spot-check: the engine's
+        # own solve is intact, so only the comparison can trip.
+        monkeypatch.setattr(
+            reference, "solve_block_times", lambda sim: {}
+        )
         tasks = [task_factory(task_id=f"t{i}") for i in range(2)]
         sim = Simulator(soc, tasks, MoCAPolicy(), mem=mem)
-
-        def lying_scalar():
-            return {}
-
-        sim._solve_scalar = lying_scalar
         with pytest.raises(
-            sanitizer.SanitizerError, match="solver divergence"
+            sanitizer.SanitizerError, match="block-time divergence"
         ):
             sim.run()
 
-    def test_check_solver_agreement_reports_job_detail(self):
+    def test_check_block_times_reports_job_detail(self):
         with pytest.raises(
             sanitizer.SanitizerError, match="job 'a'"
         ):
-            sanitizer.check_solver_agreement(
+            sanitizer.check_block_times(
                 {"a": 1.0}, {"a": 2.0}, now=7.0
             )
         with pytest.raises(
             sanitizer.SanitizerError, match="missing jobs \\['b'\\]"
         ):
-            sanitizer.check_solver_agreement(
+            sanitizer.check_block_times(
                 {}, {"b": 2.0}, now=7.0
             )
+        with pytest.raises(
+            sanitizer.SanitizerError, match="extra jobs \\['x'\\]"
+        ):
+            sanitizer.check_block_times(
+                {"x": 1.0}, {}, now=7.0
+            )
         # Agreement is silent.
-        sanitizer.check_solver_agreement(
+        sanitizer.check_block_times(
             {"a": 1.0}, {"a": 1.0}, now=7.0
         )
 

@@ -1,12 +1,14 @@
-"""Bit-identity of the vectorized hot path against its scalar oracles.
+"""Bit-identity of the vectorized hot path against its oracles.
 
-Three seams got fast twins in the plan-seam performance work, each
-keeping the original implementation as the reference oracle:
+Three fast seams each keep a slower reference implementation as their
+oracle:
 
-- ``Simulator._solve_vector`` (runtime-table SoA solve) vs
-  ``Simulator._solve_scalar`` (per-job ``predict`` + dict arbiter);
-- ``MoCARuntime.regulate_batch`` (single-sweep Algorithm 2) vs
-  ``MoCARuntime.update_app`` (the validated per-app reference);
+- ``Simulator._solve_epoch`` (runtime-table SoA solve) vs
+  :func:`repro.sim.reference.solve_block_times` (per-job ``predict``
+  + dict arbiter);
+- ``MoCAPolicy._plan_regulation`` (single-sweep Algorithm 2) vs a
+  sequence of ``MoCARuntime.update_app`` calls (the validated per-app
+  reference);
 - ``MoCAPolicy.fast_path`` (retired-blocks counter skip) vs the full
   per-event re-decision.
 
@@ -28,11 +30,13 @@ from repro.core.latency import (
     build_network_cost,
 )
 from repro.core.policy import MoCAPolicy
+from repro.core.prediction import RemainingPrediction
 from repro.core.runtime import MoCARuntime
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.models.layers import LayerKind
 from repro.models.zoo import build_model
-from repro.sim.engine import Simulator, run_simulation
+from repro.sim import reference
+from repro.sim.engine import Simulator
+from repro.sim.reference import run_reference, solve_block_times
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
 from repro.sim.qos import QosLevel, QosModel
 
@@ -77,16 +81,22 @@ def _random_state_sim(soc, mem, task_factory, rng,
     return sim
 
 
+def _epoch_solve(sim):
+    """The engine's epoch solve on the simulator's current state."""
+    active, _, _ = sim._solve_epoch(sim.now, float("inf"))
+    return {job.job_id: job._kT for job in active}
+
+
 class TestSolverBitIdentity:
-    """tentpole (b): vectorized SoA solve == scalar reference, exactly."""
+    """The engine's SoA epoch solve == the reference solve, exactly."""
 
     @pytest.mark.parametrize("seed", range(25))
     def test_random_states_solve_identically(self, soc, mem,
                                               task_factory, seed):
         rng = random.Random(seed)
         sim = _random_state_sim(soc, mem, task_factory, rng)
-        scalar = sim._solve_scalar()
-        vector = sim._solve_vector()
+        scalar = solve_block_times(sim)
+        vector = _epoch_solve(sim)
         # Bit-identity: same keys, same floats, no tolerance.
         assert scalar == vector
         for jid in scalar:
@@ -101,8 +111,8 @@ class TestSolverBitIdentity:
         for job in sim.running:
             job.bw_cap = None
             job.stall_until = 0.0
-        scalar = sim._solve_scalar()
-        vector = sim._solve_vector()
+        scalar = solve_block_times(sim)
+        vector = _epoch_solve(sim)
         assert scalar == vector
 
     def test_zero_dram_block_takes_t_full(self, soc, mem,
@@ -140,8 +150,8 @@ class TestSolverBitIdentity:
                 break
         zjob = sim.jobs["z0"]
         assert zjob.block_idx == 0  # sitting on the zero-DRAM block
-        scalar = sim._solve_scalar()
-        vector = sim._solve_vector()
+        scalar = solve_block_times(sim)
+        vector = _epoch_solve(sim)
         assert scalar == vector
         table = zjob._table
         assert scalar["z0"] == table.t_full_rows[0][zjob.tiles - 1]
@@ -164,7 +174,7 @@ class TestSolverBitIdentity:
             # oversubscribed (water-fill) route in both solvers.
             job.bw_cap = 0.8 * mem.dram_bandwidth
         monkeypatch.setattr(
-            engine_mod, "allocate_bandwidth",
+            reference, "allocate_bandwidth",
             lambda demands, total, caps=None, weights=None: {
                 jid: 0.0 for jid in demands
             },
@@ -174,8 +184,8 @@ class TestSolverBitIdentity:
             lambda wants, weights, total: ([0.0] * len(wants),
                                            list(range(len(wants)))),
         )
-        scalar = sim._solve_scalar()
-        vector = sim._solve_vector()
+        scalar = solve_block_times(sim)
+        vector = _epoch_solve(sim)
         assert scalar == vector
         inf = float("inf")
         for job in sim.running:
@@ -194,93 +204,108 @@ class TestSolverBitIdentity:
             load_factor=0.7, seed=seed,
         ))
         runs = {}
-        for solver in ("vector", "scalar"):
+        for loop in ("engine", "reference"):
             policy = MoCAPolicy()
             policy.reset()
-            result = Simulator(
-                soc, tasks, policy, mem=mem, solver=solver
-            ).run()
-            runs[solver] = result
-        assert runs["vector"].makespan == runs["scalar"].makespan
-        assert tuple(runs["vector"].results) == tuple(
-            runs["scalar"].results
+            sim = Simulator(soc, tasks, policy, mem=mem)
+            runs[loop] = (
+                sim.run() if loop == "engine" else run_reference(sim)
+            )
+        assert runs["engine"].makespan == runs["reference"].makespan
+        assert tuple(runs["engine"].results) == tuple(
+            runs["reference"].results
         )
 
 
 class TestRegulateBatchOracle:
-    """tentpole (c): regulate_batch == a sequence of update_app calls."""
+    """MoCA's single-sweep regulation round
+    (``MoCAPolicy._plan_regulation``) == a sequence of
+    ``MoCARuntime.update_app`` calls."""
 
-    def _seeded_runtime(self, soc, mem, rng, apps):
-        runtime = MoCARuntime(soc, mem=mem)
+    @staticmethod
+    def _seed_scoreboard(runtime, rng, apps, dram_bw):
         for app in apps:
             runtime.scoreboard.update(
                 app,
-                bw_rate=rng.uniform(0.1, 2.0) * mem.dram_bandwidth,
+                bw_rate=rng.uniform(0.1, 2.0) * dram_bw,
                 score=rng.uniform(0.0, 20.0),
-                demand=rng.uniform(0.05, 1.5) * mem.dram_bandwidth,
+                demand=rng.uniform(0.05, 1.5) * dram_bw,
             )
-        return runtime
+
+    NOW = 2e6
+
+    @classmethod
+    def _qos_target(cls, rng):
+        """A deadline whose slack at :attr:`NOW` is negative, tiny
+        (the urgency term saturates at its cap) or ordinary."""
+        roll = rng.random()
+        if roll < 1 / 3:
+            return rng.uniform(0.5, 1.0) * cls.NOW
+        if roll < 2 / 3:
+            return cls.NOW + rng.uniform(1.0, 1e4)
+        return rng.uniform(cls.NOW, 1e8)
 
     @pytest.mark.parametrize("seed", range(15))
-    def test_batch_matches_update_app_sequence(self, soc, mem, seed):
+    def test_batch_matches_update_app_sequence(self, soc, mem,
+                                               task_factory, seed):
         rng = random.Random(seed)
-        apps = [f"a{i}" for i in range(rng.randint(2, 6))]
-        costs = {
-            app: build_network_cost(
-                build_model(NETWORKS[rng.randrange(len(NETWORKS))]),
-                soc, mem,
+        tasks = [
+            task_factory(
+                task_id=f"a{i}",
+                network=NETWORKS[rng.randrange(len(NETWORKS))],
+                priority=rng.randint(0, 11),
+                qos_target=self._qos_target(rng),
             )
-            for app in apps
-        }
-        state = [
-            (
-                app,
-                rng.randrange(len(costs[app].blocks)),
-                rng.randint(1, soc.num_tiles),
-                rng.randint(0, 11),
-                rng.uniform(0.0, 1e8),
-                rng.uniform(-1e6, 1e8),  # negative slack included
-            )
-            for app in apps
+            for i in range(rng.randint(2, 6))
         ]
+        policy = MoCAPolicy()
+        policy.reset()
+        sim = Simulator(soc, tasks, policy, mem=mem)
+        sim.now = self.NOW
+        policy._lazy_init(sim)
+        jobs = [sim.jobs[t.task_id] for t in tasks]
+        for job in jobs:
+            job.block_idx = rng.randrange(job.num_blocks)
+            job.tiles = rng.randint(1, soc.num_tiles)
+            # A live cap no derived cap can restate, so every job's
+            # decision shows up in the overlay.
+            job.bw_cap = 1e12
+        # Some apps already published, one co-runner outside the round.
+        published = [j.job_id for j in jobs if rng.random() < 0.8]
+        published.append("idle")
         seed_entries = rng.getstate()
-        oracle = self._seeded_runtime(soc, mem, rng, apps)
+        self._seed_scoreboard(
+            policy._runtime, rng, published, mem.dram_bandwidth
+        )
         rng.setstate(seed_entries)
-        batch = self._seeded_runtime(soc, mem, rng, apps)
+        oracle = MoCARuntime(soc, mem=mem)
+        self._seed_scoreboard(oracle, rng, published, mem.dram_bandwidth)
 
-        dram_bw = mem.dram_bandwidth
-        l2_bw = mem.l2_bandwidth
+        predictor = RemainingPrediction(soc, mem)
         expected = []
-        for app, bi, tiles, prio, remain, slack in state:
-            block = costs[app].blocks[bi]
+        for job in jobs:
+            task = job.task
             decision = oracle.update_app(
-                app, block, tiles, prio, remain, slack
+                job.job_id, job.current_block, job.tiles, task.priority,
+                predictor.remaining(task.cost, job.block_idx, job.tiles),
+                task.deadline - sim.now,
             )
-            expected.append(
-                (app, decision.contention, decision.bw_rate)
-            )
-        items = [
-            (
-                app,
-                costs[app].blocks[bi].bw_demand(
-                    tiles, dram_bw, l2_bw, soc.overlap_f
-                ),
-                float(prio),
-                remain,
-                slack,
-            )
-            for app, bi, tiles, prio, remain, slack in state
-        ]
-        got = batch.regulate_batch(items)
-        assert got == expected  # bit-identical rates, same flags
+            expected.append((
+                job.job_id,
+                decision.bw_rate if decision.contention else None,
+            ))
+        got = policy._plan_regulation(sim, jobs, {})
+        assert got == tuple(expected)  # bit-identical caps, same order
         # The published scoreboard state must match too: the next
         # decision round reads it.
         oracle_entries = oracle.scoreboard.entries()
-        batch_entries = batch.scoreboard.entries()
-        assert list(oracle_entries) == list(batch_entries)
+        policy_entries = policy._runtime.scoreboard.entries()
+        assert list(oracle_entries) == list(policy_entries)
         for app in oracle_entries:
-            a, b = oracle_entries[app], batch_entries[app]
-            assert (a.bw_rate, a.demand) == (b.bw_rate, b.demand)
+            a, b = oracle_entries[app], policy_entries[app]
+            assert (a.bw_rate, a.demand, a.score) == (
+                b.bw_rate, b.demand, b.score
+            )
 
 
 class TestFastPathIdentity:
