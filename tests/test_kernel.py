@@ -189,6 +189,24 @@ class TestKernelSanitizer:
         ):
             sim.run()
 
+    def test_check_kernel_agreement_reports_job_detail(self):
+        with pytest.raises(
+            sanitizer.SanitizerError, match="job 'a'"
+        ):
+            sanitizer.check_block_times(
+                {"a": 1.0}, {"a": 2.0}, now=3.0
+            )
+        with pytest.raises(
+            sanitizer.SanitizerError, match="extra jobs \\['x'\\]"
+        ):
+            sanitizer.check_block_times(
+                {"x": 1.0}, {}, now=3.0
+            )
+        # Agreement is silent.
+        sanitizer.check_block_times(
+            {"a": 1.0}, {"a": 1.0}, now=3.0
+        )
+
     def test_sanitized_kernel_run_identical_to_unchecked(
         self, soc, mem, monkeypatch
     ):
