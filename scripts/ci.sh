@@ -35,6 +35,16 @@ python -m pytest -x -q
 echo "== slow suite =="
 python -m pytest -x -q -m slow
 
+echo "== poison-crash attribution (5 repeats) =="
+# A crash charges only the cell that crashes while running alone, so
+# a healthy cell in flight beside a poison cell must never be
+# quarantined.  The failure this guards against was timing-dependent;
+# repeating the test makes a regression show up in one CI run.
+for _ in 1 2 3 4 5; do
+    python -m pytest -x -q -m slow \
+        "tests/test_supervision.py::TestPoolSupervision::test_poison_crash_quarantined_others_finish"
+done
+
 echo "== paper-claim benches (Figs. 1, 5-8, Table IV, ablations) =="
 # pytest only collects test_*.py, so `pytest benchmarks` runs nothing;
 # name the files so a speed-only change cannot silently flip one of

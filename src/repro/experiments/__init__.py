@@ -1,15 +1,11 @@
-"""Experiment harness: one module per paper figure/table (DESIGN.md §3)."""
+"""Experiment harness: one module per paper figure/table (DESIGN.md §3).
 
-from repro.experiments.execution import (
-    Coordinator,
-    CoordinatorServer,
-    HttpTransport,
-    InProcessTransport,
-    SweepWorker,
-    Transport,
-    TransportError,
-    WorkLedger,
-)
+The coordinator/worker names (:mod:`repro.experiments.execution`) are
+exported lazily (PEP 562): that layer pulls in ``http.server`` and
+``urllib``, which a local or pool sweep never uses, so it is imported
+on first access to one of its names rather than with this package.
+"""
+
 from repro.experiments.parallel import CellTiming, ParallelRunner
 from repro.experiments.results import (
     CellResult,
@@ -31,6 +27,28 @@ from repro.experiments.sharding import (
     merge_partials,
     run_shard,
 )
+
+#: Names re-exported from :mod:`repro.experiments.execution` on first
+#: access (see the module docstring).
+_EXECUTION_NAMES = frozenset({
+    "Coordinator",
+    "CoordinatorServer",
+    "HttpTransport",
+    "InProcessTransport",
+    "SweepWorker",
+    "Transport",
+    "TransportError",
+    "WorkLedger",
+})
+
+
+def __getattr__(name: str):
+    if name in _EXECUTION_NAMES:
+        from repro.experiments import execution
+
+        return getattr(execution, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CellResult",

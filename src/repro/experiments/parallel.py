@@ -129,7 +129,9 @@ class Supervision:
         cell_timeout: Wall-clock seconds a cell may run inside its
             worker before it is declared hung; ``None`` disables the
             timeout.  Timeouts are only enforceable in pool mode (a
-            serial in-process cell cannot be interrupted).
+            serial in-process cell cannot be interrupted), and setting
+            one narrows the pool's in-flight window from two cells per
+            worker to one (see :meth:`ParallelRunner._supervise_pool`).
         backoff_base: First retry delay in seconds; retry ``n`` waits
             ``backoff_base * backoff_factor**n``.  Deterministic (no
             jitter) — reproducibility extends to the retry schedule.
@@ -533,12 +535,14 @@ class ParallelRunner:
         ``shutdown`` alone would join a hung worker forever; after
         cancelling what has not started, any worker process still
         alive is terminated outright.  Reaches into executor
-        internals (``_processes``) — guarded, and acceptable for a
-        pool that is already being discarded for cause.
+        internals (``_processes``, read before ``shutdown`` clears
+        it) — guarded, and acceptable for a pool that is already
+        being discarded for cause.
         """
+        procs = list((getattr(pool, "_processes", None) or {}).values())
         pool.shutdown(wait=False, cancel_futures=True)
         try:
-            for proc in list(getattr(pool, "_processes", {}).values()):
+            for proc in procs:
                 if proc.is_alive():
                     proc.terminate()
         except Exception:
@@ -650,11 +654,12 @@ class ParallelRunner:
           payload — a retried cell yields bit-identical results to a
           first-try success, so supervision never perturbs exports.
         - **Worker crashes** (``BrokenProcessPool``): the pool is
-          rebuilt and every in-flight cell re-run.  The crash cannot
-          be attributed to one cell, so *all* in-flight cells are
-          (conservatively) charged an attempt; innocents simply
-          succeed on the re-run.  If the pool cannot be rebuilt at
-          all, the remainder drains serially in-process — the old
+          rebuilt and the crash attributed by isolation — every cell
+          that was in flight re-runs alone, uncharged, and only one
+          that crashes while running alone is charged an attempt.
+          Innocents therefore never spend retry budget on a
+          neighbour's crash.  If the pool cannot be rebuilt at all,
+          the remainder drains serially in-process — the old
           broken-pool fallback, now folded into the same retry
           ledger.
         - **Timeouts** (``supervision.cell_timeout``): the hung
@@ -819,10 +824,26 @@ class ParallelRunner:
 
         Cells are submitted individually (supervision granularity is
         one cell, unlike the throughput path's chunks) through a
-        bounded in-flight window of one cell per worker — a submitted
-        cell therefore starts promptly, which is what makes a
-        submission-stamped wall-clock deadline a faithful *cell*
-        timeout.
+        bounded in-flight window:
+
+        - Without a cell timeout (the default) the window is **two
+          cells per worker**.  Each worker then has its next cell
+          queued and starts it the moment it finishes the previous
+          one, while the parent folds the result; with one cell per
+          worker it would sit idle for every result -> parent ->
+          next-submit round trip.
+        - With ``sup.cell_timeout`` set the window is **one cell per
+          worker**.  The deadline is stamped at submission, and it is
+          only a faithful *cell* timeout if the cell starts promptly;
+          a queued cell would spend its budget waiting for its
+          predecessor.
+
+        Crashes are attributed by isolation.  A ``BrokenProcessPool``
+        takes down every cell in flight without naming the one that
+        killed the worker, so those cells become uncharged suspects.
+        On the rebuilt pool the suspects re-run one at a time before
+        any other cell, and only a cell that crashes while it is the
+        only one in flight is charged an attempt.
 
         Returns the work that still needs the serial fallback (empty
         unless the pool could not be (re)built); each entry keeps its
@@ -831,6 +852,8 @@ class ParallelRunner:
         from collections import deque
 
         queue = deque(work)
+        #: Cells a crash took down, each awaiting a run on its own.
+        suspects: deque = deque()
         pool = self._pool
         owns_pool = pool is None
         if pool is not None:
@@ -849,17 +872,39 @@ class ParallelRunner:
                 )
                 return list(queue)
         self.last_mode = "parallel"
+        window = workers if sup.cell_timeout is not None else 2 * workers
         #: future -> (payload, attempt, deadline or None)
         inflight: Dict[object, Tuple[_CellPayload, int, Optional[float]]] = {}
 
-        def requeue_or_quarantine(
+        def charge(
             payload: _CellPayload, attempt: int, kind: str,
             message: str,
         ) -> None:
+            """Count a failed attempt: retry after backoff, or
+            quarantine once the budget is spent."""
             if attempt >= sup.max_retries:
                 quarantine(payload, attempt + 1, kind, message)
-            else:
-                queue.append((payload, attempt + 1))
+                return
+            delay = sup.backoff(attempt)
+            if delay:
+                time.sleep(delay)
+            queue.append((payload, attempt + 1))
+
+        def submit(source: deque) -> bool:
+            """Submit the head of ``source``; False (and the cell put
+            back) if the pool is already broken."""
+            payload, attempt = source.popleft()
+            deadline = (
+                time.monotonic() + sup.cell_timeout
+                if sup.cell_timeout is not None else None
+            )
+            try:
+                future = pool.submit(_run_cell_supervised, payload, attempt)
+            except BrokenProcessPool:
+                source.appendleft((payload, attempt))
+                return False
+            inflight[future] = (payload, attempt, deadline)
+            return True
 
         def replace_pool(reason: str):
             """Discard the (broken or hung) pool; build a successor."""
@@ -883,75 +928,62 @@ class ParallelRunner:
                 return None
 
         try:
-            while queue or inflight:
-                while queue and len(inflight) < workers:
-                    payload, attempt = queue.popleft()
-                    deadline = (
-                        time.monotonic() + sup.cell_timeout
-                        if sup.cell_timeout is not None else None
+            while queue or suspects or inflight:
+                broken = False
+                if suspects:
+                    if not inflight:
+                        broken = not submit(suspects)
+                else:
+                    while queue and len(inflight) < window and not broken:
+                        broken = not submit(queue)
+                if not broken:
+                    deadlines = [
+                        d for (_, _, d) in inflight.values() if d is not None
+                    ]
+                    wait_timeout = (
+                        max(0.0, min(deadlines) - time.monotonic())
+                        if deadlines else None
                     )
-                    future = pool.submit(
-                        _run_cell_supervised, payload, attempt
+                    done, _ = wait(
+                        set(inflight), timeout=wait_timeout,
+                        return_when=FIRST_COMPLETED,
                     )
-                    inflight[future] = (payload, attempt, deadline)
-                deadlines = [
-                    d for (_, _, d) in inflight.values() if d is not None
-                ]
-                wait_timeout = (
-                    max(0.0, min(deadlines) - time.monotonic())
-                    if deadlines else None
-                )
-                done, _ = wait(
-                    set(inflight), timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                pool_broken = False
-                broken_message = ""
-                retry_attempts: List[int] = []
-                for future in done:
+                    broken = any(
+                        isinstance(f.exception(), BrokenProcessPool)
+                        for f in done
+                    )
+                if broken:
+                    # A broken pool fails every pending future; collect
+                    # them all.  Only a cell that was in flight alone
+                    # is known to have crashed the worker.
+                    done, _ = wait(set(inflight))
+                alone = len(inflight) == 1
+                # Submission order keeps the suspect queue deterministic.
+                for future in [f for f in inflight if f in done]:
                     payload, attempt, _deadline = inflight.pop(future)
                     try:
                         cell = future.result()
                     except BrokenProcessPool as exc:
-                        pool_broken = True
-                        broken_message = f"{type(exc).__name__}: {exc}"
-                        requeue_or_quarantine(
-                            payload, attempt, "crash", broken_message
-                        )
-                        retry_attempts.append(attempt)
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:
-                        if attempt >= sup.max_retries:
-                            quarantine(
-                                payload, attempt + 1, "error",
+                        if alone:
+                            charge(
+                                payload, attempt, "crash",
                                 f"{type(exc).__name__}: {exc}",
                             )
                         else:
-                            delay = sup.backoff(attempt)
-                            if delay:
-                                time.sleep(delay)
-                            queue.append((payload, attempt + 1))
+                            suspects.append((payload, attempt))
+                    except (KeyboardInterrupt, SystemExit):
+                        raise
+                    except Exception as exc:
+                        charge(
+                            payload, attempt, "error",
+                            f"{type(exc).__name__}: {exc}",
+                        )
                     else:
                         record_cell(cell)
-                if pool_broken:
-                    # Every other in-flight future is doomed with the
-                    # same BrokenProcessPool; charge them all one
-                    # attempt (the crasher is unattributable) and
-                    # restart on a fresh pool.
-                    for payload, attempt, _deadline in inflight.values():
-                        requeue_or_quarantine(
-                            payload, attempt, "crash", broken_message
-                        )
-                        retry_attempts.append(attempt)
-                    inflight.clear()
-                    if retry_attempts:
-                        delay = sup.backoff(min(retry_attempts))
-                        if delay:
-                            time.sleep(delay)
+                if broken:
                     pool = replace_pool("worker crash")
                     if pool is None:
-                        return list(queue)
+                        return list(suspects) + list(queue)
                     continue
                 now = time.monotonic()
                 expired = [
@@ -968,7 +1000,7 @@ class ParallelRunner:
                         payload, attempt, _deadline = inflight.pop(
                             future
                         )
-                        requeue_or_quarantine(
+                        charge(
                             payload, attempt, "timeout",
                             f"cell exceeded the {sup.cell_timeout}s "
                             f"wall-clock timeout",
@@ -978,7 +1010,7 @@ class ParallelRunner:
                     inflight.clear()
                     pool = replace_pool("cell timeout")
                     if pool is None:
-                        return list(queue)
+                        return list(suspects) + list(queue)
             return []
         finally:
             if owns_pool and pool is not None:

@@ -24,7 +24,8 @@ consumes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.latency import CACHE_COUNTER_FIELDS
@@ -109,6 +110,21 @@ class CellResult:
     plans_applied: int = 0
     plans_noop: int = 0
     plan_actions: int = 0
+
+    def __reduce__(self):
+        # Cells cross the process boundary one pickle at a time, so
+        # each would arrive with its own label and policy strings;
+        # interning them leaves one object per name in the sweep.
+        return (
+            _unpickle_cell,
+            tuple(getattr(self, f.name) for f in fields(self)),
+        )
+
+
+def _unpickle_cell(index, spec_index, label, policy, *rest) -> CellResult:
+    return CellResult(
+        index, spec_index, sys.intern(label), sys.intern(policy), *rest
+    )
 
 
 #: The failure classes the supervised executor distinguishes.

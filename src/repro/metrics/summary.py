@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
@@ -39,6 +40,16 @@ class MetricsSummary:
     fairness: float
     mean_slowdown: float
     p99_slowdown: float
+
+    def __reduce__(self):
+        # A sweep retains one bundle per cell, and every bundle
+        # unpickled from a worker would bring its own copies of the
+        # policy name and the group keys; rebuild through sys.intern
+        # so the process holds one object per name.
+        return (
+            _unpickle_summary,
+            tuple(getattr(self, f.name) for f in dataclasses.fields(self)),
+        )
 
     def to_dict(self) -> dict:
         """The bundle as JSON-ready primitives.
@@ -90,6 +101,13 @@ class MetricsSummary:
                 dict(value) if isinstance(value, dict) else value
             )
         return cls(**kwargs)
+
+
+def _unpickle_summary(policy, num_tasks, sla_rate, sla_by_group, *rest):
+    return MetricsSummary(
+        sys.intern(policy), num_tasks, sla_rate,
+        {sys.intern(k): v for k, v in sla_by_group.items()}, *rest,
+    )
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:

@@ -3,8 +3,13 @@ determinism, quarantine instead of abort, pool-crash recovery, cell
 timeouts, and the old streaming path's BrokenProcessPool serial
 fallback driven by the fault harness."""
 
+from collections import deque
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.faults import FaultPlan
 from repro.experiments.parallel import ParallelRunner, Supervision
 from repro.experiments.results import SweepResults
@@ -130,6 +135,154 @@ class TestSerialSupervision:
         assert acc.matrix() == serial_matrix
         for index, cell in done_before.items():
             assert acc.cells()[index] is cell  # untouched, not re-run
+
+
+class SteppingPool:
+    """Executor double installed through ``runner._pool``.
+
+    Cells run in-process, one per :meth:`step` (the oldest pending
+    first), so every schedule is deterministic.  ``crash`` maps a cell
+    index to how many of its runs kill the "worker": such a run fails
+    every pending future with ``BrokenProcessPool`` and breaks the
+    pool, as a real worker death does.
+    """
+
+    def __init__(self, log, crash):
+        self.log = log
+        self.crash = crash
+        self.pending = deque()
+        self.broken = False
+
+    def submit(self, fn, payload, attempt):
+        if self.broken:
+            raise BrokenProcessPool("pool already broken")
+        future = Future()
+        self.pending.append((future, fn, payload, attempt))
+        self.log["max_inflight"] = max(
+            self.log["max_inflight"], len(self.pending)
+        )
+        return future
+
+    def step(self):
+        if not self.pending:
+            return
+        alone = len(self.pending) == 1
+        future, fn, payload, attempt = self.pending.popleft()
+        index = payload[0]
+        self.log["runs"].append((index, attempt, alone))
+        if self.crash.get(index, 0) > 0:
+            self.crash[index] -= 1
+            self.broken = True
+            exc = BrokenProcessPool("worker died")
+            future.set_exception(exc)
+            for other, *_ in self.pending:
+                other.set_exception(exc)
+            self.pending.clear()
+        else:
+            future.set_result(fn(payload, attempt))
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def _stepped(monkeypatch, crash=None, **kwargs):
+    """Supervise a 2-worker sweep of SPEC on :class:`SteppingPool`s:
+    every ``wait`` the supervisor makes first runs one pending cell."""
+    log = {"max_inflight": 0, "runs": [], "pools": 0}
+    crash = dict(crash or {})
+    pools = []
+
+    def make_pool(workers, spec_list, soc):
+        log["pools"] += 1
+        pools.append(SteppingPool(log, crash))
+        return pools[-1]
+
+    real_wait = parallel.wait
+
+    def stepping_wait(fs, timeout=None, return_when="ALL_COMPLETED"):
+        pools[-1].step()
+        return real_wait(fs, timeout=timeout, return_when=return_when)
+
+    runner = ParallelRunner(workers=2)
+    runner._pool = make_pool(2, [SPEC], None)
+    runner._pool_workers = 2
+    monkeypatch.setattr(runner, "_make_pool", make_pool)
+    monkeypatch.setattr(parallel, "wait", stepping_wait)
+    acc = runner.run_supervised(
+        [SPEC], supervision=Supervision(**{**FAST, **kwargs})
+    )
+    return acc, log
+
+
+class TestInFlightWindow:
+    def test_two_cells_per_worker_without_timeout(
+        self, monkeypatch, serial_matrix
+    ):
+        acc, log = _stepped(monkeypatch)
+        assert 2 < log["max_inflight"] <= 4
+        assert acc.matrix() == serial_matrix
+
+    def test_one_cell_per_worker_with_timeout(
+        self, monkeypatch, serial_matrix
+    ):
+        acc, log = _stepped(monkeypatch, cell_timeout=60.0)
+        assert log["max_inflight"] <= 2
+        assert acc.matrix() == serial_matrix
+
+
+class TestCrashIsolation:
+    def test_only_the_cell_crashing_alone_is_charged(self, monkeypatch):
+        """A crash takes down the cells queued behind the poison cell;
+        they re-run alone uncharged, and only the poison cell spends
+        its retry budget."""
+        acc, log = _stepped(
+            monkeypatch, crash={2: 99}, max_retries=1
+        )
+        assert len(acc.cells()) == CELLS - 1
+        (failure,) = acc.failures()
+        assert (failure.index, failure.kind, failure.attempts) == (
+            2, "crash", 2
+        )
+        innocent_attempts = {
+            attempt for index, attempt, _ in log["runs"] if index != 2
+        }
+        assert innocent_attempts == {0}
+        # Cells 3-5 were pending when cell 2 first crashed the pool:
+        # after cell 2 crashed again on its own, each ran alone.
+        assert log["runs"][2:6] == [
+            (2, 0, False), (2, 0, True), (3, 0, True), (4, 0, True),
+        ]
+        assert (5, 0, True) in log["runs"]
+
+    def test_crash_not_reproduced_alone_charges_nobody(
+        self, monkeypatch, serial_matrix
+    ):
+        acc, log = _stepped(monkeypatch, crash={2: 1}, max_retries=0)
+        assert acc.complete, acc.failures()
+        assert acc.matrix() == serial_matrix
+        assert {attempt for _, attempt, _ in log["runs"]} == {0}
+        assert log["pools"] == 2  # the original plus one rebuild
+
+
+class TestRetainedCells:
+    def test_pool_cells_share_one_object_per_name(self):
+        """Cells unpickled from workers hold interned names, so a
+        retained sweep keeps one string object per label, policy and
+        priority group."""
+        runner = ParallelRunner(workers=2)
+        acc = runner.run_supervised([SPEC], supervision=Supervision())
+        if runner.last_mode != "parallel":
+            pytest.skip("process pool unavailable")
+        cells = acc.cells()
+        assert len({c.worker_pid for c in cells}) >= 1
+        first, second = cells[0], cells[-1]
+        assert first.label == second.label
+        assert first.label is second.label
+        keys = {}
+        for cell in cells:
+            assert cell.summary.policy is cell.policy
+            for key in cell.summary.sla_by_group:
+                assert keys.setdefault(key, key) is key
 
 
 @pytest.mark.slow
