@@ -1,11 +1,11 @@
 """Performance trajectory benchmark: serial vs parallel, engine event rate.
 
 Times a fixed reference matrix (the paper's nine scenarios at a reduced
-size) through the serial and parallel experiment executors, measures
-the simulator's event rate on one reference MoCA run, checks the two
-executor paths produce bit-identical metrics, and writes everything to
-``BENCH_perf.json`` so every future performance PR has a trajectory to
-beat.
+size) serially and through the supervised executor on a warm process
+pool, measures the simulator's event rate on one reference MoCA run,
+checks the two runs produce bit-identical metrics, and writes
+everything to ``BENCH_perf.json`` so every future performance PR has a
+trajectory to beat.
 
 Both timed legs run warm and symmetric: the parent's caches are
 pre-built, then the worker pool is started and cache-warmed (via the
@@ -28,12 +28,10 @@ the JSON records per-shard wall time — ``max_shard_seconds`` projects
 a 2-host run — so the shard-scaling trajectory is tracked alongside
 the single-host one.
 
-``robustness`` in the JSON records the supervised executor's
-trajectory: the same matrix through ``run_supervised`` (per-cell
-submission with retry/timeout bookkeeping) fault-free, its overhead
-ratio vs the plain parallel leg (informational, not gated), and the
-warm-pool's ``warmup_timeouts`` telemetry.  The supervised run's
-metrics must still be bit-identical to serial.
+``robustness`` in the JSON records that the fault-free parallel leg
+(``run_supervised``: per-cell submission with retry/timeout
+bookkeeping) quarantined nothing, plus the warm pool's
+``warmup_timeouts`` telemetry.
 
 ``coordinator`` in the JSON records the dynamic work-stealing
 trajectory: the same matrix drained through an in-process
@@ -49,17 +47,17 @@ plans emitted/applied/no-op and the allocation-epoch cache reuse
 ratio under the every-event and block-boundary cadences (both pure
 simulation counters, deterministic per configuration).
 
-Exit status is non-zero when the parallel path, the supervised run,
-the coordinator or the sharded merge produced different metrics than
-the serial path, or when a controlled ratio gate fails: the
-block-boundary cadence must achieve a strictly higher epoch reuse
-ratio than every-event, and the coordinator's lease efficiency must
-stay >= 0.67.  The raw serial/parallel wall-clock ``speedup`` and the
-engine event rate are recorded but deliberately *not* gated — on a
-1-CPU container a process pool can only add overhead, and absolute
-rates swing with box load.  ``perfbench/`` is the end-to-end sweep
-benchmark; engine-vs-reference identity is pinned by
-``tests/test_kernel.py``.
+Exit status is non-zero when the supervised parallel run, the
+coordinator or the sharded merge produced different metrics than the
+serial path (or the parallel run quarantined a cell), or when a
+controlled ratio gate fails: the block-boundary cadence must achieve
+a strictly higher epoch reuse ratio than every-event, and the
+coordinator's lease efficiency must stay >= 0.67.  The raw
+serial/parallel wall-clock ``speedup`` and the engine event rate are
+recorded but deliberately *not* gated — on a 1-CPU container a
+process pool can only add overhead, and absolute rates swing with box
+load.  ``perfbench/`` is the end-to-end sweep benchmark;
+engine-vs-reference identity is pinned by ``tests/test_kernel.py``.
 """
 
 from __future__ import annotations
@@ -302,46 +300,30 @@ def main(argv: Optional[List[str]] = None) -> int:
     serial_s = time.perf_counter() - t0
     print(f"serial matrix:   {serial_s:6.2f}s", file=sys.stderr)
 
+    # The parallel leg: the same matrix through the supervised
+    # executor (per-cell submission, retry/timeout bookkeeping) on the
+    # warm pool, fault-free.  It must quarantine nothing and match the
+    # serial metrics bit for bit.
     t0 = time.perf_counter()
-    parallel_matrix = runner.run_matrix(specs)
+    parallel_acc = runner.run_supervised(
+        specs, supervision=Supervision(backoff_base=0.0)
+    )
     parallel_s = time.perf_counter() - t0
-    cell_cache = runner.last_sweep.cache_stats()
-    # Snapshot mode/pids now: the shard legs below reuse the runner
-    # and overwrite last_mode / last_sweep.
+    cell_cache = parallel_acc.cache_stats()
+    # Snapshot mode/timings now: the shard legs below reuse the runner
+    # and overwrite last_mode / last_timings.
     parallel_mode = runner.last_mode
-    parallel_pids = len(runner.last_sweep.worker_pids())
+    parallel_pids = len(parallel_acc.worker_pids())
     parallel_timings = list(runner.last_timings)
+    identical = parallel_acc.complete and matrices_identical(
+        serial_matrix, parallel_acc.matrix()
+    )
     print(
         f"parallel matrix: {parallel_s:6.2f}s "
         f"(workers={runner.workers}, mode={parallel_mode}, "
         f"cost cache {cell_cache['cost_cache_hits']} hits / "
-        f"{cell_cache['cost_cache_misses']} misses)",
-        file=sys.stderr,
-    )
-
-    # Robustness trajectory: the same matrix through the supervised
-    # executor (per-cell submission, retry/timeout bookkeeping, cell
-    # journaling hooks) with no faults injected.  The ratio vs the
-    # plain parallel leg is the pure supervision overhead —
-    # informational, not gated, but tracked so a regression in the
-    # supervisor's dispatch loop shows up in the trajectory.
-    t0 = time.perf_counter()
-    supervised_acc = runner.run_supervised(
-        specs, supervision=Supervision(backoff_base=0.0)
-    )
-    supervised_s = time.perf_counter() - t0
-    supervised_mode = runner.last_mode
-    supervised_identical = matrices_identical(
-        serial_matrix, supervised_acc.matrix()
-    )
-    supervision_overhead = (
-        supervised_s / parallel_s if parallel_s > 0 else float("inf")
-    )
-    print(
-        f"supervised matrix: {supervised_s:6.2f}s "
-        f"(mode={supervised_mode}, "
-        f"x{supervision_overhead:.2f} vs plain parallel, "
-        f"degraded={supervised_acc.degraded})",
+        f"{cell_cache['cost_cache_misses']} misses, "
+        f"degraded={parallel_acc.degraded})",
         file=sys.stderr,
     )
 
@@ -420,7 +402,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         p["shard"]["wall_seconds"] for p in shard_partials
     ]
 
-    identical = matrices_identical(serial_matrix, parallel_matrix)
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
     cell_seconds = sorted(t.seconds for t in parallel_timings)
     # The perf gate reads the *controlled ratio* metrics — each one a
@@ -521,15 +502,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "engine": engine,
         "decisions": decisions,
         "robustness": {
-            "supervised_seconds": round(supervised_s, 3),
-            "mode": supervised_mode,
-            "overhead_vs_parallel": round(supervision_overhead, 3),
-            "identical_metrics": supervised_identical,
-            "degraded": supervised_acc.degraded,
+            "degraded": parallel_acc.degraded,
             "warmup_timeouts": warmup_timeouts,
             "note": (
-                "fault-free supervised executor vs plain parallel; "
-                "the overhead ratio is informational (not gated)"
+                "the parallel leg runs the supervised executor "
+                "fault-free; it must quarantine no cell"
             ),
         },
         "gate": {
@@ -558,17 +535,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     if not identical:
-        print("FAIL: parallel metrics differ from serial", file=sys.stderr)
+        print(
+            "FAIL: fault-free supervised parallel run diverged from "
+            "serial",
+            file=sys.stderr,
+        )
         return 1
     if not shards_identical:
         print(
             "FAIL: sharded merge metrics differ from serial",
-            file=sys.stderr,
-        )
-        return 1
-    if not supervised_identical or supervised_acc.degraded:
-        print(
-            "FAIL: fault-free supervised run diverged from serial",
             file=sys.stderr,
         )
         return 1

@@ -7,7 +7,7 @@ import time
 from repro.baselines import PlanariaPolicy, PremaPolicy, StaticPartitionPolicy
 from repro.config import DEFAULT_SOC
 from repro.core.policy import MoCAPolicy
-from repro.experiments.parallel import ParallelRunner, matrices_identical
+from repro.experiments.parallel import matrices_identical
 from repro.experiments.runner import ScenarioSpec, run_scenario
 from repro.metrics import summarize
 from repro.models.zoo import workload_set
@@ -45,13 +45,12 @@ def main() -> None:
     )
     t0 = time.time()
     serial = run_scenario(spec)
-    runner = ParallelRunner(workers=2)
-    parallel = runner.run_scenario(spec)
+    parallel = run_scenario(spec, workers=2)
     match = matrices_identical(
         {spec.label: serial}, {spec.label: parallel}
     )
     print(
-        f"parallel(2) vs serial [{runner.last_mode}]: "
+        f"parallel(2) vs serial: "
         f"{'OK' if match else 'MISMATCH'} t={time.time() - t0:5.2f}s"
     )
     if not match:

@@ -72,24 +72,16 @@ def execute_lease(
 ) -> Tuple[List[CellResult], List[CellFailure]]:
     """Execute one batch of cells: the single execution code path.
 
-    With ``supervision`` the batch runs through
-    :meth:`ParallelRunner.run_supervised` — a poison cell quarantines
-    into the failure list instead of aborting the batch.  Without it,
-    the plain streaming path runs and any cell error propagates.
-    Cells come back in ascending index order either way (the order
+    The batch runs through :meth:`ParallelRunner.run_supervised`
+    (``supervision=None`` means :class:`Supervision`'s defaults), so a
+    poison cell quarantines into the failure list instead of aborting
+    the batch.  Cells come back in ascending index order (the order
     every partial format declares).
     """
-    if supervision is not None:
-        acc = runner.run_supervised(
-            specs, policies, soc, indices=indices,
-            supervision=supervision,
-        )
-        return acc.cells(), acc.failures()
-    cells = sorted(
-        runner.iter_cells(specs, policies, soc, indices=indices),
-        key=lambda c: c.index,
+    acc = runner.run_supervised(
+        specs, policies, soc, indices=indices, supervision=supervision,
     )
-    return cells, []
+    return acc.cells(), acc.failures()
 
 
 # repro-lint: thread-shared lock=none
@@ -159,7 +151,7 @@ class SweepWorker:
         supervision: Per-cell retry/quarantine policy for execution
             (:meth:`ParallelRunner.run_supervised`); its backoff
             schedule is also reused for transport retries.  ``None``
-            runs unsupervised (cell errors abort the worker).
+            means :class:`Supervision`'s defaults.
         poll_interval: Sleep between lease requests while other
             workers still hold unfinished leases.
         max_transport_retries: Transport-error retries per protocol
@@ -190,10 +182,9 @@ class SweepWorker:
         self._policies_in = policies
         self.soc = soc if soc is not None else DEFAULT_SOC
         self._soc_dict = dataclasses.asdict(self.soc)
-        self.supervision = supervision
+        self.supervision = supervision or Supervision()
         self.poll_interval = poll_interval
         self.max_transport_retries = max_transport_retries
-        self._retry_schedule = supervision or Supervision()
         # Bootstrapped state (filled by _bootstrap):
         self.manifest: Optional[dict] = None
         self.specs = None
@@ -213,7 +204,7 @@ class SweepWorker:
             except TransportError as exc:
                 if attempt >= self.max_transport_retries:
                     raise
-                delay = self._retry_schedule.backoff(attempt)
+                delay = self.supervision.backoff(attempt)
                 print(
                     f"worker {self.worker_id}: transport error "
                     f"({exc}); retrying in {delay:.1f}s",

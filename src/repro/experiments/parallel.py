@@ -7,20 +7,24 @@ cell's seed, the engine is exactly deterministic).  That makes the
 harness embarrassingly parallel, and this module exploits it with a
 :class:`concurrent.futures.ProcessPoolExecutor`.
 
-Streaming model
+Execution model
 ---------------
 
-:meth:`ParallelRunner.iter_cells` flattens ``specs x policies x
-seeds`` into indexed cell payloads, ships them to worker processes in
-chunks, and **yields one** :class:`~repro.experiments.results.
-CellResult` **per completed cell as its future resolves** — no barrier
-across the sweep.  Completion order is nondeterministic in pool mode;
-every cell carries its global submission index, and
-:class:`~repro.experiments.results.SweepResults` folds the stream back
-into the deterministic ``{label: {policy: ScenarioResult}}`` matrix.
-:meth:`ParallelRunner.run_matrix` is exactly that composition, so it
-stays drop-in interchangeable and numerically identical with the
-serial :func:`repro.experiments.runner.run_matrix`.
+:meth:`ParallelRunner.run_supervised` is the only way cells execute
+locally.  It flattens ``specs x policies x seeds`` into indexed cell
+payloads, submits them to the pool **one cell at a time** through a
+bounded in-flight window, and folds each :class:`~repro.experiments.
+results.CellResult` into a :class:`~repro.experiments.results.
+SweepResults` the moment its future resolves — no barrier across the
+sweep.  Completion order is nondeterministic in pool mode; every cell carries
+its global submission index, so the accumulator assembles the same
+deterministic ``{label: {policy: ScenarioResult}}`` matrix whatever
+the arrival order.  ``workers=1`` runs the same per-cell loop
+in-process.  The library entry points
+:func:`repro.experiments.runner.run_matrix` /
+:func:`~repro.experiments.runner.run_scenario` are this executor with
+``Supervision(max_retries=0)`` and a fail-fast ``on_failure``; the
+CLI, shards and coordinator workers run it with real retry budgets.
 
 Warm workers
 ------------
@@ -36,7 +40,7 @@ observable: a warm worker's cells report zero ``cost_cache_misses``.
 
 For timing-sensitive callers, :meth:`ParallelRunner.start_pool` makes
 the pool persistent and forces every worker to spawn (and warm) *now*;
-subsequent :meth:`run_matrix` / :meth:`iter_cells` calls reuse it —
+subsequent :meth:`~ParallelRunner.run_supervised` calls reuse it —
 ``scripts/bench_perf.py`` warms the pool before its timed leg this
 way.  :meth:`close_pool` (or using the runner as a context manager)
 releases it.
@@ -52,21 +56,24 @@ not, and the runner detects this up front and **falls back to serial
 in-process execution** (same cell code, same results) rather than
 failing.  The fallback also engages for ``workers=1``, single-cell
 matrices, sandboxes where process pools cannot start, and pools that
-break mid-sweep (already-yielded cells are kept; only the remainder
-reruns serially).
+cannot be rebuilt after a crash (finished cells are kept; only the
+remainder runs serially).
 
 Reading ``BENCH_perf.json``
 ---------------------------
 
-``scripts/bench_perf.py`` times a fixed reference matrix through both
-paths and writes ``BENCH_perf.json``: ``serial.seconds`` vs
+``scripts/bench_perf.py`` times a fixed reference matrix serially
+(``runner.run_matrix``) and through this module's executor on a warm
+pool, and writes ``BENCH_perf.json``: ``serial.seconds`` vs
 ``parallel.seconds`` (and their ratio, ``speedup``) measure this
 module; ``engine.events_per_sec`` and the ``block_time_*`` counters
-measure the simulator's engine loop; ``identical_metrics``
-asserts the two paths agreed bit-for-bit; ``host.start_method`` and
-``parallel.cache`` record the worker start method and the aggregated
-cache counters the warm-worker path is judged by.  Every future
-performance PR should beat the checked-in trajectory.
+measure the simulator's engine loop; ``identical_metrics`` asserts
+the two runs agreed bit-for-bit; ``robustness.degraded`` must stay
+false (the fault-free run quarantined nothing); ``host.start_method``
+and ``parallel.cache`` record the worker start method and the
+aggregated cache counters the warm-worker path is judged by.
+``perfbench/`` is the end-to-end sweep benchmark the per-PR bounds
+are checked against.
 """
 
 from __future__ import annotations
@@ -80,7 +87,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -181,11 +187,11 @@ class CellTiming:
 
 
 def _run_cell(payload: _CellPayload, attempt: int = 0) -> CellResult:
-    """Execute one matrix cell (runs inside a worker process).
+    """Execute one matrix cell (in a pool worker, or in-process for
+    serial runs).
 
-    Delegates to :func:`repro.experiments.runner.run_cell_detail` —
-    the same recipe the serial path uses — and wraps the summary with
-    timing, engine/decision counters
+    Delegates to :func:`repro.experiments.runner.run_cell_detail` and
+    wraps the summary with timing, engine/decision counters
     and cache telemetry (a per-cell delta frame spanning the whole
     cell, generation included, so warm-cache behaviour is observable
     from the parent and concurrent accounting in the same process —
@@ -222,11 +228,6 @@ def _run_cell(payload: _CellPayload, attempt: int = 0) -> CellResult:
             for name in DECISION_COUNTER_FIELDS
         },
     )
-
-
-def _run_cell_chunk(payloads: Sequence[_CellPayload]) -> List[CellResult]:
-    """Worker entry point for one submission chunk."""
-    return [_run_cell(p) for p in payloads]
 
 
 def _run_cell_supervised(
@@ -347,47 +348,33 @@ class ParallelRunner:
     Attributes:
         workers: Worker process count; ``None`` auto-sizes to the CPU
             count.  ``1`` always runs serially in-process.
-        chunk_size: Cells per submission chunk; ``None`` derives a
-            chunk that splits the payload across ``4 x workers``
-            slices so uneven cells rebalance.  Streaming granularity
-            is one chunk: a chunk's cells are yielded together when
-            its future completes.
-        warm_start: Start every worker with the cache-warming
-            initializer (default True; fork hosts inherit warmth
-            either way, spawn hosts need it).
         last_timings: Per-cell wall-clock timings of the most recent
-            :meth:`run_matrix` call, in submission order (spec, then
-            policy, then seed) — not completion order.
-        last_cells: The :class:`CellResult` stream of the most recent
-            :meth:`run_matrix` call, in submission order.
+            :meth:`run_supervised` call, in submission order (spec,
+            then policy, then seed) — not completion order.
+        last_cells: The cells (:class:`CellResult`) of the most recent
+            :meth:`run_supervised` call, in submission order.
         last_sweep: The :class:`~repro.experiments.results.
             SweepResults` accumulator of the most recent
-            :meth:`run_matrix` call (``None`` before the first) —
+            :meth:`run_supervised` call (``None`` before the first) —
             exposes :meth:`~repro.experiments.results.SweepResults.
             cache_stats` and :meth:`~repro.experiments.results.
             SweepResults.worker_pids` for telemetry consumers.
         last_mode: ``"parallel"`` or ``"serial"`` — which path the most
-            recent :meth:`run_matrix` / :meth:`iter_cells` call
-            actually took (a pool that broke mid-sweep reports
-            ``"serial"``, the degraded mode the remainder ran in).
+            recent :meth:`run_supervised` call actually took (a pool
+            that could not be rebuilt mid-sweep reports ``"serial"``,
+            the degraded mode the remainder ran in).
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        warm_start: bool = True,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         self.workers = workers
-        self.chunk_size = chunk_size
-        self.warm_start = warm_start
         #: Deterministic fault plan installed into every pool worker
         #: (via the initializer) — the testing seam that makes the
         #: failure paths below reproducible.  ``None`` in production.
@@ -427,9 +414,8 @@ class ParallelRunner:
         probes while its siblings are still initializing.)  If the
         barrier machinery itself is unavailable (no manager process
         in this sandbox), the probes still run, just without the
-        distinct-worker guarantee.  Subsequent :meth:`run_matrix` /
-        :meth:`iter_cells` calls reuse the pool until
-        :meth:`close_pool`.
+        distinct-worker guarantee.  Subsequent :meth:`run_supervised`
+        calls reuse the pool until :meth:`close_pool`.
 
         Returns:
             The distinct worker pids that answered the probes (empty
@@ -515,13 +501,12 @@ class ParallelRunner:
         spec_list: Sequence[ScenarioSpec],
         soc: SoCConfig,
     ) -> ProcessPoolExecutor:
-        warm = self.warm_start and spec_list
-        if warm or self.fault_plan is not None:
+        if spec_list or self.fault_plan is not None:
             return ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_warm_worker,
                 initargs=(
-                    _spec_model_names(spec_list) if warm else (),
+                    _spec_model_names(spec_list),
                     soc,
                     self.fault_plan,
                 ),
@@ -552,82 +537,6 @@ class ParallelRunner:
     # Running
     # ------------------------------------------------------------------
 
-    def run_scenario(
-        self,
-        spec: ScenarioLike,
-        policies: Optional[Dict[str, PolicyFactory]] = None,
-        soc: Optional[SoCConfig] = None,
-    ) -> Dict[str, ScenarioResult]:
-        """Parallel equivalent of :func:`runner.run_scenario`."""
-        spec = resolve_scenarios([spec])[0]
-        matrix = self.run_matrix([spec], policies, soc)
-        return matrix[spec.label]
-
-    def run_matrix(
-        self,
-        specs: Sequence[ScenarioLike],
-        policies: Optional[Dict[str, PolicyFactory]] = None,
-        soc: Optional[SoCConfig] = None,
-    ) -> Dict[str, Dict[str, ScenarioResult]]:
-        """Parallel equivalent of :func:`runner.run_matrix`.
-
-        Streams cells through :meth:`iter_cells` and folds each one
-        into a :class:`~repro.experiments.results.SweepResults` the
-        moment it completes — per-seed summaries aggregate
-        incrementally, there is no end-of-sweep barrier beyond
-        exhausting the stream.  Accepts registry names as well as
-        specs.  Returns ``{scenario label: {policy: ScenarioResult}}``
-        with numerically identical contents to the serial path.
-        """
-        if policies is None:
-            policies = default_policies()
-        spec_list = resolve_scenarios(specs)
-        acc = SweepResults(spec_list, list(policies))
-        for cell in self.iter_cells(spec_list, policies, soc):
-            acc.add(cell)
-        cells = acc.cells()
-        self.last_sweep = acc
-        self.last_cells = cells
-        self.last_timings = [
-            CellTiming(
-                label=c.label, policy=c.policy, seed=c.seed,
-                seconds=c.seconds,
-            )
-            for c in cells
-        ]
-        return acc.matrix()
-
-    def iter_cells(
-        self,
-        specs: Sequence[ScenarioLike],
-        policies: Optional[Dict[str, PolicyFactory]] = None,
-        soc: Optional[SoCConfig] = None,
-        indices: Optional[Sequence[int]] = None,
-    ) -> Iterator[CellResult]:
-        """Yield every cell of the sweep as it completes.
-
-        Pool mode yields in completion order (nondeterministic);
-        serial mode in submission order.  The *set* of cells is
-        deterministic either way, and every cell carries its global
-        submission ``index``, so feeding the stream to
-        :class:`~repro.experiments.results.SweepResults` yields the
-        same aggregate regardless of arrival order.
-
-        ``indices`` restricts execution to a subset of the sweep's
-        global cell indices — the seam shard execution
-        (:func:`repro.experiments.sharding.run_shard`) rides on.  The
-        yielded cells keep their *global* indices (a shard's cells
-        slot straight into the full sweep's accumulator); unknown or
-        duplicate indices are rejected.
-        """
-        spec_list, policies, soc, payloads = self._build_payloads(
-            specs, policies, soc, indices
-        )
-        if not payloads:
-            self.last_mode = "serial"
-            return
-        yield from self._execute(payloads, spec_list, soc)
-
     def run_supervised(
         self,
         specs: Sequence[ScenarioLike],
@@ -641,7 +550,8 @@ class ParallelRunner:
     ) -> SweepResults:
         """Run the sweep under per-cell supervision; never abort it.
 
-        The fault-tolerant executor: every cell gets a bounded retry
+        The one local executor (every ``workers`` value, serial
+        included): every cell gets a bounded retry
         budget with exponential backoff, an optional wall-clock
         timeout, and — when the budget is exhausted — quarantine as a
         structured :class:`~repro.experiments.results.CellFailure`
@@ -659,9 +569,8 @@ class ParallelRunner:
           that crashes while running alone is charged an attempt.
           Innocents therefore never spend retry budget on a
           neighbour's crash.  If the pool cannot be rebuilt at all,
-          the remainder drains serially in-process — the old
-          broken-pool fallback, now folded into the same retry
-          ledger.
+          the remainder drains serially in-process under the same
+          retry ledger (and :attr:`last_mode` reports ``"serial"``).
         - **Timeouts** (``supervision.cell_timeout``): the hung
           worker's pool is torn down (hung workers never release
           their slot voluntarily), the expired cell is charged an
@@ -670,7 +579,16 @@ class ParallelRunner:
           be interrupted.
 
         Args:
-            specs / policies / soc / indices: As :meth:`iter_cells`.
+            specs: Scenario specs and/or registry names.
+            policies: Policy factories by name (defaults to the
+                paper's four).
+            soc: SoC configuration (default reference SoC).
+            indices: Restricts execution to a subset of the sweep's
+                global cell indices — the seam shard and lease
+                execution ride on.  The cells keep their *global*
+                indices (a shard's cells slot straight into the full
+                sweep's accumulator); unknown or duplicate indices
+                are rejected.
             supervision: The retry/timeout/backoff/fault policy
                 (defaults to :class:`Supervision`'s defaults).  Its
                 ``fault_plan`` (or the runner's) is installed in
@@ -681,7 +599,10 @@ class ParallelRunner:
                 built when omitted.
             on_cell / on_failure: Optional callbacks invoked the
                 moment each cell result / quarantined failure is
-                folded in — the checkpoint-journal seam.
+                folded in — the checkpoint-journal seam.  An
+                ``on_failure`` that raises aborts the sweep; that is
+                how :func:`repro.experiments.runner.run_matrix` fails
+                fast.
 
         Returns:
             The accumulator.  ``acc.complete`` means every cell
@@ -691,9 +612,8 @@ class ParallelRunner:
         """
         sup = supervision if supervision is not None else Supervision()
         # The supervision's plan (if any) wins over the runner's for
-        # the duration of this run only — a later unsupervised (or
-        # differently-supervised) call on the same runner must not
-        # inherit it.
+        # the duration of this run only — a later, differently
+        # supervised call on the same runner must not inherit it.
         prior_plan = self.fault_plan
         if sup.fault_plan is not None:
             self.fault_plan = sup.fault_plan
@@ -741,6 +661,10 @@ class ParallelRunner:
             faults.install_plan(self.fault_plan, in_worker=False)
             installed_parent_plan = True
         try:
+            # Only the policy factories can realistically fail to
+            # pickle (specs and SoCs are frozen dataclasses of
+            # primitives), so probe the distinct factories — by
+            # identity, since a factory need not be hashable.
             factories = tuple(
                 {id(p[4]): p[4] for p in payloads}.values()
             )
@@ -757,6 +681,10 @@ class ParallelRunner:
                     remaining, spec_list, soc, sup,
                     record_cell, quarantine,
                 )
+                if remaining:
+                    # The pool could not be (re)built: the remainder
+                    # drains in-process.
+                    self.last_mode = "serial"
             for payload, attempt in remaining:
                 self._supervise_serial(
                     payload, attempt, sup, record_cell, quarantine
@@ -823,8 +751,7 @@ class ParallelRunner:
         """Pool half of :meth:`run_supervised`.
 
         Cells are submitted individually (supervision granularity is
-        one cell, unlike the throughput path's chunks) through a
-        bounded in-flight window:
+        one cell) through a bounded in-flight window:
 
         - Without a cell timeout (the default) the window is **two
           cells per worker**.  Each worker then has its next cell
@@ -1028,8 +955,7 @@ class ParallelRunner:
         soc: Optional[SoCConfig],
         indices: Optional[Sequence[int]],
     ):
-        """Resolve the sweep into indexed cell payloads (shared by the
-        streaming and supervised executors)."""
+        """Resolve the sweep into indexed cell payloads."""
         if policies is None:
             policies = default_policies()
         if soc is None:
@@ -1062,101 +988,3 @@ class ParallelRunner:
             chosen = set(wanted)
             payloads = [p for p in payloads if p[0] in chosen]
         return spec_list, policies, soc, payloads
-
-    # ------------------------------------------------------------------
-
-    def _execute(
-        self,
-        payloads: List[_CellPayload],
-        spec_list: Sequence[ScenarioSpec],
-        soc: SoCConfig,
-    ) -> Iterator[CellResult]:
-        """Stream the cells, preferring the pool, degrading to serial."""
-        # Only the policy factories can realistically fail to pickle
-        # (specs and SoCs are frozen dataclasses of primitives), so
-        # probe the distinct factories instead of every payload —
-        # deduplicated by identity, since a factory need not be
-        # hashable to be a valid callable.
-        factories = tuple(
-            {id(p[4]): p[4] for p in payloads}.values()
-        )
-        remaining = payloads
-        if (
-            self.workers > 1
-            and len(payloads) > 1
-            and _picklable(factories)
-        ):
-            done: Set[int] = set()
-            try:
-                for cell in self._stream_pool(payloads, spec_list, soc):
-                    done.add(cell.index)
-                    yield cell
-                self.last_mode = "parallel"
-                return
-            except (OSError, BrokenProcessPool) as exc:
-                # Pool could not start or died (sandboxes, restricted
-                # environments, spawn-bootstrap child crashes); the
-                # cells are identical either way, only slower.  Errors
-                # raised *by a worker's simulation* (SimulationError
-                # and friends) propagate — rerunning serially would
-                # only hit them again.  Cells that already streamed
-                # out stay streamed; only the remainder reruns here.
-                # A broken *persistent* pool is discarded so the next
-                # run can start a fresh one instead of resubmitting to
-                # the corpse forever.
-                self.close_pool()
-                remaining = [p for p in payloads if p[0] not in done]
-                print(
-                    f"parallel: process pool unavailable "
-                    f"({type(exc).__name__}: {exc}); running "
-                    f"{len(remaining)} cells serially",
-                    file=sys.stderr,
-                )
-        self.last_mode = "serial"
-        for payload in remaining:
-            yield _run_cell(payload)
-
-    def _stream_pool(
-        self,
-        payloads: List[_CellPayload],
-        spec_list: Sequence[ScenarioSpec],
-        soc: SoCConfig,
-    ) -> Iterator[CellResult]:
-        # 61 is ProcessPoolExecutor's hard ceiling on Windows; capping
-        # everywhere keeps auto-sized runs from crashing there.
-        pool = self._pool
-        if pool is not None:
-            workers = min(self._pool_workers, len(payloads))
-        else:
-            workers = min(self.workers, len(payloads), 61)
-        if self.chunk_size is not None:
-            chunk = self.chunk_size
-        else:
-            chunk = max(1, len(payloads) // (workers * 4))
-        chunks = [
-            payloads[i:i + chunk]
-            for i in range(0, len(payloads), chunk)
-        ]
-        owns_pool = pool is None
-        if owns_pool:
-            pool = self._make_pool(workers, spec_list, soc)
-        pending = set()
-        try:
-            pending = {pool.submit(_run_cell_chunk, c) for c in chunks}
-            while pending:
-                finished, pending = wait(
-                    pending, return_when=FIRST_COMPLETED
-                )
-                for future in finished:
-                    yield from future.result()
-        finally:
-            if owns_pool:
-                pool.shutdown(wait=True, cancel_futures=True)
-            else:
-                # A caller abandoning the stream mid-sweep (breaking
-                # out of iter_cells) must not leave a persistent pool
-                # grinding through discarded chunks; cancel whatever
-                # has not started (in-flight chunks still finish).
-                # repro-lint: allow[D103] -- cancellation is order-insensitive; no output depends on iteration order
-                for future in pending:
-                    future.cancel()

@@ -1,18 +1,17 @@
 """First-class sweep results: streaming accumulation and manifests.
 
-The streaming executor (:meth:`repro.experiments.parallel.
-ParallelRunner.iter_cells`) yields one :class:`CellResult` per
-(scenario, policy, seed) cell *as futures complete* — in whatever
-order the workers finish.  This module turns that unordered stream
-back into the deterministic structures the rest of the harness
-consumes:
+The executor (:meth:`repro.experiments.parallel.ParallelRunner.
+run_supervised`) produces one :class:`CellResult` per (scenario,
+policy, seed) cell *as futures complete* — in whatever order the
+workers finish.  This module turns that unordered stream back into
+the deterministic structures the rest of the harness consumes:
 
 - :class:`SweepResults` accumulates cells incrementally (no barrier:
   each cell is folded in the moment it arrives) and, once complete,
-  assembles exactly the ``{label: {policy: ScenarioResult}}`` matrix
-  the serial :func:`repro.experiments.runner.run_matrix` produces —
-  same spec order, same policy order, same per-seed tuples, so the
-  streaming path is bit-identical to serial by construction.
+  assembles the ``{label: {policy: ScenarioResult}}`` matrix in spec
+  order, policy order and per-seed order — so the result is
+  bit-identical for every worker count and completion order by
+  construction.
 - :func:`cell_manifest` renders the full cell list of a sweep as a
   JSON-serialisable document (specs included via
   :meth:`ScenarioSpec.to_dict`).  Every cell entry carries the global

@@ -24,7 +24,6 @@ from repro.scenarios import (
     ScenarioSpec,
     reference_matrix_specs,
     resolve_scenario,
-    resolve_scenarios,
 )
 from repro.sim.engine import SimResult, run_simulation
 from repro.sim.policy import Policy
@@ -34,14 +33,30 @@ from repro.sim.workload import WorkloadGenerator
 PolicyFactory = Callable[[], Policy]
 
 
-def _parallel_runner(workers: int):
-    """Validate a ``workers`` count and build the parallel runner
-    (shared by :func:`run_scenario` and :func:`run_matrix`)."""
+def _run_fail_fast(
+    specs: Sequence[ScenarioLike],
+    policies: Optional[Dict[str, PolicyFactory]],
+    soc: Optional[SoCConfig],
+    workers: int,
+) -> Dict[str, Dict[str, ScenarioResult]]:
+    """Run a matrix through the one local executor
+    (:meth:`repro.experiments.parallel.ParallelRunner.run_supervised`)
+    without retries, raising on the first failed cell."""
     if workers < 0:
         raise ValueError("workers must be >= 0 (0 = one per CPU)")
-    from repro.experiments.parallel import ParallelRunner
+    from repro.experiments.parallel import ParallelRunner, Supervision
 
-    return ParallelRunner(workers=workers or None)
+    def fail(failure) -> None:
+        raise RuntimeError(
+            f"cell {failure.label}/{failure.policy}/seed {failure.seed} "
+            f"failed [{failure.kind}]: {failure.message}"
+        )
+
+    acc = ParallelRunner(workers=workers or None).run_supervised(
+        specs, policies, soc,
+        supervision=Supervision(max_retries=0), on_failure=fail,
+    )
+    return acc.matrix()
 
 
 def check_unique_labels(specs: Sequence[ScenarioSpec]) -> None:
@@ -134,15 +149,15 @@ def run_cell_detail(
     :class:`~repro.sim.engine.SimResult`.
 
     This is the single source of truth for how a cell is built —
-    the serial loop below and the parallel executor's workers both
-    call it, which is what makes the two paths bit-identical.  The
+    the executor calls it for every cell, in-process or in a pool
+    worker, which is what makes every worker count bit-identical.  The
     cell is a pure function of its arguments: the workload generator
     reseeds from ``seed``, the engine is exactly deterministic, and
     the scenario's :meth:`~repro.scenarios.ScenarioSpec.cadence`
     regulates when the policy is consulted.  The ``SimResult``
     carries the engine/decision telemetry (events, epoch-cache
-    reuse, plans emitted/applied/no-op) the streaming executor
-    threads into each :class:`~repro.experiments.results.CellResult`.
+    reuse, plans emitted/applied/no-op) the executor threads into
+    each :class:`~repro.experiments.results.CellResult`.
     """
     if soc is None:
         soc = DEFAULT_SOC
@@ -178,26 +193,13 @@ def run_scenario(
     """Run one scenario (spec or registry name) for every policy
     across all seeds.
 
-    ``workers > 1`` (or ``0`` for auto) delegates the policy x seed
-    cells to :class:`repro.experiments.parallel.ParallelRunner`; the
-    results are numerically identical to the serial path.
+    ``workers > 1`` (or ``0`` for auto) fans the policy x seed cells
+    across a process pool; the results are numerically identical for
+    every worker count.  A failing cell raises ``RuntimeError`` naming
+    the cell.
     """
     spec = resolve_scenario(spec)
-    if workers != 1:
-        return _parallel_runner(workers).run_scenario(spec, policies, soc)
-    if policies is None:
-        policies = default_policies()
-
-    out: Dict[str, ScenarioResult] = {}
-    for name, factory in policies.items():
-        summaries = [
-            run_cell(spec, name, factory, seed, soc)
-            for seed in spec.seeds
-        ]
-        out[name] = ScenarioResult(
-            policy=name, spec=spec, per_seed=tuple(summaries)
-        )
-    return out
+    return _run_fail_fast([spec], policies, soc, workers)[spec.label]
 
 
 def standard_matrix(
@@ -237,17 +239,10 @@ def run_matrix(
 
     ``workers > 1`` (or ``0`` for auto) fans all (scenario, policy,
     seed) cells across a process pool — see
-    :mod:`repro.experiments.parallel`.
+    :mod:`repro.experiments.parallel`.  A failing cell raises
+    ``RuntimeError`` naming the cell.
     """
-    resolved = resolve_scenarios(specs)
-    if workers != 1:
-        # ParallelRunner.run_matrix performs its own label check.
-        return _parallel_runner(workers).run_matrix(resolved, policies, soc)
-    check_unique_labels(resolved)
-    return {
-        spec.label: run_scenario(spec, policies, soc)
-        for spec in resolved
-    }
+    return _run_fail_fast(specs, policies, soc, workers)
 
 
 def improvement_ratios(

@@ -285,7 +285,7 @@ class Simulator:
 
         The compute-migration stall is not charged here: the
         :class:`~repro.sim.plan.AllocationController` accounts it
-        centrally (with same-instant dedupe).
+        centrally.
 
         Returns:
             Whether the tile count actually changed — the controller's

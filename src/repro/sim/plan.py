@@ -12,8 +12,8 @@ mutate engine state; this module is the seam between them:
 - :class:`AllocationController` is the engine-side applicator: it
   diffs a plan against live simulator state, applies the differences
   atomically in a canonical order, charges compute/memory
-  reconfiguration costs *centrally* (deduplicating same-instant
-  re-applications of an already-paid transition), and bumps the
+  reconfiguration costs *centrally* (saturating within one
+  simulation instant), and bumps the
   allocation epoch **once per applied plan** instead of once per
   mutation.
 - :class:`DecisionCadence` makes the decision *schedule* explicit and
@@ -328,11 +328,10 @@ class AllocationController:
     4. charges reconfiguration costs centrally — the compute
        migration stall per applied tile change on a running job, the
        DMA issue-rate update per applied cap change — instead of
-       inside each engine primitive.  A transition already paid for
-       at the *same simulation instant* (same job, same field, same
-       target value) is re-applied free: coincident-event
-       re-decisions can no longer double-charge
-       ``COMPUTE_RECONFIG_CYCLES``;
+       inside each engine primitive.  Charges saturate within one
+       simulation instant (a stall ends at ``now + cycles`` however
+       often it is charged), so coincident-event re-decisions cannot
+       double-charge ``COMPUTE_RECONFIG_CYCLES``;
     5. bumps the allocation epoch **once** for the whole plan — an
        applied plan invalidates the engine's epoch solve exactly once,
        an empty or all-no-op plan not at all.
@@ -357,24 +356,6 @@ class AllocationController:
         # through sim.policy was measurable on the cap hot path).
         self._compute_stall = sim.policy.compute_reconfig_cycles
         self._memory_stall = sim.policy.memory_reconfig_cycles
-        #: (job_id, field) -> {values charged} at the *current*
-        #: instant — the same-instant double-charge dedupe journal.
-        #: A *set* of values per key, so an A->B->A toggle across
-        #: coincident plans re-applies the return to A free as well.
-        #: The journal only ever answers same-instant questions, so it
-        #: is scoped to one instant (``_paid_instant``) and cleared
-        #: wholesale when simulation time advances — cheaper than the
-        #: per-key instant tags it replaced.
-        self._paid: Dict[Tuple[str, str], set] = {}
-        self._paid_instant: Optional[float] = None
-        #: Charges made by :meth:`apply_caps` at the current
-        #: instant, as raw ``(job_id, cap)`` pairs.  The journal is
-        #: only ever *queried* by a second plan application at the
-        #: same instant — rare — so the hot path records into this
-        #: flat list (one C-level append of an existing tuple) and
-        #: :meth:`_fold_pending` materialises it into ``_paid`` lazily
-        #: when a query actually happens.
-        self._pending_caps: List[Tuple[str, Optional[float]]] = []
 
     # ------------------------------------------------------------------
 
@@ -538,9 +519,8 @@ class AllocationController:
         :meth:`~repro.sim.engine.Simulator.set_bw_cap`'s checks (the
         job is RUNNING, a cap is positive) and its tolerance no-op
         filter; each changed cap charges the memory-reconfiguration
-        stall centrally, deduplicated through the same-instant
-        journal, and the allocation epoch moves once if anything
-        changed.
+        stall centrally, and the allocation epoch moves once if
+        anything changed.
 
         Returns:
             The number of caps actually changed.
@@ -550,26 +530,12 @@ class AllocationController:
             return 0
         sim = self.sim
         now = sim.now
-        paid = self._paid
-        pending = self._pending_caps
-        if now != self._paid_instant:
-            self._paid_instant = now
-            if paid:
-                paid.clear()
-            if pending:
-                pending.clear()
-        # A same-instant predecessor already charged something: full
-        # journal semantics.  Otherwise (the steady state) nothing can
-        # be already paid — charge unconditionally and record each
-        # charge as a raw pair for lazy folding (see _fold_pending).
-        dirty = bool(paid or pending)
         sim_jobs = sim.jobs
         mem_stall = self._memory_stall
         trace = sim.trace
         running = JobPhase.RUNNING
         applied = 0
-        for item in bw_caps:
-            jid, cap = item
+        for jid, cap in bw_caps:
             try:
                 job = sim_jobs[jid]
             except KeyError:
@@ -594,11 +560,6 @@ class AllocationController:
                     now, TraceEvent.BW_RECONFIG, jid,
                     f"cap={'none' if cap is None else f'{cap:.2f}B/cyc'}",
                 )
-            if dirty:
-                if self._already_paid((jid, "bw_cap"), cap):
-                    continue
-            else:
-                pending.append(item)
             # Simulator.stall_job inlined (mem_stall is a non-negative
             # class constant).
             if mem_stall:
@@ -618,62 +579,21 @@ class AllocationController:
 
     # ------------------------------------------------------------------
 
-    def _fold_pending(self) -> None:
-        """Materialise :meth:`apply_caps`'s pending cap charges into the
-        ``_paid`` journal (called lazily, before any actual query)."""
-        paid = self._paid
-        for jid, cap in self._pending_caps:
-            key = (jid, "bw_cap")
-            values = paid.get(key)
-            if values is None:
-                paid[key] = {cap}
-            else:
-                values.add(cap)
-        self._pending_caps.clear()
-
-    def _already_paid(self, key: Tuple[str, str], value) -> bool:
-        """Record a charged transition in the per-instant journal;
-        True when this exact (job, field, value) was already paid
-        for at the current instant."""
-        now = self.sim.now
-        paid = self._paid
-        if now != self._paid_instant:
-            self._paid_instant = now
-            if paid:
-                paid.clear()
-            if self._pending_caps:
-                self._pending_caps.clear()
-            paid[key] = {value}
-            return False
-        if self._pending_caps:
-            self._fold_pending()
-        values = paid.get(key)
-        if values is None:
-            paid[key] = {value}
-            return False
-        if value in values:
-            return True
-        values.add(value)
-        return False
-
     def _retile(self, job: "Job", tiles: int) -> int:
-        """Apply one tile-count target; charge the migration stall
-        centrally unless the identical transition was already paid
-        at this instant.  The engine primitive is the single source
-        of no-op detection (it returns whether it mutated)."""
+        """Apply one tile-count target and charge the migration stall
+        centrally.  The engine primitive is the single source of
+        no-op detection (it returns whether it mutated)."""
         sim = self.sim
         if not sim.set_tiles(job, tiles):
             return 0
-        if not self._already_paid((job.job_id, "tiles"), tiles):
-            sim.stall_job(job, self._compute_stall)
+        sim.stall_job(job, self._compute_stall)
         return 1
 
     def _recap(self, job: "Job", cap: Optional[float]) -> int:
-        """Apply one bandwidth-cap target; charge the DMA issue-rate
-        update centrally, with the same same-instant dedupe."""
+        """Apply one bandwidth-cap target and charge the DMA
+        issue-rate update centrally."""
         sim = self.sim
         if not sim.set_bw_cap(job, cap):
             return 0
-        if not self._already_paid((job.job_id, "bw_cap"), cap):
-            sim.stall_job(job, self._memory_stall)
+        sim.stall_job(job, self._memory_stall)
         return 1

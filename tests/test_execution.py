@@ -10,7 +10,9 @@ import json
 import random
 
 import pytest
+from test_parallel import RaisingPolicy
 
+from repro.baselines import PremaPolicy
 from repro.config import DEFAULT_SOC
 from repro.experiments.execution import (
     COMPLETED,
@@ -31,7 +33,9 @@ from repro.experiments.parallel import ParallelRunner, Supervision
 from repro.experiments.results import (
     CellFailure,
     SweepResults,
+    cell_from_dict,
     cell_manifest,
+    failure_from_dict,
 )
 from repro.experiments.runner import ScenarioSpec, run_matrix
 from repro.experiments.sharding import (
@@ -773,3 +777,45 @@ class TestStaticShardsOnLedger:
         assert partial["shard"]["cell_indices"] == list(plan.shard(1))
         assert partial["shard"]["cost"] == plan.costs[1]
         assert partial["manifest_digest"] == plan.digest
+
+
+# ----------------------------------------------------------------------
+# No supervision passed means the default supervision
+# ----------------------------------------------------------------------
+
+
+class TestDefaultSupervision:
+    """``execute_lease`` and ``run_shard`` called without a supervision
+    run under ``Supervision()``: a poison cell is quarantined after the
+    default retry budget instead of raising."""
+
+    POLICIES = {"prema": PremaPolicy, "raising": RaisingPolicy}
+
+    @pytest.fixture(autouse=True)
+    def _no_backoff_sleep(self, monkeypatch):
+        monkeypatch.setattr(Supervision, "backoff", lambda self, a: 0.0)
+
+    def _check(self, cells, failures):
+        assert [c.policy for c in cells] == ["prema"]
+        (failure,) = failures
+        assert failure.policy == "raising"
+        assert failure.kind == "error"
+        assert failure.attempts == Supervision().max_retries + 1
+        assert "decide exploded" in failure.message
+
+    def test_execute_lease_quarantines_poison_cell(self):
+        cells, failures = execute_lease(
+            ParallelRunner(workers=1), TINY_SPECS, self.POLICIES,
+            DEFAULT_SOC, (0, 1),
+        )
+        self._check(cells, failures)
+
+    def test_run_shard_quarantines_poison_cell(self):
+        from repro.experiments.sharding import run_shard
+
+        manifest = cell_manifest(TINY_SPECS, list(self.POLICIES))
+        partial = run_shard(manifest, 0, 1, policies=self.POLICIES)
+        self._check(
+            [cell_from_dict(c) for c in partial["cells"]],
+            [failure_from_dict(f) for f in partial["failures"]],
+        )

@@ -64,7 +64,7 @@ def test_parallel_path_matches_goldens_too():
         num_tasks=golden["num_tasks"], seeds=tuple(golden["seeds"])
     )[:3]  # one workload set is enough here; the serial test covers all
     runner = ParallelRunner(workers=2)
-    matrix = runner.run_matrix(specs)
+    matrix = runner.run_supervised(specs).matrix()
     actual = matrix_fingerprint(matrix)
     expected = {
         cell: digest

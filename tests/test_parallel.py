@@ -19,6 +19,7 @@ from repro.experiments.runner import (
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.models.zoo import workload_set
 from repro.sim.engine import Simulator
+from repro.sim.policy import Policy
 from repro.sim.qos import QosLevel
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
 
@@ -32,13 +33,23 @@ def serial_cell():
     return run_scenario(SPEC)
 
 
+class RaisingPolicy(Policy):
+    """A policy whose every decision raises (top-level, so it pickles
+    into pool workers)."""
+
+    name = "raising"
+
+    def decide(self, sim):
+        raise ValueError("decide exploded")
+
+
 class TestParallelDeterminism:
     def test_two_workers_identical_to_serial(self, serial_cell):
         """ISSUE satellite: ParallelRunner(workers=2) must produce
         numerically identical MetricsSummary values for all four
         policies."""
         runner = ParallelRunner(workers=2)
-        parallel_cell = runner.run_scenario(SPEC)
+        parallel_cell = runner.run_supervised([SPEC]).matrix()[SPEC.label]
         assert set(parallel_cell) == set(POLICY_ORDER)
         for policy in POLICY_ORDER:
             assert (
@@ -62,7 +73,7 @@ class TestParallelDeterminism:
 
     def test_serial_fallback_workers_1(self, serial_cell):
         runner = ParallelRunner(workers=1)
-        cell = runner.run_scenario(SPEC)
+        cell = runner.run_supervised([SPEC]).matrix()[SPEC.label]
         assert runner.last_mode == "serial"
         for policy in POLICY_ORDER:
             assert cell[policy].per_seed == serial_cell[policy].per_seed
@@ -70,7 +81,9 @@ class TestParallelDeterminism:
     def test_non_picklable_policy_falls_back_to_serial(self):
         runner = ParallelRunner(workers=2)
         policies = {"moca": lambda: MoCAPolicy()}  # lambdas don't pickle
-        cell = runner.run_scenario(SPEC, policies=policies)
+        cell = runner.run_supervised(
+            [SPEC], policies=policies
+        ).matrix()[SPEC.label]
         assert runner.last_mode == "serial"
         assert cell["moca"].per_seed == run_scenario(
             SPEC, policies=default_policies()
@@ -78,7 +91,7 @@ class TestParallelDeterminism:
 
     def test_per_cell_timings_recorded(self):
         runner = ParallelRunner(workers=2)
-        runner.run_scenario(SPEC)
+        runner.run_supervised([SPEC])
         cells = len(default_policies()) * len(SPEC.seeds)
         assert len(runner.last_timings) == cells
         for timing in runner.last_timings:
@@ -90,11 +103,23 @@ class TestParallelDeterminism:
         with pytest.raises(ValueError):
             ParallelRunner(workers=0)
         with pytest.raises(ValueError):
-            ParallelRunner(workers=2, chunk_size=0)
-        with pytest.raises(ValueError):
             run_scenario(SPEC, workers=-1)
         with pytest.raises(ValueError):
             run_matrix([SPEC], workers=-2)
+
+
+class TestLibraryFailFast:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_cell_raises_naming_the_cell(self, workers):
+        """The library entry points run without retries and raise on
+        the first failed cell, naming it, for every worker count."""
+        policies = {"prema": PremaPolicy, "raising": RaisingPolicy}
+        with pytest.raises(RuntimeError) as info:
+            run_matrix([SPEC], policies=policies, workers=workers)
+        message = str(info.value)
+        assert f"cell {SPEC.label}/raising/seed " in message
+        assert "[error]" in message
+        assert "ValueError: decide exploded" in message
 
 
 def _tasks(num_tasks=12, seed=3):

@@ -265,10 +265,10 @@ class TestSameInstantDoubleChargeRegression:
     def test_reapplied_transition_after_toggle_is_free(
         self, soc, mem, task_factory
     ):
-        # 2 -> 4 (paid), 4 -> 2 (paid), 2 -> 4 again at the same
-        # instant: the 4-tile transition was already paid for at this
-        # instant, so the re-application changes state but charges
-        # nothing more — coincident-event re-decisions cannot
+        # 2 -> 4, 4 -> 2, 2 -> 4 again at the same instant: every
+        # transition charges, but the stall saturates at now + cycles
+        # within an instant, so the re-application changes state but
+        # costs nothing more — coincident-event re-decisions cannot
         # double-bill the migration.
         sim = _sim(soc, mem, task_factory)
         sim._dispatch_arrivals()
@@ -474,9 +474,7 @@ class TestTrustedPlans:
         # A -> B -> A across three coincident trusted plans: the cap
         # changes all land, but the job serves exactly one
         # reconfiguration stall — stall_job saturates at now + cycles
-        # within an instant, and the return to an already-paid value
-        # is journal-deduped (this drives the lazy pending-journal
-        # fold).
+        # within an instant.
         sim = _sim(soc, mem, task_factory)
         sim._dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))
@@ -487,19 +485,12 @@ class TestTrustedPlans:
         assert job.bw_cap == 4.0
         assert job.bw_reconfigs == 3
         assert job.stall_cycles == pytest.approx(MEMORY_RECONFIG_CYCLES)
-        # The fold materialised the fast path's pending charges into
-        # the shared journal.
-        assert sim.controller._paid == {
-            ("t0", "bw_cap"): {4.0, 8.0}
-        }
-        assert sim.controller._pending_caps == []
 
     def test_trusted_dedupe_shared_with_validated_path(
         self, soc, mem, task_factory
     ):
-        # Fast-path charges must be visible to a subsequent *validated*
-        # plan at the same instant (the pending journal folds into the
-        # shared one).
+        # Fast-path charges and *validated* plans at the same instant
+        # share one saturating stall.
         sim = _sim(soc, mem, task_factory)
         sim._dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))

@@ -1,6 +1,7 @@
-"""Tests for the streaming results pipeline: iter_cells, the
-SweepResults accumulator (completion-order independence), the cell
-manifest, and the warm-worker cache telemetry."""
+"""Tests for the streaming results pipeline: the executor's cell
+stream (``run_supervised``), the SweepResults accumulator
+(completion-order independence), the cell manifest, and the
+warm-worker cache telemetry."""
 
 import json
 import random
@@ -41,10 +42,13 @@ def serial_matrix():
 @pytest.fixture(scope="module")
 def streamed_cells():
     runner = ParallelRunner(workers=2)
-    return list(runner.iter_cells(SPECS)), runner
+    return runner.run_supervised(SPECS).cells(), runner
 
 
 class TestIterCells:
+    """The cell stream of ``run_supervised`` (the class keeps the name
+    of the API it replaced, so test ids stay stable)."""
+
     def test_yields_every_cell_exactly_once(self, streamed_cells):
         cells, _ = streamed_cells
         expected = len(SPECS[0].seeds + SPECS[1].seeds) * len(
@@ -93,7 +97,7 @@ class TestIterCells:
         self, serial_matrix
     ):
         runner = ParallelRunner(workers=2)
-        matrix = runner.run_matrix(SPECS)
+        matrix = runner.run_supervised(SPECS).matrix()
         assert [c.index for c in runner.last_cells] == list(
             range(len(runner.last_cells))
         )
@@ -108,7 +112,7 @@ class TestIterCells:
 class TestSweepResultsOrderIndependence:
     def _cells(self):
         runner = ParallelRunner(workers=1)
-        return list(runner.iter_cells(SPECS))
+        return runner.run_supervised(SPECS).cells()
 
     def test_shuffled_completion_order_same_matrix(self, serial_matrix):
         """ISSUE satellite: feeding the stream in any completion order
@@ -397,7 +401,7 @@ class TestCellFailure:
 
     def test_success_supersedes_failure(self):
         runner = ParallelRunner(workers=1)
-        cells = list(runner.iter_cells(SPECS))
+        cells = runner.run_supervised(SPECS).cells()
         acc = SweepResults(SPECS, list(default_policies()))
         acc.add_failure(self._failure(index=0))
         acc.add(next(c for c in cells if c.index == 0))

@@ -115,7 +115,7 @@ class TestSerialParallelIdentity:
         ]
         serial = run_matrix(specs)
         runner = ParallelRunner(workers=2)
-        parallel = runner.run_matrix(specs)
+        parallel = runner.run_supervised(specs).matrix()
         assert matrices_identical(serial, parallel)
         if runner.last_mode != "parallel":
             pytest.skip(

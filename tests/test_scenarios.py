@@ -159,10 +159,8 @@ class TestRegistry:
         spec = ScenarioSpec(workload_set="A", num_tasks=8, seeds=(1,))
         with pytest.raises(ValueError, match="duplicate scenario label"):
             run_matrix([spec, spec])
-        from repro.experiments.parallel import ParallelRunner
-
         with pytest.raises(ValueError, match="duplicate scenario label"):
-            ParallelRunner(workers=2).run_matrix(["skewed-mix", "skewed-mix"])
+            run_matrix(["skewed-mix", "skewed-mix"], workers=2)
 
     def test_builtin_specs_are_picklable(self):
         """Cells built from registry specs must survive the process

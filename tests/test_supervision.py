@@ -1,7 +1,7 @@
 """Tests for per-cell sweep supervision (ISSUE tentpole): retry
 determinism, quarantine instead of abort, pool-crash recovery, cell
-timeouts, and the old streaming path's BrokenProcessPool serial
-fallback driven by the fault harness."""
+timeouts, and the serial fallback when a crashed pool cannot be
+rebuilt, driven by the fault harness."""
 
 from collections import deque
 from concurrent.futures import Future
@@ -334,18 +334,36 @@ class TestPoolSupervision:
         assert acc.matrix() == serial_matrix
 
 
+def _no_rebuild(monkeypatch, runner):
+    """Let ``runner`` build its first pool but fail every rebuild, as
+    a sandbox that cannot start another process would."""
+    make_pool = runner._make_pool
+    built = []
+
+    def first_pool_only(*args):
+        if built:
+            raise OSError("no more processes")
+        built.append(True)
+        return make_pool(*args)
+
+    monkeypatch.setattr(runner, "_make_pool", first_pool_only)
+
+
 @pytest.mark.slow
 class TestBrokenPoolFallback:
     def test_iter_cells_crash_falls_back_serial_bit_identical(
-        self, serial_matrix
+        self, serial_matrix, monkeypatch
     ):
-        """ISSUE satellite: the streaming path's mid-sweep
-        BrokenProcessPool serial fallback, driven deterministically by
-        the fault harness — the pool dies, the remainder reruns
-        in-process, and the aggregate stays bit-identical."""
+        """ISSUE satellite: the mid-sweep BrokenProcessPool serial
+        fallback, driven deterministically by the fault harness — the
+        pool dies, cannot be rebuilt, the remainder reruns in-process,
+        and the aggregate stays bit-identical."""
         plan = FaultPlan.parse("crash:cells=2:attempts=all")
         runner = ParallelRunner(workers=2, fault_plan=plan)
-        cells = list(runner.iter_cells([SPEC]))
+        _no_rebuild(monkeypatch, runner)
+        cells = runner.run_supervised(
+            [SPEC], supervision=Supervision(**FAST)
+        ).cells()
         assert runner.last_mode == "serial"  # fallback engaged
         assert sorted(c.index for c in cells) == list(range(CELLS))
         acc = SweepResults([SPEC], list(POLICY_ORDER))
@@ -353,8 +371,14 @@ class TestBrokenPoolFallback:
             acc.add(cell)
         assert acc.matrix() == serial_matrix
 
-    def test_fallback_cells_not_duplicated(self):
+    def test_fallback_cells_not_duplicated(self, monkeypatch):
         plan = FaultPlan.parse("crash:cells=0:attempts=all")
         runner = ParallelRunner(workers=2, fault_plan=plan)
-        indices = [c.index for c in runner.iter_cells([SPEC])]
+        _no_rebuild(monkeypatch, runner)
+        indices = [
+            c.index
+            for c in runner.run_supervised(
+                [SPEC], supervision=Supervision(**FAST)
+            ).cells()
+        ]
         assert len(indices) == len(set(indices)) == CELLS
