@@ -310,11 +310,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parallel_s = time.perf_counter() - t0
     cell_cache = parallel_acc.cache_stats()
-    # Snapshot mode/timings now: the shard legs below reuse the runner
-    # and overwrite last_mode / last_timings.
+    # Snapshot the mode now: the shard legs below reuse the runner
+    # and overwrite last_mode.
     parallel_mode = runner.last_mode
     parallel_pids = len(parallel_acc.worker_pids())
-    parallel_timings = list(runner.last_timings)
     identical = parallel_acc.complete and matrices_identical(
         serial_matrix, parallel_acc.matrix()
     )
@@ -403,7 +402,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ]
 
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-    cell_seconds = sorted(t.seconds for t in parallel_timings)
+    cell_seconds = sorted(c.seconds for c in parallel_acc.cells())
     # The perf gate reads the *controlled ratio* metrics — each one a
     # same-process A/B of deterministic work, immune to box load and
     # CPU count — rather than the raw serial/parallel wall-clock

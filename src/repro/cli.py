@@ -466,7 +466,8 @@ def _supervised_sweep(specs, args, out=None, manifest=None, acc=None,
                 if plan is not None else False,
             )
 
-        on_failure = journal.append_failure
+        def on_failure(failure, exc):
+            journal.append_failure(failure)
     policies = (
         _ordered_manifest_policies(manifest, "sweep")
         if manifest is not None else None

@@ -6,7 +6,7 @@ exported lazily (PEP 562): that layer pulls in ``http.server`` and
 on first access to one of its names rather than with this package.
 """
 
-from repro.experiments.parallel import CellTiming, ParallelRunner
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.results import (
     CellResult,
     SweepResults,
@@ -52,7 +52,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "CellResult",
-    "CellTiming",
     "Coordinator",
     "CoordinatorServer",
     "HttpTransport",

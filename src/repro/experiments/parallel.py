@@ -169,23 +169,6 @@ class Supervision:
         return self.backoff_base * self.backoff_factor ** attempt
 
 
-@dataclass(frozen=True)
-class CellTiming:
-    """Wall-clock cost of one (scenario, policy, seed) simulation.
-
-    Attributes:
-        label: Scenario label.
-        policy: Policy name.
-        seed: Workload seed.
-        seconds: Wall seconds the cell took inside its worker.
-    """
-
-    label: str
-    policy: str
-    seed: int
-    seconds: float
-
-
 def _run_cell(payload: _CellPayload, attempt: int = 0) -> CellResult:
     """Execute one matrix cell (in a pool worker, or in-process for
     serial runs).
@@ -228,13 +211,6 @@ def _run_cell(payload: _CellPayload, attempt: int = 0) -> CellResult:
             for name in DECISION_COUNTER_FIELDS
         },
     )
-
-
-def _run_cell_supervised(
-    payload: _CellPayload, attempt: int
-) -> CellResult:
-    """Worker entry point for one supervised (per-cell) submission."""
-    return _run_cell(payload, attempt)
 
 
 def _warm_worker(
@@ -348,17 +324,6 @@ class ParallelRunner:
     Attributes:
         workers: Worker process count; ``None`` auto-sizes to the CPU
             count.  ``1`` always runs serially in-process.
-        last_timings: Per-cell wall-clock timings of the most recent
-            :meth:`run_supervised` call, in submission order (spec,
-            then policy, then seed) — not completion order.
-        last_cells: The cells (:class:`CellResult`) of the most recent
-            :meth:`run_supervised` call, in submission order.
-        last_sweep: The :class:`~repro.experiments.results.
-            SweepResults` accumulator of the most recent
-            :meth:`run_supervised` call (``None`` before the first) —
-            exposes :meth:`~repro.experiments.results.SweepResults.
-            cache_stats` and :meth:`~repro.experiments.results.
-            SweepResults.worker_pids` for telemetry consumers.
         last_mode: ``"parallel"`` or ``"serial"`` — which path the most
             recent :meth:`run_supervised` call actually took (a pool
             that could not be rebuilt mid-sweep reports ``"serial"``,
@@ -379,9 +344,6 @@ class ParallelRunner:
         #: (via the initializer) — the testing seam that makes the
         #: failure paths below reproducible.  ``None`` in production.
         self.fault_plan = fault_plan
-        self.last_timings: List[CellTiming] = []
-        self.last_cells: List[CellResult] = []
-        self.last_sweep: Optional[SweepResults] = None
         self.last_mode: str = "serial"
         #: Warm probes whose barrier rendezvous timed out in the most
         #: recent :meth:`start_pool` (0 = every worker rendezvoused).
@@ -599,9 +561,12 @@ class ParallelRunner:
                 built when omitted.
             on_cell / on_failure: Optional callbacks invoked the
                 moment each cell result / quarantined failure is
-                folded in — the checkpoint-journal seam.  An
-                ``on_failure`` that raises aborts the sweep; that is
-                how :func:`repro.experiments.runner.run_matrix` fails
+                folded in — the checkpoint-journal seam.
+                ``on_failure(failure, exc)`` also receives the
+                exception that ended the cell's last attempt
+                (``None`` for a timeout).  An ``on_failure`` that
+                raises aborts the sweep; that is how
+                :func:`repro.experiments.runner.run_matrix` fails
                 fast.
 
         Returns:
@@ -631,7 +596,7 @@ class ParallelRunner:
 
         def quarantine(
             payload: _CellPayload, attempts: int, kind: str,
-            message: str,
+            message: str, exc: Optional[BaseException],
         ) -> None:
             failure = CellFailure(
                 index=payload[0],
@@ -644,6 +609,8 @@ class ParallelRunner:
                 message=message,
             )
             acc.add_failure(failure)
+            if on_failure is not None:
+                on_failure(failure, exc)
             print(
                 f"parallel: quarantined cell {failure.index} "
                 f"({failure.label}/{failure.policy}/seed "
@@ -651,8 +618,6 @@ class ParallelRunner:
                 f"[{kind}] {message}",
                 file=sys.stderr,
             )
-            if on_failure is not None:
-                on_failure(failure)
 
         installed_parent_plan = False
         if self.fault_plan is not None:
@@ -693,16 +658,6 @@ class ParallelRunner:
             self.fault_plan = prior_plan
             if installed_parent_plan:
                 faults.clear_plan()
-        cells = acc.cells()
-        self.last_sweep = acc
-        self.last_cells = cells
-        self.last_timings = [
-            CellTiming(
-                label=c.label, policy=c.policy, seed=c.seed,
-                seconds=c.seconds,
-            )
-            for c in cells
-        ]
         return acc
 
     def _supervise_serial(
@@ -728,7 +683,7 @@ class ParallelRunner:
                 if attempt >= sup.max_retries:
                     quarantine(
                         payload, attempt + 1, "error",
-                        f"{type(exc).__name__}: {exc}",
+                        f"{type(exc).__name__}: {exc}", exc,
                     )
                     return
                 delay = sup.backoff(attempt)
@@ -805,12 +760,12 @@ class ParallelRunner:
 
         def charge(
             payload: _CellPayload, attempt: int, kind: str,
-            message: str,
+            message: str, exc: Optional[BaseException],
         ) -> None:
             """Count a failed attempt: retry after backoff, or
             quarantine once the budget is spent."""
             if attempt >= sup.max_retries:
-                quarantine(payload, attempt + 1, kind, message)
+                quarantine(payload, attempt + 1, kind, message, exc)
                 return
             delay = sup.backoff(attempt)
             if delay:
@@ -826,7 +781,7 @@ class ParallelRunner:
                 if sup.cell_timeout is not None else None
             )
             try:
-                future = pool.submit(_run_cell_supervised, payload, attempt)
+                future = pool.submit(_run_cell, payload, attempt)
             except BrokenProcessPool:
                 source.appendleft((payload, attempt))
                 return False
@@ -894,7 +849,7 @@ class ParallelRunner:
                         if alone:
                             charge(
                                 payload, attempt, "crash",
-                                f"{type(exc).__name__}: {exc}",
+                                f"{type(exc).__name__}: {exc}", exc,
                             )
                         else:
                             suspects.append((payload, attempt))
@@ -903,7 +858,7 @@ class ParallelRunner:
                     except Exception as exc:
                         charge(
                             payload, attempt, "error",
-                            f"{type(exc).__name__}: {exc}",
+                            f"{type(exc).__name__}: {exc}", exc,
                         )
                     else:
                         record_cell(cell)
@@ -930,7 +885,7 @@ class ParallelRunner:
                         charge(
                             payload, attempt, "timeout",
                             f"cell exceeded the {sup.cell_timeout}s "
-                            f"wall-clock timeout",
+                            f"wall-clock timeout", None,
                         )
                     for payload, attempt, _deadline in inflight.values():
                         queue.append((payload, attempt))

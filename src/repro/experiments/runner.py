@@ -46,11 +46,11 @@ def _run_fail_fast(
         raise ValueError("workers must be >= 0 (0 = one per CPU)")
     from repro.experiments.parallel import ParallelRunner, Supervision
 
-    def fail(failure) -> None:
+    def fail(failure, exc) -> None:
         raise RuntimeError(
             f"cell {failure.label}/{failure.policy}/seed {failure.seed} "
             f"failed [{failure.kind}]: {failure.message}"
-        )
+        ) from exc
 
     acc = ParallelRunner(workers=workers or None).run_supervised(
         specs, policies, soc,

@@ -111,8 +111,8 @@ def decision_summary(cells) -> str:
     policy) cell group.
 
     ``cells`` is a sequence of :class:`~repro.experiments.results.
-    CellResult` (the streaming executor's per-cell stream, e.g.
-    ``ParallelRunner.last_cells``); seeds of the same (scenario,
+    CellResult` (e.g. :meth:`~repro.experiments.results.SweepResults.
+    cells` of a finished sweep); seeds of the same (scenario,
     policy) pair are summed.  Columns: policy consultations
     (``decisions``), plans that mutated state vs no-ops, total
     controller actions, and the allocation-epoch cache reuse ratio

@@ -1,4 +1,4 @@
-"""Shared fixtures for the simulator-level tests."""
+"""Shared fixtures for the simulator- and executor-level tests."""
 
 import pytest
 
@@ -48,6 +48,44 @@ def make_task(
         qos_target_cycles=qos_target,
         isolated_cycles=isolated,
     )
+
+
+def _serial_reference(specs, policies=None, soc=None):
+    """The evaluation matrix built the plainest way: a loop over
+    ``run_cell`` that assembles each ``ScenarioResult`` directly.
+
+    Executor tests compare against this rather than against
+    ``run_matrix``, which is itself the executor.
+    """
+    from repro.experiments.runner import (
+        ScenarioResult,
+        default_policies,
+        run_cell,
+    )
+    from repro.scenarios import resolve_scenarios
+
+    if policies is None:
+        policies = default_policies()
+    return {
+        spec.label: {
+            name: ScenarioResult(
+                policy=name,
+                spec=spec,
+                per_seed=tuple(
+                    run_cell(spec, name, factory, seed, soc)
+                    for seed in spec.seeds
+                ),
+            )
+            for name, factory in policies.items()
+        }
+        for spec in resolve_scenarios(specs)
+    }
+
+
+@pytest.fixture(scope="session")
+def serial_reference():
+    """:func:`_serial_reference`, the executor-free serial matrix."""
+    return _serial_reference
 
 
 @pytest.fixture()

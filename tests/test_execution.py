@@ -37,7 +37,7 @@ from repro.experiments.results import (
     cell_manifest,
     failure_from_dict,
 )
-from repro.experiments.runner import ScenarioSpec, run_matrix
+from repro.experiments.runner import ScenarioSpec
 from repro.experiments.sharding import (
     CellJournal,
     ShardPlan,
@@ -57,8 +57,8 @@ def manifest():
 
 
 @pytest.fixture(scope="module")
-def serial_matrix():
-    return run_matrix(TINY_SPECS)
+def serial_matrix(serial_reference):
+    return serial_reference(TINY_SPECS)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import pytest
 from repro.baselines import PremaPolicy
 from repro.config import DEFAULT_SOC
 from repro.core.policy import MoCAPolicy
-from repro.experiments.parallel import CellTiming, ParallelRunner
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import (
     POLICY_ORDER,
     ScenarioSpec,
@@ -29,8 +29,8 @@ SPEC = ScenarioSpec(
 
 
 @pytest.fixture(scope="module")
-def serial_cell():
-    return run_scenario(SPEC)
+def serial_cell(serial_reference):
+    return serial_reference([SPEC])[SPEC.label]
 
 
 class RaisingPolicy(Policy):
@@ -78,26 +78,22 @@ class TestParallelDeterminism:
         for policy in POLICY_ORDER:
             assert cell[policy].per_seed == serial_cell[policy].per_seed
 
-    def test_non_picklable_policy_falls_back_to_serial(self):
+    def test_non_picklable_policy_falls_back_to_serial(self, serial_cell):
         runner = ParallelRunner(workers=2)
         policies = {"moca": lambda: MoCAPolicy()}  # lambdas don't pickle
         cell = runner.run_supervised(
             [SPEC], policies=policies
         ).matrix()[SPEC.label]
         assert runner.last_mode == "serial"
-        assert cell["moca"].per_seed == run_scenario(
-            SPEC, policies=default_policies()
-        )["moca"].per_seed
+        assert cell["moca"].per_seed == serial_cell["moca"].per_seed
 
     def test_per_cell_timings_recorded(self):
         runner = ParallelRunner(workers=2)
-        runner.run_supervised([SPEC])
-        cells = len(default_policies()) * len(SPEC.seeds)
-        assert len(runner.last_timings) == cells
-        for timing in runner.last_timings:
-            assert isinstance(timing, CellTiming)
-            assert timing.label == SPEC.label
-            assert timing.seconds >= 0
+        cells = runner.run_supervised([SPEC]).cells()
+        assert len(cells) == len(default_policies()) * len(SPEC.seeds)
+        for cell in cells:
+            assert cell.label == SPEC.label
+            assert cell.seconds >= 0
 
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -120,6 +116,9 @@ class TestLibraryFailFast:
         assert f"cell {SPEC.label}/raising/seed " in message
         assert "[error]" in message
         assert "ValueError: decide exploded" in message
+        # The original exception stays attached as the cause.
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == "decide exploded"
 
 
 def _tasks(num_tasks=12, seed=3):

@@ -17,7 +17,6 @@ from repro.experiments.results import (
 from repro.experiments.runner import (
     ScenarioSpec,
     default_policies,
-    run_matrix,
 )
 from repro.scenarios import ScenarioSpec as RegistrySpec
 from repro.sim.qos import QosLevel
@@ -35,8 +34,8 @@ SPECS = [
 
 
 @pytest.fixture(scope="module")
-def serial_matrix():
-    return run_matrix(SPECS)
+def serial_matrix(serial_reference):
+    return serial_reference(SPECS)
 
 
 @pytest.fixture(scope="module")
@@ -96,14 +95,10 @@ class TestIterCells:
     def test_run_matrix_records_cells_in_submission_order(
         self, serial_matrix
     ):
-        runner = ParallelRunner(workers=2)
-        matrix = runner.run_supervised(SPECS).matrix()
-        assert [c.index for c in runner.last_cells] == list(
-            range(len(runner.last_cells))
-        )
-        assert [t.seconds for t in runner.last_timings] == [
-            c.seconds for c in runner.last_cells
-        ]
+        acc = ParallelRunner(workers=2).run_supervised(SPECS)
+        matrix = acc.matrix()
+        cells = acc.cells()
+        assert [c.index for c in cells] == list(range(len(cells)))
         for label, cell in serial_matrix.items():
             for policy, result in cell.items():
                 assert matrix[label][policy].per_seed == result.per_seed

@@ -20,7 +20,6 @@ import pytest
 from repro.config import DEFAULT_SOC
 from repro.core.policy import MoCAPolicy
 from repro.experiments.parallel import ParallelRunner, matrices_identical
-from repro.experiments.runner import run_matrix
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.scenarios import ScenarioSpec, get_scenario, sample_model_mix
 from repro.sim.engine import run_simulation
@@ -108,12 +107,14 @@ class TestSimulationConservation:
 
 
 class TestSerialParallelIdentity:
-    def test_registry_scenarios_bit_identical_across_workers(self):
+    def test_registry_scenarios_bit_identical_across_workers(
+        self, serial_reference
+    ):
         specs = [
             replace(get_scenario(name), num_tasks=10, seeds=(1,))
             for name in ("bursty-mixed", "diurnal-light")
         ]
-        serial = run_matrix(specs)
+        serial = serial_reference(specs)
         runner = ParallelRunner(workers=2)
         parallel = runner.run_supervised(specs).matrix()
         assert matrices_identical(serial, parallel)

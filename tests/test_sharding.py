@@ -16,7 +16,7 @@ from repro.experiments.results import (
     cell_manifest,
     cell_to_dict,
 )
-from repro.experiments.runner import default_policies, run_matrix
+from repro.experiments.runner import default_policies
 from repro.experiments.faults import FaultPlan
 from repro.experiments.sharding import (
     JOURNAL_NAME,
@@ -52,8 +52,8 @@ def manifest():
 
 
 @pytest.fixture(scope="module")
-def serial_matrix():
-    return run_matrix(SPECS)
+def serial_matrix(serial_reference):
+    return serial_reference(SPECS)
 
 
 @pytest.fixture(scope="module")
@@ -394,7 +394,7 @@ class TestShardMergeProperty:
     shuffled partials reproduces the unsharded sweep exactly."""
 
     @pytest.mark.parametrize("case", range(4))
-    def test_random_specs_any_shard_count(self, case):
+    def test_random_specs_any_shard_count(self, case, serial_reference):
         from dataclasses import replace
 
         from test_scenario_properties import random_spec
@@ -415,7 +415,7 @@ class TestShardMergeProperty:
         ]
         rng.shuffle(partials)
         merged = SweepResults.from_partials(partials).matrix()
-        serial = run_matrix(specs)
+        serial = serial_reference(specs)
         assert sweep_to_json(merged) == sweep_to_json(serial)
         assert sweep_to_csv(merged) == sweep_to_csv(serial)
 

@@ -16,7 +16,6 @@ from repro.experiments.results import SweepResults
 from repro.experiments.runner import (
     POLICY_ORDER,
     ScenarioSpec,
-    run_matrix,
 )
 from repro.sim.qos import QosLevel
 
@@ -32,8 +31,8 @@ FAST = dict(backoff_base=0.0)
 
 
 @pytest.fixture(scope="module")
-def serial_matrix():
-    return run_matrix([SPEC])
+def serial_matrix(serial_reference):
+    return serial_reference([SPEC])
 
 
 def _supervised(plan=None, workers=1, **kwargs):
