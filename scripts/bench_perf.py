@@ -92,7 +92,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.results import (
     DECISION_COUNTER_FIELDS,
-    SweepResults,
     cell_manifest,
 )
 from repro.experiments.runner import (
@@ -106,7 +105,7 @@ from repro.experiments.execution import (
     InProcessTransport,
     SweepWorker,
 )
-from repro.experiments.sharding import run_shard
+from repro.experiments.sharding import merge_partials, run_shard
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.models.zoo import workload_set
 from repro.sim.engine import Simulator
@@ -353,7 +352,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # is gated (floor 0.67: dynamic leasing may cost at most ~1.5x
     # the static planner's wall total, in practice it is ~1.0).
     # max per-worker busy seconds projects a 2-worker distributed run.
-    coordinator = Coordinator(manifest, lease_ttl=None, workers_hint=2)
+    coordinator = Coordinator(manifest, lease_ttl=None)
     coord_transport = InProcessTransport(coordinator)
     bench_workers = [
         SweepWorker(coord_transport, worker_id=name, runner=runner)
@@ -395,7 +394,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "coordinator:     stalled",
         file=sys.stderr,
     )
-    merged_matrix = SweepResults.from_partials(shard_partials).matrix()
+    merged_matrix = merge_partials(shard_partials).matrix()
     shards_identical = matrices_identical(serial_matrix, merged_matrix)
     shard_seconds = [
         p["shard"]["wall_seconds"] for p in shard_partials

@@ -164,6 +164,27 @@ echo "== coordinator gate (in-process lease stealing, byte-exact) =="
 # byte-identical to the serial matrix.  Asserted inside the script.
 python scripts/coordinator_gate.py
 
+# coordinator_url DIR PID: wait for the coordinator PID serving into
+# DIR to publish coordinator.json and print its URL (kill it and fail
+# if it never does).
+coordinator_url() {
+    local url=""
+    for _ in $(seq 1 100); do
+        if [ -f "$1/coordinator.json" ]; then
+            url=$(python -c "import json,sys;print(json.load(open(sys.argv[1]))['url'])" \
+                "$1/coordinator.json" 2>/dev/null || true)
+            [ -n "$url" ] && break
+        fi
+        sleep 0.1
+    done
+    if [ -z "$url" ]; then
+        echo "FAIL: coordinator never published $1/coordinator.json" >&2
+        kill "$2" 2>/dev/null || true
+        exit 1
+    fi
+    echo "$url"
+}
+
 echo "== distributed sweep (coordinator + 2 HTTP workers, one killed) =="
 # ISSUE acceptance gate: 'sweep --serve' plus two real 'sweep --worker'
 # processes over HTTP; the first worker is killed mid-run by an
@@ -176,20 +197,7 @@ python -m repro.cli sweep \
     --serve --lease-ttl 2 \
     --out "$EXPORT_TMP/coord" --format json,csv &
 SERVE_PID=$!
-URL=""
-for _ in $(seq 1 100); do
-    if [ -f "$EXPORT_TMP/coord/coordinator.json" ]; then
-        URL=$(python -c "import json,sys;print(json.load(open(sys.argv[1]))['url'])" \
-            "$EXPORT_TMP/coord/coordinator.json" 2>/dev/null || true)
-        [ -n "$URL" ] && break
-    fi
-    sleep 0.1
-done
-if [ -z "$URL" ]; then
-    echo "FAIL: coordinator never published coordinator.json" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
-    exit 1
-fi
+URL=$(coordinator_url "$EXPORT_TMP/coord" "$SERVE_PID")
 rc=0
 python -m repro.cli sweep --worker "$URL" \
     --inject-faults 'crash:cells=5' || rc=$?
@@ -205,5 +213,41 @@ if ! wait "$SERVE_PID"; then
 fi
 diff -r "$EXPORT_TMP/coord" "$EXPORT_TMP/serial"
 echo "distributed sweep byte-identical"
+
+echo "== degraded coordinator -> re-serve (exit 3 -> --resume --serve, byte-exact) =="
+# A worker that quarantines a poison cell degrades the served sweep:
+# the coordinator drains, exits 3 and leaves its journal.  Re-serving
+# the directory with 'sweep --resume DIR --serve' must re-lease only
+# the quarantined cell to a clean worker, exit 0, and write exports
+# byte-identical to the unsharded serial reference.
+python -m repro.cli sweep \
+    --scenarios bursty-mixed,diurnal-light \
+    --tasks 16 --seeds 1,2 \
+    --serve --out "$EXPORT_TMP/reserve" --format json,csv &
+SERVE_PID=$!
+URL=$(coordinator_url "$EXPORT_TMP/reserve" "$SERVE_PID")
+python -m repro.cli sweep --worker "$URL" \
+    --inject-faults 'transient:cells=5:attempts=all' --max-retries 0
+rc=0
+wait "$SERVE_PID" || rc=$?
+if [ "$rc" -ne 3 ]; then
+    echo "FAIL: degraded coordinator exited $rc, expected 3" >&2
+    exit 1
+fi
+if [ ! -f "$EXPORT_TMP/reserve/cells.jsonl" ]; then
+    echo "FAIL: degraded coordinator left no checkpoint journal" >&2
+    exit 1
+fi
+python -m repro.cli sweep --resume "$EXPORT_TMP/reserve" --serve \
+    --format json,csv &
+SERVE_PID=$!
+URL=$(coordinator_url "$EXPORT_TMP/reserve" "$SERVE_PID")
+python -m repro.cli sweep --worker "$URL"
+if ! wait "$SERVE_PID"; then
+    echo "FAIL: re-served coordinator exited non-zero" >&2
+    exit 1
+fi
+diff -r "$EXPORT_TMP/reserve" "$EXPORT_TMP/serial"
+echo "degraded coordinator -> re-serve byte-identical"
 
 echo "CI OK"

@@ -425,19 +425,18 @@ def _sweep_runner(args):
     return ParallelRunner(workers=args.workers or None)
 
 
-def _supervised_sweep(specs, args, out=None, manifest=None, acc=None,
-                      indices=None) -> Tuple[object, int]:
-    """Run ``specs`` under supervision, journaling into ``out`` when
-    exporting.  Shared by the fresh-sweep and resume paths.
+def _supervised_sweep(specs, args, out=None, manifest=None, acc=None):
+    """Run the cells of ``specs`` that ``acc`` still lacks under
+    supervision, journaling into ``out`` when exporting.  Shared by
+    the fresh-sweep and resume paths.
 
-    Returns ``(accumulator, exit_code)``; when the accumulator is
-    complete the caller owns writing exports (the journal is already
-    discarded so the directory matches a fault-free run's bytes).
+    Returns ``(accumulator, discard)`` for :func:`_finish_sweep`:
+    the journal is closed but left on disk, and ``discard`` deletes
+    it (``None`` without ``out``).
     """
     from repro.config import DEFAULT_SOC
-    from repro.experiments.parallel import ParallelRunner
     from repro.experiments.results import cell_manifest
-    from repro.experiments.sharding import CellJournal
+    from repro.experiments.sharding import JOURNAL_NAME, CellJournal
     from repro.reporting import decision_summary
 
     supervision = _build_supervision(args)
@@ -449,8 +448,6 @@ def _supervised_sweep(specs, args, out=None, manifest=None, acc=None,
             manifest = cell_manifest(specs)
         out.mkdir(parents=True, exist_ok=True)
         if args.force:
-            from repro.experiments.sharding import JOURNAL_NAME
-
             stale = out / JOURNAL_NAME
             if stale.is_file():
                 stale.unlink()
@@ -475,8 +472,7 @@ def _supervised_sweep(specs, args, out=None, manifest=None, acc=None,
     runner = _sweep_runner(args)
     try:
         acc = runner.run_supervised(
-            specs, policies, indices=indices,
-            supervision=supervision, acc=acc,
+            specs, policies, supervision=supervision, acc=acc,
             on_cell=on_cell, on_failure=on_failure,
         )
     finally:
@@ -484,9 +480,35 @@ def _supervised_sweep(specs, args, out=None, manifest=None, acc=None,
             journal.close()
     if args.decisions:
         print(decision_summary(acc.cells()), file=sys.stderr)
-    if acc.complete and journal is not None:
-        journal.discard()
-    return acc, (EXIT_OK if acc.complete else EXIT_DEGRADED)
+    return acc, (journal.discard if journal is not None else None)
+
+
+def _finish_sweep(acc, args, out, discard=None) -> Tuple[str, int]:
+    """The one ending of the local, resume and serve paths.
+
+    A degraded sweep returns the failure report (exit 3) and keeps
+    its journal for ``sweep --resume``.  A complete one deletes the
+    journal (``discard``) — scaffolding must not make the export
+    directory differ from a fault-free run's bytes — writes the
+    exports when ``out`` is set, and returns the summary (exit 0).
+    """
+    from repro.reporting import per_scenario_summary
+
+    if not acc.complete:
+        return _failure_report(acc, out_dir=out), EXIT_DEGRADED
+    if discard is not None:
+        discard()
+    matrix = acc.matrix()
+    if out is not None:
+        written = _write_sweep_exports(
+            matrix, acc.specs, out, args.formats or _EXPORT_FORMATS,
+            policies=acc.policies, clean=args.force,
+        )
+        print(
+            f"sweep: wrote {len(written)} file(s) to {out}",
+            file=sys.stderr,
+        )
+    return per_scenario_summary(matrix), EXIT_OK
 
 
 def _run_sweep(args) -> Tuple[str, int]:
@@ -498,7 +520,6 @@ def _run_sweep(args) -> Tuple[str, int]:
     SystemExit)."""
     from dataclasses import replace
 
-    from repro.reporting import per_scenario_summary
     from repro.scenarios import format_scenario_table, get_scenario
 
     if args.list_scenarios:
@@ -559,7 +580,7 @@ def _run_sweep(args) -> Tuple[str, int]:
             raise SystemExit(
                 "sweep: --shard cannot be combined with --serve (a "
                 "coordinator leases cells dynamically; static shards "
-                "pre-lease their slice locally)"
+                "plan their slice locally)"
             )
         if args.out is None:
             raise SystemExit(
@@ -630,20 +651,8 @@ def _run_sweep(args) -> Tuple[str, int]:
     # Every sweep runs supervised: cell failures are retried with
     # backoff and — when persistent — quarantined, so one poison cell
     # degrades the sweep (exit 3) instead of aborting it.
-    acc, code = _supervised_sweep(specs, args, out=out)
-    if code != EXIT_OK:
-        return _failure_report(acc, out_dir=out), code
-    matrix = acc.matrix()
-    if out is not None:
-        written = _write_sweep_exports(
-            matrix, specs, out, args.formats or _EXPORT_FORMATS,
-            clean=args.force,
-        )
-        print(
-            f"sweep: wrote {len(written)} file(s) to {args.out}",
-            file=sys.stderr,
-        )
-    return per_scenario_summary(matrix), EXIT_OK
+    acc, discard = _supervised_sweep(specs, args, out=out)
+    return _finish_sweep(acc, args, out, discard)
 
 
 def _run_sweep_shard(specs, args) -> Tuple[str, int]:
@@ -704,148 +713,45 @@ def _run_sweep_shard(specs, args) -> Tuple[str, int]:
     return status, EXIT_OK
 
 
-def _load_resume_state(out):
-    """Reconstruct ``(manifest, specs, acc)`` from what an interrupted
-    sweep left in ``out`` — ``manifest.json`` (or the checkpoint
-    journal's embedded manifest), any ``partial-*.json`` shard
-    artifacts, and the ``cells.jsonl`` journal.  Everything is
-    digest-checked against the manifest, so resuming against the
-    wrong directory (or a tampered journal) is refused up front.
-    Shared by ``sweep --resume`` and ``sweep --resume --serve``.
-    """
-    import json
+def _load_resume_dir(args):
+    """``sweep --resume DIR``: the directory and what it holds,
+    ``(out, manifest, specs, acc)`` (see
+    :func:`~repro.experiments.sharding.load_sweep_dir`), with every
+    refusal a one-line exit."""
+    from pathlib import Path
 
-    from repro.experiments.results import SweepResults
-    from repro.experiments.sharding import (
-        JOURNAL_NAME,
-        CellJournal,
-        manifest_digest,
-        manifest_specs,
-        partial_from_json,
-    )
+    from repro.experiments.sharding import load_sweep_dir
 
-    journal_path = out / JOURNAL_NAME
-    partial_files = sorted(out.glob("partial-*.json"))
-    manifest_path = out / "manifest.json"
-    manifest = None
-    if manifest_path.is_file():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, ValueError) as exc:
-            raise SystemExit(
-                f"sweep: {manifest_path} is not readable JSON ({exc})"
-            ) from exc
-    elif journal_path.is_file():
-        try:
-            manifest = CellJournal._read_header(journal_path)["manifest"]
-        except ValueError as exc:
-            raise SystemExit(f"sweep: {exc}") from exc
-    if manifest is None and not partial_files:
-        raise SystemExit(
-            f"sweep: nothing to resume in {out} (no manifest.json, "
-            f"no {JOURNAL_NAME}, no partial-*.json)"
-        )
-    partials = []
-    for path in partial_files:
-        try:
-            partials.append(partial_from_json(path.read_text()))
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"sweep: {path}: {exc}") from exc
-    if manifest is None:
-        manifest = partials[0]["manifest"]
+    out = Path(args.resume)
+    if not out.is_dir():
+        raise SystemExit(f"sweep: --resume {out} is not a directory")
     try:
-        specs = manifest_specs(manifest)
+        return (out, *load_sweep_dir(out))
     except ValueError as exc:
-        raise SystemExit(f"sweep: {out}: {exc}") from exc
-    digest = manifest_digest(manifest)
-    for path, partial in zip(partial_files, partials):
-        if partial["manifest_digest"] != digest:
-            raise SystemExit(
-                f"sweep: {path} belongs to a different sweep "
-                f"(manifest digest {partial['manifest_digest'][:12]} "
-                f"vs {digest[:12]})"
-            )
-    if partials:
-        try:
-            acc = SweepResults.from_partials(
-                partials, require_complete=False
-            )
-        except ValueError as exc:
-            raise SystemExit(f"sweep: {out}: {exc}") from exc
-    else:
-        acc = SweepResults(specs, list(manifest["policies"]))
-    if journal_path.is_file():
-        import dataclasses as _dc
-
-        from repro.config import DEFAULT_SOC
-
-        try:
-            cells, failures, _skipped = CellJournal.read(
-                journal_path, digest, _dc.asdict(DEFAULT_SOC)
-            )
-        except ValueError as exc:
-            raise SystemExit(f"sweep: {exc}") from exc
-        for cell in cells:
-            if not acc.has_cell(cell.index):
-                acc.add(cell)
-        for failure in failures:
-            acc.add_failure(failure)
-    return manifest, specs, acc
+        raise SystemExit(f"sweep: {exc}") from exc
 
 
 def _run_sweep_resume(args) -> Tuple[str, int]:
     """``sweep --resume DIR``: finish an interrupted or degraded sweep.
 
-    Reconstructs the sweep from what DIR holds (see
-    :func:`_load_resume_state`), then re-runs *only* the
-    still-missing cells (quarantined failures included) and writes
-    the full exports.  By retry-determinism the final exports are
-    byte-identical to an uninterrupted fault-free sweep.
+    Reconstructs the sweep from what DIR holds, then re-runs *only*
+    the still-missing cells (quarantined failures included) and
+    writes the full exports.  By retry-determinism the final exports
+    are byte-identical to an uninterrupted fault-free sweep.
     """
-    from pathlib import Path
-
-    from repro.experiments.sharding import (
-        JOURNAL_NAME,
-        CellJournal,
-        manifest_digest,
-    )
-    from repro.reporting import per_scenario_summary
-
-    out = Path(args.resume)
-    if not out.is_dir():
-        raise SystemExit(f"sweep: --resume {out} is not a directory")
     if args.workers < 0:
         raise SystemExit("sweep: --workers must be >= 0 (0 = one per CPU)")
-    manifest, specs, acc = _load_resume_state(out)
-    digest = manifest_digest(manifest)
-    journal_path = out / JOURNAL_NAME
-    todo = acc.missing_indices()
+    out, manifest, specs, acc = _load_resume_dir(args)
     print(
         f"sweep: resuming {out}: {len(acc)} of {acc.expected} cells "
         f"checkpointed, {len(acc.failed_indices())} quarantined, "
-        f"re-running {len(todo)}",
+        f"re-running {len(acc.missing_indices())}",
         file=sys.stderr,
     )
-    if todo:
-        acc, code = _supervised_sweep(
-            specs, args, out=out, manifest=manifest, acc=acc,
-            indices=todo,
-        )
-        if code != EXIT_OK:
-            return _failure_report(acc, out_dir=out), code
-    elif journal_path.is_file():
-        # Fully checkpointed — only the exports were lost.
-        CellJournal(journal_path, digest).discard()
-    matrix = acc.matrix()
-    written = _write_sweep_exports(
-        matrix, specs, out, args.formats or _EXPORT_FORMATS,
-        policies=list(manifest["policies"]),
+    acc, discard = _supervised_sweep(
+        specs, args, out=out, manifest=manifest, acc=acc,
     )
-    print(
-        f"sweep: wrote {len(written)} file(s) to {out}",
-        file=sys.stderr,
-    )
-    return per_scenario_summary(matrix), EXIT_OK
+    return _finish_sweep(acc, args, out, discard)
 
 
 def _run_sweep_serve(args, specs=None) -> Tuple[str, int]:
@@ -864,8 +770,7 @@ def _run_sweep_serve(args, specs=None) -> Tuple[str, int]:
     ``specs`` is the fresh-serve scenario list; ``None`` means the
     resume path (``args.resume`` names the directory).
     """
-    import json
-    from pathlib import Path
+    import math
 
     from repro.config import DEFAULT_SOC
     from repro.experiments.execution import (
@@ -873,20 +778,15 @@ def _run_sweep_serve(args, specs=None) -> Tuple[str, int]:
         CoordinatorServer,
     )
     from repro.experiments.results import cell_manifest
-    from repro.reporting import decision_summary, per_scenario_summary
+    from repro.reporting import decision_summary
 
-    if args.lease_ttl is not None and args.lease_ttl <= 0:
-        raise SystemExit("sweep: --lease-ttl must be positive")
+    if args.lease_ttl is not None and not 0 < args.lease_ttl < math.inf:
+        raise SystemExit("sweep: --lease-ttl must be positive and finite")
     if args.lease_cost is not None and args.lease_cost < 1:
         raise SystemExit("sweep: --lease-cost must be >= 1")
     acc = None
     if specs is None:
-        out = Path(args.resume)
-        if not out.is_dir():
-            raise SystemExit(
-                f"sweep: --resume {out} is not a directory"
-            )
-        manifest, specs, acc = _load_resume_state(out)
+        out, manifest, specs, acc = _load_resume_dir(args)
         print(
             f"sweep: re-serving {out}: {len(acc)} of {acc.expected} "
             f"cells checkpointed, "
@@ -956,9 +856,9 @@ def _run_sweep_serve(args, specs=None) -> Tuple[str, int]:
         interrupted = True
     finally:
         server.stop()
+        coordinator.close()
     acc = coordinator.acc
     if interrupted:
-        coordinator.close()
         raise SystemExit(
             f"sweep: coordinator interrupted with {len(acc)} of "
             f"{acc.expected} cells done; accepted work is "
@@ -973,20 +873,7 @@ def _run_sweep_serve(args, specs=None) -> Tuple[str, int]:
             f"warm-up rendezvous timeout(s)",
             file=sys.stderr,
         )
-    if not acc.complete:
-        coordinator.close()
-        return _failure_report(acc, out_dir=out), EXIT_DEGRADED
-    coordinator.discard_journal()
-    matrix = acc.matrix()
-    written = _write_sweep_exports(
-        matrix, specs, out, args.formats or _EXPORT_FORMATS,
-        policies=list(manifest["policies"]), clean=args.force,
-    )
-    print(
-        f"sweep: wrote {len(written)} file(s) to {out}",
-        file=sys.stderr,
-    )
-    return per_scenario_summary(matrix), EXIT_OK
+    return _finish_sweep(acc, args, out, coordinator.discard_journal)
 
 
 def _run_sweep_worker(args) -> Tuple[str, int]:
@@ -1056,8 +943,7 @@ def _run_merge(args) -> str:
     the byte-identical export files."""
     from pathlib import Path
 
-    from repro.experiments.results import SweepResults
-    from repro.experiments.sharding import partial_from_json
+    from repro.experiments.sharding import merge_partials, partial_from_json
     from repro.reporting import per_scenario_summary
 
     if args.formats is not None and args.out is None:
@@ -1097,7 +983,7 @@ def _run_merge(args) -> str:
             # both map to the same clean one-line refusal.
             raise SystemExit(f"merge: {path}: {exc}") from exc
     try:
-        acc = SweepResults.from_partials(partials)
+        acc = merge_partials(partials)
     except ValueError as exc:
         raise SystemExit(f"merge: {exc}") from exc
     if args.out is not None:

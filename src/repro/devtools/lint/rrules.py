@@ -18,10 +18,10 @@ This module checks it statically, per class, for classes carrying a
   This is the "every public verb acquires the lock on entry" rule.
 - **R203** — a public method calling, outside the lock, a private
   helper that needs the lock held.  Private helpers are *assumed*
-  lock-held (the ``_sync_journal`` pattern: acquire in the verb,
-  share the helper), and the assumption is discharged at every call
-  site; needing-the-lock propagates transitively through
-  private-to-private calls.
+  lock-held (the coordinator's ``_worker_record`` pattern: acquire
+  in the verb, share the helper), and the assumption is discharged
+  at every call site; needing-the-lock propagates transitively
+  through private-to-private calls.
 
 Domination is lexical: a ``with self.<lock>:`` block covers its body,
 including nested function definitions (the callback pattern).  The

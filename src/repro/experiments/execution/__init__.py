@@ -4,7 +4,7 @@ Layers (each importable on its own):
 
 - :mod:`~repro.experiments.execution.leases` — the work ledger:
   per-cell lease state over the manifest, cost-aware batches,
-  heartbeat expiry, deterministic replay from an op log.
+  heartbeat expiry.
 - :mod:`~repro.experiments.execution.transport` — the transport
   seam: four protocol verbs, in-process and HTTP implementations.
 - :mod:`~repro.experiments.execution.coordinator` — the ledger
@@ -12,18 +12,19 @@ Layers (each importable on its own):
 - :mod:`~repro.experiments.execution.worker` — the worker loop:
   lease → execute → submit → heartbeat until drained.
 
-Static ``sweep --shard I/N`` runs through the same ledger
-(:meth:`WorkLedger.pre_lease_shard` + :func:`execute_lease`) as the
-dynamic ``sweep --serve`` / ``sweep --worker URL`` pair — one
-execution code path, byte-identical exports either way.
+Workers execute their leases through the same
+``ParallelRunner.run_supervised`` as local sweeps and static
+``sweep --shard I/N`` runs, and submit the same partial document
+(:func:`~repro.experiments.sharding.build_partial`) that the
+coordinator checks and folds with the shard merge path's
+:func:`~repro.experiments.sharding.fold_partial` — byte-identical
+exports either way.
 """
 
 from repro.experiments.execution.coordinator import (
-    LEASE_PARTIAL_FORMAT,
     STATUS_FORMAT,
     Coordinator,
     CoordinatorServer,
-    build_lease_partial,
 )
 from repro.experiments.execution.leases import (
     COMPLETED,
@@ -42,13 +43,11 @@ from repro.experiments.execution.transport import (
 from repro.experiments.execution.worker import (
     SweepWorker,
     default_worker_id,
-    execute_lease,
 )
 
 __all__ = [
     "COMPLETED",
     "LEASED",
-    "LEASE_PARTIAL_FORMAT",
     "QUARANTINED",
     "STATUS_FORMAT",
     "UNLEASED",
@@ -61,7 +60,5 @@ __all__ = [
     "Transport",
     "TransportError",
     "WorkLedger",
-    "build_lease_partial",
     "default_worker_id",
-    "execute_lease",
 ]

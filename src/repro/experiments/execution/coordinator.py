@@ -9,9 +9,9 @@ four transport verbs:
 - ``lease_request`` — expire overdue leases, grant a cost-aware batch.
 - ``heartbeat`` — renew a lease, absorb worker telemetry (warm-pool
   warmup timeouts ride this channel).
-- ``submit_partial`` — re-validate a worker's lease partial with the
-  same digest/tamper/coverage/overlap refusals the shard merge path
-  enforces, then fold it into the accumulator *incrementally* and
+- ``submit_partial`` — check a worker's partial with the same
+  :func:`~repro.experiments.sharding.fold_partial` the shard merge
+  path uses, then fold it into the accumulator *incrementally* and
   checkpoint every cell to the journal.
 - ``status`` — live progress, per-worker telemetry, and (on request)
   the manifest itself, which is how workers bootstrap.
@@ -24,12 +24,13 @@ expired — hence possibly re-leased — work is refused), and the cells
 must cover exactly the lease's slice.  Refusals raise ``ValueError``
 with one-line messages; the HTTP server maps them to 400 responses.
 
-Crash safety: the journal is PR 6's checksummed
+Crash safety: the journal is the checksummed
 :class:`~repro.experiments.sharding.CellJournal` — every accepted
-cell/failure is appended (and flushed) the moment it folds in, plus
-``lease-op`` audit lines mirroring the ledger's op log.  A killed
-coordinator resumes from the journal (:meth:`Coordinator.resume`)
-re-leasing only the cells without a checkpointed result.
+cell/failure is appended (and flushed) the moment it folds in.  A
+killed coordinator is re-served from its directory
+(:func:`~repro.experiments.sharding.load_sweep_dir` plus
+``Coordinator(acc=...)``), re-leasing only the cells without a
+checkpointed result.
 """
 
 from __future__ import annotations
@@ -41,124 +42,27 @@ import time
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.config import SoCConfig
 from repro.experiments.execution.leases import WorkLedger
-from repro.experiments.results import (
-    CellFailure,
-    CellResult,
-    SweepResults,
-    cell_from_dict,
-    cell_to_dict,
-    failure_from_dict,
-    failure_to_dict,
-)
+from repro.experiments.results import SweepResults
 from repro.experiments.sharding import (
-    JOURNAL_NAME,
     CellJournal,
+    check_partial_shape,
+    fold_partial,
     manifest_digest,
     manifest_specs,
-    verify_stored_digest,
 )
 
 __all__ = [
-    "LEASE_PARTIAL_FORMAT",
     "STATUS_FORMAT",
     "Coordinator",
     "CoordinatorServer",
-    "build_lease_partial",
 ]
-
-#: Format tag of lease partial artifacts (the dynamic-lease analogue
-#: of the static shard's ``repro-sweep-partial/1``).
-LEASE_PARTIAL_FORMAT = "repro-sweep-lease-partial/1"
 
 #: Format tag of coordinator status documents.
 STATUS_FORMAT = "repro-sweep-status/1"
-
-
-def build_lease_partial(
-    manifest: dict,
-    soc_dict: dict,
-    lease: dict,
-    cells: List[CellResult],
-    failures: List[CellFailure],
-) -> dict:
-    """Package one executed lease as a self-describing partial.
-
-    Mirrors the shard partial's shape — embedded manifest, stored
-    digest, recorded SoC — with a ``lease`` section instead of a
-    ``shard`` section, so the coordinator can apply the same
-    compatibility and tamper refusals the merge path uses.
-    """
-    return {
-        "format": LEASE_PARTIAL_FORMAT,
-        "manifest": manifest,
-        "manifest_digest": manifest_digest(manifest),
-        "soc": soc_dict,
-        "lease": {
-            "lease_id": lease["lease_id"],
-            "worker_id": lease["worker_id"],
-            "cell_indices": list(lease["cell_indices"]),
-        },
-        "cells": [cell_to_dict(c) for c in cells],
-        "failures": [failure_to_dict(f) for f in failures],
-    }
-
-
-def _validate_lease_partial_shape(partial: dict) -> None:
-    """Refuse a lease partial missing its top-level structure (the
-    ValueError family — clean one-line errors at the CLI/HTTP edge)."""
-    if not isinstance(partial, dict):
-        raise ValueError(
-            f"not a {LEASE_PARTIAL_FORMAT} document "
-            f"(got {type(partial).__name__})"
-        )
-    if partial.get("format") != LEASE_PARTIAL_FORMAT:
-        raise ValueError(
-            f"not a {LEASE_PARTIAL_FORMAT} document "
-            f"(format={partial.get('format')!r})"
-        )
-    missing = [
-        key
-        for key in (
-            "manifest", "manifest_digest", "soc", "lease", "cells",
-            "failures",
-        )
-        if key not in partial
-    ]
-    if missing:
-        raise ValueError(
-            f"malformed lease partial (missing {missing})"
-        )
-    if (
-        not isinstance(partial["manifest"], dict)
-        or not isinstance(partial["manifest_digest"], str)
-        or not isinstance(partial["soc"], dict)
-        or not isinstance(partial["cells"], list)
-        or not isinstance(partial["failures"], list)
-    ):
-        raise ValueError(
-            "malformed lease partial (wrongly typed manifest/"
-            "manifest_digest/soc/cells/failures)"
-        )
-    lease = partial["lease"]
-    if (
-        not isinstance(lease, dict)
-        or not isinstance(lease.get("lease_id"), int)
-        or isinstance(lease.get("lease_id"), bool)
-        or not isinstance(lease.get("worker_id"), str)
-        or not isinstance(lease.get("cell_indices"), list)
-        or not all(
-            isinstance(i, int) and not isinstance(i, bool)
-            for i in lease["cell_indices"]
-        )
-    ):
-        raise ValueError(
-            "malformed lease partial (incomplete or wrongly typed "
-            "'lease' section)"
-        )
 
 
 # repro-lint: thread-shared lock=_lock guards=ledger,acc,workers
@@ -175,8 +79,6 @@ class Coordinator:
             different SoC are refused (the manifest cannot see this).
         lease_ttl: Seconds between heartbeats before a lease expires;
             ``None`` disables expiry.
-        workers_hint: Expected worker count (sizes default lease
-            batches).
         max_lease_cost: Optional hard cap on a single lease's summed
             cell cost (the ``--lease-cost`` knob).
         out_dir: Directory to journal into (``cells.jsonl``); ``None``
@@ -193,7 +95,6 @@ class Coordinator:
         manifest: dict,
         soc: Optional[SoCConfig] = None,
         lease_ttl: Optional[float] = 30.0,
-        workers_hint: int = 2,
         max_lease_cost: Optional[int] = None,
         out_dir=None,
         acc: Optional[SweepResults] = None,
@@ -211,84 +112,37 @@ class Coordinator:
             else SweepResults(specs, list(manifest["policies"]))
         )
         self.ledger = WorkLedger(
-            manifest,
-            lease_ttl=lease_ttl,
-            workers_hint=workers_hint,
-            clock=clock,
+            manifest, lease_ttl=lease_ttl, clock=clock
         )
         self.max_lease_cost = max_lease_cost
         self._lock = threading.RLock()
         #: worker_id -> telemetry record (heartbeats carry it).
         self.workers: Dict[str, dict] = {}
         self._journal: Optional[CellJournal] = None
-        self._journaled_ops = 0
         self._started = clock()
         self._clock = clock
         for cell in self.acc.cells():
             self.ledger.complete(cell.index)
         # Quarantined failures from a previous session stay unleased:
         # serving again IS the resume, so they get re-run.
-        self._journaled_ops = len(self.ledger.log)
         if out_dir is not None:
             self._journal = CellJournal.open(
                 out_dir, manifest, self.soc
             )
 
-    # -- resume --------------------------------------------------------
-
-    @classmethod
-    def resume(
-        cls, out_dir, soc: Optional[SoCConfig] = None, **kwargs
-    ) -> "Coordinator":
-        """Rebuild a coordinator from a killed one's journal.
-
-        Replays ``out_dir/cells.jsonl`` — checkpointed cells become
-        completed (never re-leased), checkpointed failures are
-        re-leasable — and reopens the journal for appending.  The
-        header binds the manifest and SoC, so resuming against the
-        wrong directory is refused before anything is leased.
-        """
-        from repro.config import DEFAULT_SOC
-
-        if soc is None:
-            soc = DEFAULT_SOC
-        journal_path = Path(out_dir) / JOURNAL_NAME
-        header = CellJournal._read_header(journal_path)
-        manifest = header["manifest"]
-        cells, failures, _skipped = CellJournal.read(
-            journal_path,
-            manifest_digest(manifest),
-            dataclasses.asdict(soc),
-        )
-        acc = SweepResults(
-            manifest_specs(manifest), list(manifest["policies"])
-        )
-        for cell in cells:
-            acc.add(cell)
-        for failure in failures:
-            acc.add_failure(failure)
-        return cls(
-            manifest, soc=soc, out_dir=out_dir, acc=acc, **kwargs
-        )
-
     # -- protocol verbs ------------------------------------------------
 
-    def lease_request(
-        self, worker_id: str, max_cost: Optional[int] = None
-    ) -> Optional[dict]:
+    def lease_request(self, worker_id: str) -> Optional[dict]:
         """Grant a batch of unleased cells (or ``None``)."""
         with self._lock:
             self.ledger.expire()
             lease = self.ledger.request_lease(
-                worker_id,
-                max_cost=max_cost or self.max_lease_cost,
+                worker_id, max_cost=self.max_lease_cost
             )
             record = self._worker_record(worker_id)
             if lease is None:
-                self._sync_journal()
                 return None
             record["leases"] += 1
-            self._sync_journal()
             return {
                 "lease_id": lease.lease_id,
                 "worker_id": lease.worker_id,
@@ -317,96 +171,44 @@ class Coordinator:
                     record["warmup_timeouts"] = max(
                         record["warmup_timeouts"], timeouts
                     )
-            ok = self.ledger.heartbeat(lease_id)
-            self._sync_journal()
-            return {"ok": ok}
+            return {"ok": self.ledger.heartbeat(lease_id)}
 
     def submit_partial(self, partial: dict) -> dict:
-        """Validate and fold one lease partial (the trust boundary).
+        """Check and fold one submitted partial (the trust boundary).
 
-        The refusals mirror :func:`~repro.experiments.sharding.
-        merge_partials` exactly where they share a failure mode:
-        stored-digest-vs-recomputation (tamper), digest-vs-sweep
-        (compatibility), SoC mismatch (hardware model), slice
-        coverage (truncated artifact), and already-completed cells
-        (overlap) — plus the lease-specific one: the lease must still
+        :func:`~repro.experiments.sharding.fold_partial` makes every
+        refusal the shard merge path makes (tamper, sweep, SoC,
+        slice, coverage, overlap) against the live lease's cells;
+        the lease-specific rule on top is that the lease must still
         be live, so work that expired (and may have been re-leased)
         cannot double-fold.
         """
         with self._lock:
-            _validate_lease_partial_shape(partial)
-            lease_doc = partial["lease"]
-            label = (
-                f"lease {lease_doc['lease_id']} "
-                f"({lease_doc['worker_id']})"
-            )
-            verify_stored_digest(partial, label)
-            if partial["manifest_digest"] != self.digest:
-                raise ValueError(
-                    f"{label}: partial from a different sweep "
-                    f"(manifest digest "
-                    f"{partial['manifest_digest'][:12]} vs "
-                    f"{self.digest[:12]})"
-                )
-            if partial["soc"] != self._soc_dict:
-                raise ValueError(
-                    f"{label}: partial computed under a different "
-                    f"SoC configuration; every worker must simulate "
-                    f"the identical hardware model"
-                )
+            check_partial_shape(partial, "lease")
             self.ledger.expire()
-            lease = self.ledger.lease(lease_doc["lease_id"])
+            lease = self.ledger.lease(partial["lease"]["lease_id"])
             if lease is None:
                 raise ValueError(
-                    f"{label}: lease is not live (expired or already "
-                    f"settled); its cells were re-leased — drop this "
-                    f"partial"
+                    f"lease {partial['lease']['lease_id']} "
+                    f"({partial['lease']['worker_id']}): lease is not "
+                    f"live (expired or already settled); its cells "
+                    f"were re-leased — drop this partial"
                 )
-            if sorted(lease_doc["cell_indices"]) != list(lease.indices):
-                raise ValueError(
-                    f"{label}: declared slice does not match the "
-                    f"granted lease"
-                )
-            try:
-                cells = [cell_from_dict(c) for c in partial["cells"]]
-                failures = [
-                    failure_from_dict(f) for f in partial["failures"]
-                ]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{label}: malformed cell payload ({exc!r})"
-                ) from exc
-            covered = sorted(
-                [c.index for c in cells] + [f.index for f in failures]
+            cells, failures = fold_partial(
+                self.acc, partial, "lease", lease.indices,
+                self.digest, self._soc_dict,
             )
-            if covered != list(lease.indices):
-                raise ValueError(
-                    f"{label}: cells present (succeeded + "
-                    f"quarantined) do not match the lease's slice "
-                    f"(truncated artifact?)"
-                )
-            # Validate the whole batch against the sweep shape before
-            # folding anything — a refusal must not half-apply.
             for cell in cells:
-                if self.acc.has_cell(cell.index):
-                    raise ValueError(
-                        f"{label}: cell {cell.index} already has a "
-                        f"result — overlapping submission"
-                    )
-            for cell in cells:
-                self.acc.add(cell)
                 if self._journal is not None:
                     self._journal.append_cell(cell)
                 self.ledger.complete(cell.index)
             for failure in failures:
-                self.acc.add_failure(failure)
                 if self._journal is not None:
                     self._journal.append_failure(failure)
                 self.ledger.quarantine(failure.index)
             record = self._worker_record(lease.worker_id)
             record["cells_completed"] += len(cells)
             record["cells_quarantined"] += len(failures)
-            self._sync_journal()
             return {
                 "accepted": len(cells),
                 "quarantined": len(failures),
@@ -425,7 +227,6 @@ class Coordinator:
         """
         with self._lock:
             self.ledger.expire()
-            self._sync_journal()
             counts = self.ledger.counts()
             doc = {
                 "format": STATUS_FORMAT,
@@ -462,9 +263,7 @@ class Coordinator:
         """Expire overdue leases (the serve loop's periodic sweep);
         returns how many expired."""
         with self._lock:
-            expired = self.ledger.expire()
-            self._sync_journal()
-            return len(expired)
+            return len(self.ledger.expire())
 
     def progress_line(self) -> str:
         """One human-readable live-progress line for stderr."""
@@ -507,25 +306,6 @@ class Coordinator:
             self.workers[worker_id] = record
         return record
 
-    def _sync_journal(self) -> None:
-        """Mirror new ledger ops into the journal as audit lines.
-
-        The journal's ``lease-op`` lines carry the ledger's op log —
-        checksummed like every other line — so the full assignment
-        history of a sweep is reconstructible
-        (:meth:`WorkLedger.replay`) from the journal alone.  The
-        resume reader ignores unknown kinds, so these lines cost a
-        fresh coordinator nothing.
-        """
-        if self._journal is None:
-            self._journaled_ops = len(self.ledger.log)
-            return
-        while self._journaled_ops < len(self.ledger.log):
-            self._journal.append_event(
-                "lease-op", self.ledger.log[self._journaled_ops]
-            )
-            self._journaled_ops += 1
-
 
 class _CoordinatorHandler(BaseHTTPRequestHandler):
     """Routes the four protocol verbs to the server's coordinator."""
@@ -544,6 +324,9 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         try:
             length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                # rfile.read(-1) would block until the client hangs up.
+                raise ValueError(length)
         except ValueError:
             return self._reply(
                 400, {"error": "bad Content-Length header"}
@@ -567,13 +350,7 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
                     raise ValueError(
                         "lease request needs a non-empty 'worker' id"
                     )
-                max_cost = payload.get("max_cost")
-                if max_cost is not None and (
-                    not isinstance(max_cost, int)
-                    or isinstance(max_cost, bool)
-                ):
-                    raise ValueError("'max_cost' must be an integer")
-                lease = coordinator.lease_request(worker, max_cost)
+                lease = coordinator.lease_request(worker)
                 return self._reply(200, {"lease": lease})
             if self.path == "/heartbeat":
                 lease_id = payload.get("lease_id")

@@ -28,17 +28,9 @@ Per-cell states:
 Batch sizing reuses the LPT cost model of
 :meth:`ShardPlan.from_manifest`: cells are granted costliest-first
 and a batch grows until it reaches the target cost (total cost spread
-over ``4 x workers_hint`` batches, mirroring the parallel executor's
-chunking), so early batches are big (low round-trip overhead) and the
-tail stays fine-grained (stragglers rebalance).
-
-Every mutation appends one JSON-ready op to :attr:`WorkLedger.log`;
-:meth:`WorkLedger.replay` rebuilds the exact ledger state from a log,
-which makes lease assignment *deterministic given a lease log* — the
-property the coordinator's journal audit trail and the
-lease-expiry-determinism tests lean on.  Time never enters the log:
-expiry is recorded as an explicit op when it is decided, so replay
-needs no clock.
+over a fixed number of batches), so early batches are big (low
+round-trip overhead) and the tail stays fine-grained (stragglers
+rebalance).
 """
 
 from __future__ import annotations
@@ -49,11 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.sanitizer as sanitizer
-from repro.experiments.sharding import (
-    ShardPlan,
-    _cell_costs,
-    manifest_digest,
-)
+from repro.experiments.sharding import _cell_costs, manifest_digest
 
 __all__ = [
     "COMPLETED",
@@ -70,14 +58,10 @@ LEASED = "leased"
 COMPLETED = "completed"
 QUARANTINED = "quarantined"
 
-#: Batches per worker the default lease target aims for — the same
-#: ``4 x workers`` granularity the parallel executor derives its
-#: submission chunks from: big early batches, fine-grained tail.
-_BATCHES_PER_WORKER = 4
-
-#: Sentinel: "use the ledger's configured TTL" (``None`` must remain
-#: expressible as "immortal lease").
-_LEDGER_TTL = object()
+#: Batches the default lease target spreads a sweep's total cost
+#: over — four per worker for the usual two workers: big early
+#: batches, a fine-grained tail.
+_DEFAULT_BATCHES = 8
 
 
 @dataclass(frozen=True)
@@ -91,9 +75,8 @@ class Lease:
             identity).
         indices: Ascending global cell indices granted.
         cost: Summed cell cost of the grant (the LPT balance weight).
-        expires_at: Ledger-clock deadline; ``math.inf`` for pre-leased
-            static shards (a shard partial arrives whenever its host
-            finishes — static sharding has no heartbeat channel).
+        expires_at: Ledger-clock deadline; ``math.inf`` when the
+            ledger has no TTL.
     """
 
     lease_id: int
@@ -109,16 +92,14 @@ class WorkLedger:
 
     Single-threaded by design — the coordinator serialises access
     under its own lock; the ledger itself stays a deterministic value
-    machine so :meth:`replay` can reproduce any state from the op log.
+    machine.
 
     Args:
         manifest: The sweep's cell manifest (defines the cell count,
             the per-cell costs, and the digest identity).
-        lease_ttl: Seconds a lease lives between heartbeats; ``None``
-            disables expiry (every lease is immortal — the static
-            pre-leased mode).
-        workers_hint: Expected worker count — sizes the default lease
-            batch (total cost over ``4 x workers_hint`` batches).
+        lease_ttl: Seconds a lease lives between heartbeats (positive
+            and finite); ``None`` disables expiry (every lease is
+            immortal).
         clock: Monotonic time source (injectable for deterministic
             tests).
     """
@@ -127,17 +108,15 @@ class WorkLedger:
         self,
         manifest: dict,
         lease_ttl: Optional[float] = 30.0,
-        workers_hint: int = 2,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if lease_ttl is not None and lease_ttl <= 0:
-            raise ValueError("lease_ttl must be positive (or None)")
-        if workers_hint < 1:
-            raise ValueError("workers_hint must be >= 1")
+        if lease_ttl is not None and not 0 < lease_ttl < math.inf:
+            raise ValueError(
+                "lease_ttl must be positive and finite (or None)"
+            )
         self.manifest = manifest
         self.digest = manifest_digest(manifest)
         self.lease_ttl = lease_ttl
-        self.workers_hint = workers_hint
         self._clock = clock
         self._costs: List[int] = _cell_costs(manifest)
         self._state: List[str] = [UNLEASED] * len(self._costs)
@@ -148,8 +127,6 @@ class WorkLedger:
         #: live leases: id -> current heartbeat deadline.
         self._expiry: Dict[int, float] = {}
         self._next_lease_id = 1
-        #: Append-only op log; see :meth:`replay`.
-        self.log: List[dict] = []
 
     # -- queries -------------------------------------------------------
 
@@ -175,10 +152,6 @@ class WorkLedger:
         """The live lease with this id, or ``None``."""
         return self._leases.get(lease_id)
 
-    def live_leases(self) -> List[Lease]:
-        """All live leases, by ascending id."""
-        return [self._leases[i] for i in sorted(self._leases)]
-
     def counts(self) -> Dict[str, int]:
         """Cell counts by state (plus the live lease count)."""
         out = {
@@ -192,24 +165,19 @@ class WorkLedger:
     def default_batch_cost(self) -> int:
         """The default lease-size target (summed cell cost).
 
-        Total manifest cost spread over ``4 x workers_hint`` batches —
-        the LPT analogue of the parallel executor's chunk derivation.
-        At least the costliest single cell, so the costliest cell
+        Total manifest cost spread over ``_DEFAULT_BATCHES`` batches,
+        but at least the costliest single cell, so the costliest cell
         always fits one lease.
         """
-        total = sum(self._costs)
-        target = math.ceil(
-            total / (_BATCHES_PER_WORKER * self.workers_hint)
-        )
+        target = math.ceil(sum(self._costs) / _DEFAULT_BATCHES)
         return max(target, max(self._costs, default=1), 1)
 
-    # -- mutations (all logged) ----------------------------------------
+    # -- mutations -----------------------------------------------------
 
     def request_lease(
         self,
         worker_id: str,
         max_cost: Optional[int] = None,
-        ttl: object = _LEDGER_TTL,
     ) -> Optional[Lease]:
         """Grant a cost-aware batch of unleased cells, or ``None``.
 
@@ -243,69 +211,23 @@ class WorkLedger:
             cost += self._costs[index]
             if cost >= target:
                 break
-        effective_ttl = self.lease_ttl if ttl is _LEDGER_TTL else ttl
-        return self._issue(
-            worker_id, tuple(sorted(batch)), cost, effective_ttl
+        expires = (
+            math.inf if self.lease_ttl is None
+            else self._clock() + self.lease_ttl
         )
-
-    def pre_lease_shard(
-        self,
-        num_shards: int,
-        shard_index: int,
-        worker_id: Optional[str] = None,
-    ) -> Lease:
-        """Issue the deterministic static shard slice as one lease.
-
-        Static sharding as the degenerate case of the ledger: the
-        :class:`ShardPlan` slice for ``(manifest, num_shards,
-        shard_index)`` is granted in full, with no expiry (shard hosts
-        have no heartbeat channel — the partial file arrives whenever
-        it arrives).  Every host pre-leasing its own shard from its
-        own ledger computes disjoint slices with no coordination,
-        exactly as before the refactor.
-        """
-        plan = ShardPlan.from_manifest(self.manifest, num_shards)
-        indices = plan.shard(shard_index)
-        taken = [i for i in indices if self._state[i] != UNLEASED]
-        if taken:
-            raise ValueError(
-                f"shard {shard_index + 1}/{num_shards} overlaps "
-                f"already-owned cells (first: {taken[0]})"
-            )
-        if worker_id is None:
-            worker_id = f"shard-{shard_index + 1}-of-{num_shards}"
-        return self._issue(
-            worker_id, indices, plan.costs[shard_index], ttl=None
-        )
-
-    def _issue(
-        self,
-        worker_id: str,
-        indices: Tuple[int, ...],
-        cost: int,
-        ttl: Optional[float],
-    ) -> Lease:
-        expires = math.inf if ttl is None else self._clock() + ttl
         lease = Lease(
             lease_id=self._next_lease_id,
             worker_id=worker_id,
-            indices=indices,
+            indices=tuple(sorted(batch)),
             cost=cost,
             expires_at=expires,
         )
         self._next_lease_id += 1
         self._leases[lease.lease_id] = lease
         self._expiry[lease.lease_id] = expires
-        for index in indices:
+        for index in lease.indices:
             self._state[index] = LEASED
             self._owner[index] = lease.lease_id
-        self.log.append({
-            "op": "lease",
-            "lease_id": lease.lease_id,
-            "worker": worker_id,
-            "indices": list(indices),
-            "cost": cost,
-        })
         if sanitizer.enabled:
             self._check_invariants("issue")
         return lease
@@ -316,20 +238,16 @@ class WorkLedger:
         ``False`` when the lease is no longer live (expired and
         re-leased, or fully settled) — the worker's signal that its
         work is orphaned and any eventual submit will be refused.
-        Heartbeats are not logged: they only move the deadline, and
-        the *decision* they influence (expiry) is logged explicitly.
         """
         if lease_id not in self._leases:
             return False
-        if self.lease_ttl is not None and math.isfinite(
-            self._expiry[lease_id]
-        ):
+        if self.lease_ttl is not None:
             self._expiry[lease_id] = self._clock() + self.lease_ttl
         if sanitizer.enabled:
             self._check_invariants("heartbeat")
         return True
 
-    def expire(self, now: Optional[float] = None) -> List[Lease]:
+    def expire(self) -> List[Lease]:
         """Expire leases past their heartbeat deadline.
 
         Each expired lease's *unsettled* cells return to ``unleased``
@@ -337,8 +255,7 @@ class WorkLedger:
         submitted some cells then died only re-runs the remainder).
         Returns the expired leases, by ascending id.
         """
-        if now is None:
-            now = self._clock()
+        now = self._clock()
         expired = [
             self._leases[i]
             for i in sorted(self._leases)
@@ -353,22 +270,9 @@ class WorkLedger:
                     del self._owner[index]
             del self._leases[lease.lease_id]
             del self._expiry[lease.lease_id]
-            self.log.append({
-                "op": "expire", "lease_id": lease.lease_id,
-            })
         if sanitizer.enabled:
             self._check_invariants("expire")
         return expired
-
-    def release(self, lease_id: int) -> Optional[Lease]:
-        """Explicitly surrender a live lease (a worker shutting down
-        cleanly mid-lease); its unsettled cells return to the pool
-        immediately instead of waiting out the TTL."""
-        if lease_id not in self._leases:
-            return None
-        self._expiry[lease_id] = -math.inf
-        expired = self.expire(now=0.0)
-        return expired[0] if expired else None
 
     def complete(self, index: int) -> None:
         """Settle one cell as completed.
@@ -414,10 +318,6 @@ class WorkLedger:
                 # Fully settled lease: retire it.
                 del self._leases[lease_id]
                 del self._expiry[lease_id]
-        self.log.append({
-            "op": "complete" if state == COMPLETED else "quarantine",
-            "index": index,
-        })
         if sanitizer.enabled:
             self._check_invariants("settle")
 
@@ -479,51 +379,3 @@ class WorkLedger:
             f"ledger corrupt after {after}: fully-settled lease(s) "
             f"{sorted(set(self._leases) - set(owned_by))} not retired",
         )
-
-    # -- determinism ---------------------------------------------------
-
-    @classmethod
-    def replay(
-        cls,
-        manifest: dict,
-        log: List[dict],
-        lease_ttl: Optional[float] = None,
-        workers_hint: int = 2,
-    ) -> "WorkLedger":
-        """Rebuild the exact ledger state a log describes.
-
-        Lease ops re-issue their *logged* indices (no re-derivation:
-        the log is the authority), so any two replays of the same log
-        — and the live ledger that produced it — agree on every cell's
-        state and every live lease.  This is the "deterministic given
-        a lease log" contract: the coordinator journal's audit trail
-        fully determines the assignment history.
-        """
-        ledger = cls(
-            manifest, lease_ttl=lease_ttl, workers_hint=workers_hint
-        )
-        for op in log:
-            if op["op"] == "lease":
-                lease = ledger._issue(
-                    op["worker"], tuple(op["indices"]), op["cost"],
-                    ttl=None,
-                )
-                if lease.lease_id != op["lease_id"]:
-                    raise ValueError(
-                        f"lease log replay diverged: issued id "
-                        f"{lease.lease_id}, log says {op['lease_id']}"
-                    )
-            elif op["op"] == "expire":
-                lease = ledger._leases.get(op["lease_id"])
-                if lease is not None:
-                    ledger._expiry[op["lease_id"]] = -math.inf
-                    ledger.expire(now=0.0)
-            elif op["op"] == "complete":
-                ledger.complete(op["index"])
-            elif op["op"] == "quarantine":
-                ledger.quarantine(op["index"])
-            else:
-                raise ValueError(
-                    f"unknown ledger op {op.get('op')!r} in lease log"
-                )
-        return ledger

@@ -50,9 +50,7 @@ class TransportError(RuntimeError):
 class Transport:
     """Abstract coordinator transport: the four protocol verbs."""
 
-    def lease_request(
-        self, worker_id: str, max_cost: Optional[int] = None
-    ) -> Optional[dict]:
+    def lease_request(self, worker_id: str) -> Optional[dict]:
         """Ask for work.  Returns a lease document (``lease_id``,
         ``worker_id``, ``cell_indices``, ``cost``, ``ttl``,
         ``manifest_digest``) or ``None`` when nothing is currently
@@ -71,7 +69,7 @@ class Transport:
         raise NotImplementedError
 
     def submit_partial(self, partial: dict) -> dict:
-        """Deliver a lease partial.  Returns ``{"accepted": N,
+        """Deliver a partial with a ``lease`` section.  Returns ``{"accepted": N,
         "quarantined": M}``; raises ``ValueError`` on refusal."""
         raise NotImplementedError
 
@@ -92,10 +90,8 @@ class InProcessTransport(Transport):
     def __init__(self, coordinator) -> None:
         self.coordinator = coordinator
 
-    def lease_request(
-        self, worker_id: str, max_cost: Optional[int] = None
-    ) -> Optional[dict]:
-        return self.coordinator.lease_request(worker_id, max_cost)
+    def lease_request(self, worker_id: str) -> Optional[dict]:
+        return self.coordinator.lease_request(worker_id)
 
     def heartbeat(
         self,
@@ -172,13 +168,8 @@ class HttpTransport(Transport):
                 f"coordinator sent a non-JSON response for {path}"
             ) from exc
 
-    def lease_request(
-        self, worker_id: str, max_cost: Optional[int] = None
-    ) -> Optional[dict]:
-        reply = self._post(
-            "/lease", {"worker": worker_id, "max_cost": max_cost}
-        )
-        return reply.get("lease")
+    def lease_request(self, worker_id: str) -> Optional[dict]:
+        return self._post("/lease", {"worker": worker_id}).get("lease")
 
     def heartbeat(
         self,

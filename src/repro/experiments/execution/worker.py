@@ -6,9 +6,10 @@ bootstraps: it asks the coordinator for the status document *with the
 manifest*, verifies the SoC it was configured to simulate matches the
 coordinator's (the trust boundary runs both ways — a worker must not
 burn hours simulating the wrong hardware), then loops: request a
-lease, execute its cells through the same
-:class:`~repro.experiments.parallel.ParallelRunner` machinery every
-other execution mode uses, submit the lease partial, repeat.  While a
+lease, execute its cells through
+:meth:`~repro.experiments.parallel.ParallelRunner.run_supervised` —
+the executor every other execution mode uses — submit the partial,
+repeat.  While a
 lease is executing, a background thread heartbeats at a third of the
 lease TTL so slow cells do not get stolen out from under a live
 worker.
@@ -23,11 +24,6 @@ Error taxonomy (mirrors the transport seam):
   partial (typically: the lease expired while the worker was stuck
   and the work was re-leased).  Never retried; the worker drops the
   orphaned results and asks for fresh work.
-
-:func:`execute_lease` is the one code path that turns a batch of cell
-indices into ``(cells, failures)`` — the dynamic worker loop and the
-static ``run_shard`` both call it, which is what makes static
-sharding a degenerate (pre-leased) case of the same execution layer.
 """
 
 from __future__ import annotations
@@ -38,50 +34,25 @@ import socket
 import sys
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.config import SoCConfig
-from repro.experiments.execution.coordinator import build_lease_partial
 from repro.experiments.execution.transport import (
     Transport,
     TransportError,
 )
 from repro.experiments.parallel import ParallelRunner, Supervision
-from repro.experiments.results import CellFailure, CellResult
-from repro.experiments.sharding import manifest_specs
+from repro.experiments.sharding import build_partial, manifest_specs
 
 __all__ = [
     "SweepWorker",
     "default_worker_id",
-    "execute_lease",
 ]
 
 
 def default_worker_id() -> str:
     """hostname-pid: unique enough per machine, readable in status."""
     return f"{socket.gethostname()}-{os.getpid()}"
-
-
-def execute_lease(
-    runner: ParallelRunner,
-    specs,
-    policies: Dict[str, object],
-    soc: SoCConfig,
-    indices: Tuple[int, ...],
-    supervision: Optional[Supervision] = None,
-) -> Tuple[List[CellResult], List[CellFailure]]:
-    """Execute one batch of cells: the single execution code path.
-
-    The batch runs through :meth:`ParallelRunner.run_supervised`
-    (``supervision=None`` means :class:`Supervision`'s defaults), so a
-    poison cell quarantines into the failure list instead of aborting
-    the batch.  Cells come back in ascending index order (the order
-    every partial format declares).
-    """
-    acc = runner.run_supervised(
-        specs, policies, soc, indices=indices, supervision=supervision,
-    )
-    return acc.cells(), acc.failures()
 
 
 # repro-lint: thread-shared lock=none
@@ -280,9 +251,9 @@ class SweepWorker:
             beat.start()
         t0 = time.perf_counter()
         try:
-            cells, failures = execute_lease(
-                self.runner, self.specs, self.policies, self.soc,
-                indices, self.supervision,
+            acc = self.runner.run_supervised(
+                self.specs, self.policies, self.soc, indices=indices,
+                supervision=self.supervision,
             )
         finally:
             if beat is not None:
@@ -301,16 +272,17 @@ class SweepWorker:
             )
         except TransportError:
             pass  # submit is the call that matters; let it decide.
-        partial = build_lease_partial(
+        partial = build_partial(
             self.manifest,
-            self._soc_dict,
+            self.soc,
+            "lease",
             {
                 "lease_id": lease["lease_id"],
                 "worker_id": self.worker_id,
                 "cell_indices": list(indices),
             },
-            cells,
-            failures,
+            acc.cells(),
+            acc.failures(),
         )
         try:
             reply = self._call(self.transport.submit_partial, partial)
@@ -334,8 +306,8 @@ class SweepWorker:
         return {
             "status": "submitted",
             "lease": lease,
-            "cells": reply.get("accepted", len(cells)),
-            "failures": reply.get("quarantined", len(failures)),
+            "cells": reply.get("accepted", len(acc)),
+            "failures": reply.get("quarantined", len(acc.failures())),
             "seconds": seconds,
         }
 

@@ -78,6 +78,7 @@ are checked against.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import sys
@@ -156,12 +157,16 @@ class Supervision:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
-            raise ValueError("cell_timeout must be positive")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
+        # NaN fails every comparison, so each range check below also
+        # refuses it; inf would overflow time.sleep() and wait().
+        if self.cell_timeout is not None and not (
+            0 < self.cell_timeout < math.inf
+        ):
+            raise ValueError("cell_timeout must be positive and finite")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValueError("backoff_base must be >= 0 and finite")
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ValueError("backoff_factor must be >= 1 and finite")
 
     def backoff(self, attempt: int) -> float:
         """Delay before re-running a cell whose attempt ``attempt``

@@ -346,25 +346,6 @@ class SweepResults:
             "missing": len(self._slots) - len(self._cells),
         }
 
-    @classmethod
-    def from_partials(
-        cls, partials: Sequence[dict], require_complete: bool = True
-    ) -> "SweepResults":
-        """Fold shard partial artifacts back into one accumulator.
-
-        ``partials`` are parsed shard documents (see
-        :func:`repro.experiments.sharding.run_shard` /
-        :func:`~repro.experiments.sharding.partial_from_json`),
-        acceptable in any order.  Partials from different manifests
-        (by digest), overlapping cells, and — unless
-        ``require_complete=False`` — gaps are all rejected loudly;
-        the merged accumulator's :meth:`matrix` (and any export built
-        from it) is bit-identical to the same sweep run unsharded.
-        """
-        from repro.experiments.sharding import merge_partials
-
-        return merge_partials(partials, require_complete=require_complete)
-
     def matrix(self) -> Dict[str, Dict[str, "ScenarioResult"]]:
         """The deterministic ``{label: {policy: ScenarioResult}}``.
 

@@ -10,24 +10,29 @@ sweep could outgrow one host.  This module is that seam made real:
   longest-processing-time-first greedy assignment with stable
   tie-breaks, so every participant that holds the same manifest and N
   computes the *same* plan with no coordination.
-- :func:`run_shard` executes exactly one shard's slice — reusing
+- :func:`run_shard` executes exactly one shard's slice through
   :meth:`repro.experiments.parallel.ParallelRunner.run_supervised`
-  (warm pools, per-cell retries, serial fallback) with the global
-  cell indices the manifest assigns — and packages the results as a
-  self-describing *partial artifact*: the manifest (plus its digest),
-  the shard's identity, per-cell results with full-precision metric
-  bundles, and wall-clock/cache telemetry.
-- :func:`merge_partials` folds any set of partial artifacts —
-  arriving in any order — back into a
-  :class:`~repro.experiments.results.SweepResults`.  Partials from
-  different manifests (detected by digest), overlapping cells and
-  gaps are rejected loudly.  Because every cell's metric bundle
+  (warm pools, per-cell retries, quarantine) with the global cell
+  indices the plan assigns, and packages the results with
+  :func:`build_partial` as a self-describing *partial artifact*: the
+  manifest (plus its digest), the shard's identity, per-cell results
+  with full-precision metric bundles, and wall-clock telemetry.
+  Coordinator lease submissions are the same document with a
+  ``lease`` section where shard files have ``shard``.
+- :func:`fold_partial` is the one check-and-fold for both: tamper,
+  sweep, SoC, slice and coverage refusals, then an all-or-nothing
+  fold into a :class:`~repro.experiments.results.SweepResults`.
+  :func:`merge_partials` folds any set of shard partials — arriving
+  in any order — through it.  Because every cell's metric bundle
   round-trips exactly and the accumulator is completion-order
   independent, the merged matrix — and the JSON/CSV export bytes
   built from it — is **bit-identical** to the same sweep run
   unsharded on one host (``scripts/ci.sh`` diffs exactly that, and
   ``tests/test_sharding.py`` property-checks it over random specs
   and shard counts).
+- :class:`CellJournal` checkpoints settled cells, and
+  :func:`load_sweep_dir` rebuilds an interrupted sweep from what its
+  directory holds (``sweep --resume``, with or without ``--serve``).
 
 The cross-machine recipe::
 
@@ -54,6 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config import SoCConfig
 from repro.experiments.results import (
     CellFailure,
+    CellResult,
     SweepResults,
     cell_from_dict,
     cell_manifest,
@@ -69,6 +75,10 @@ __all__ = [
     "CellJournal",
     "PARTIAL_FORMAT",
     "ShardPlan",
+    "build_partial",
+    "check_partial_shape",
+    "fold_partial",
+    "load_sweep_dir",
     "manifest_digest",
     "manifest_specs",
     "merge_partials",
@@ -77,7 +87,7 @@ __all__ = [
     "run_shard",
 ]
 
-#: Format tag of shard partial artifacts.
+#: Format tag of partial artifacts (shard files and lease submissions).
 PARTIAL_FORMAT = "repro-sweep-partial/1"
 
 #: Format tag of the per-cell checkpoint journal.
@@ -255,25 +265,16 @@ def run_shard(
             (exit-code 3 at the CLI) instead of aborting the shard.
     """
     from repro.config import DEFAULT_SOC
-    # Imported lazily: the execution package imports this module for
-    # the plan/cost/journal machinery, so the dependency must point
-    # one way at import time.
-    from repro.experiments.execution.leases import WorkLedger
-    from repro.experiments.execution.worker import execute_lease
     from repro.experiments.parallel import ParallelRunner
     from repro.experiments.runner import default_policies
 
     if soc is None:
         soc = DEFAULT_SOC
     specs = manifest_specs(manifest)
-    # Static sharding is the degenerate case of the work ledger:
-    # every host pre-leases its own deterministic ShardPlan slice
-    # from its own ledger (no coordination — the plan is a pure
-    # function of the manifest), then runs it through the same
-    # execute_lease code path the dynamic worker loop uses.
-    ledger = WorkLedger(manifest, lease_ttl=None)
-    lease = ledger.pre_lease_shard(num_shards, shard_index)
-    indices = lease.indices
+    # The plan is a pure function of the manifest, so every host
+    # computes disjoint slices with no coordination.
+    plan = ShardPlan.from_manifest(manifest, num_shards)
+    indices = plan.shard(shard_index)
     if policies is None:
         policies = default_policies()
     missing = [p for p in manifest["policies"] if p not in policies]
@@ -288,33 +289,58 @@ def run_shard(
     if runner is None:
         runner = ParallelRunner(workers=workers or None)
     t0 = time.perf_counter()
-    cells, failures = execute_lease(
-        runner, specs, ordered, soc, indices, supervision
+    acc = runner.run_supervised(
+        specs, ordered, soc, indices=indices, supervision=supervision,
     )
     wall_seconds = time.perf_counter() - t0
-    return {
-        "format": PARTIAL_FORMAT,
-        "manifest": manifest,
-        "manifest_digest": ledger.digest,
-        # The manifest describes the workload; the SoC describes the
-        # simulated hardware.  Recorded so merge can refuse partials
-        # computed under different hardware models (the manifest
-        # digest alone cannot see this).
-        "soc": dataclasses.asdict(soc),
-        "shard": {
+    return build_partial(
+        manifest,
+        soc,
+        "shard",
+        {
             "index": shard_index,
             "count": num_shards,
             "cell_indices": list(indices),
-            "cost": lease.cost,
+            "cost": plan.costs[shard_index],
             "wall_seconds": wall_seconds,
             "workers": runner.workers,
             "mode": runner.last_mode,
         },
+        acc.cells(),
+        acc.failures(),
+    )
+
+
+def build_partial(
+    manifest: dict,
+    soc: SoCConfig,
+    section: str,
+    meta: dict,
+    cells: Sequence[CellResult],
+    failures: Sequence[CellFailure],
+) -> dict:
+    """Package executed cells as a self-describing partial artifact.
+
+    The one builder behind shard files (``section="shard"``) and
+    coordinator lease submissions (``section="lease"``): the embedded
+    manifest and its digest, the recorded SoC, the section naming
+    which slice of the sweep this is, and the cells and quarantined
+    failures that cover it.
+    """
+    return {
+        "format": PARTIAL_FORMAT,
+        "manifest": manifest,
+        "manifest_digest": manifest_digest(manifest),
+        # The manifest describes the workload; the SoC describes the
+        # simulated hardware.  Recorded so a fold can refuse partials
+        # computed under different hardware models (the manifest
+        # digest alone cannot see this).
+        "soc": dataclasses.asdict(soc),
+        section: meta,
         "cells": [cell_to_dict(c) for c in cells],
-        # Quarantined cells (supervised runs only; empty otherwise).
-        # Merge treats them as "failed", distinct from "missing": a
-        # failed cell was attempted and gave up, a missing cell was
-        # never supplied by any partial.
+        # Quarantined cells.  A fold treats them as "failed", distinct
+        # from "missing": a failed cell was attempted and gave up, a
+        # missing cell was never supplied by any partial.
         "failures": [failure_to_dict(f) for f in failures],
     }
 
@@ -324,12 +350,34 @@ def partial_to_json(partial: dict) -> str:
     return json.dumps(partial, indent=2, sort_keys=True) + "\n"
 
 
-def _validate_partial_shape(partial: dict) -> None:
-    """Refuse a partial missing its top-level structure.
+#: Per partial section: its typed identity fields (``cell_indices``,
+#: a list of ints, is common to both) and what its declared slice is
+#: held to when folded.
+_SECTIONS = {
+    "shard": (
+        (("index", int), ("count", int)),
+        "the deterministic plan for this manifest (partial produced "
+        "by a different planner?)",
+    ),
+    "lease": (
+        (("lease_id", int), ("worker_id", str)),
+        "the granted lease",
+    ),
+}
+
+
+def check_partial_shape(partial, section: str) -> None:
+    """Refuse a partial missing its top-level structure or the
+    ``section`` (``"shard"`` or ``"lease"``) the caller expects.
 
     Keeps truncated or hand-edited documents in the ValueError family
-    (clean one-line CLI errors) instead of leaking KeyErrors from
-    field access deeper in the merge."""
+    (clean one-line CLI errors, HTTP 400s) instead of leaking
+    KeyErrors from field access deeper in the fold."""
+    if not isinstance(partial, dict):
+        raise ValueError(
+            f"not a {PARTIAL_FORMAT} document "
+            f"(got {type(partial).__name__})"
+        )
     if partial.get("format") != PARTIAL_FORMAT:
         raise ValueError(
             f"not a {PARTIAL_FORMAT} document "
@@ -337,59 +385,64 @@ def _validate_partial_shape(partial: dict) -> None:
         )
     missing = [
         key
-        for key in ("manifest", "manifest_digest", "soc", "shard", "cells")
+        for key in ("manifest", "manifest_digest", "soc", section, "cells")
         if key not in partial
     ]
     if missing:
         raise ValueError(
             f"malformed partial document (missing {missing})"
         )
+    # "failures" arrived with the fault-tolerance layer; absent (old
+    # artifacts) means "none recorded".
     if (
         not isinstance(partial["manifest"], dict)
         or not isinstance(partial["manifest_digest"], str)
         or not isinstance(partial["soc"], dict)
         or not isinstance(partial["cells"], list)
+        or not isinstance(partial.get("failures", []), list)
     ):
         raise ValueError(
             "malformed partial document (wrongly typed manifest/"
-            "manifest_digest/soc/cells)"
+            "manifest_digest/soc/cells/failures)"
         )
-    # "failures" arrived with the fault-tolerance layer; absent (old
-    # artifacts) means "none recorded".
-    if not isinstance(partial.get("failures", []), list):
-        raise ValueError(
-            "malformed partial document (wrongly typed 'failures')"
-        )
-    shard = partial["shard"]
+    meta = partial[section]
+    fields = _SECTIONS[section][0] + (("cell_indices", list),)
     if (
-        not isinstance(shard, dict)
-        or not isinstance(shard.get("index"), int)
-        or not isinstance(shard.get("count"), int)
-        or not isinstance(shard.get("cell_indices"), list)
-        or not all(isinstance(i, int) for i in shard["cell_indices"])
+        not isinstance(meta, dict)
         # bool is an int subclass; a JSON true/false here is corrupt.
-        or isinstance(shard["index"], bool)
-        or isinstance(shard["count"], bool)
+        or not all(
+            isinstance(meta.get(key), kind)
+            and not isinstance(meta.get(key), bool)
+            for key, kind in fields
+        )
+        or not all(
+            isinstance(i, int) and not isinstance(i, bool)
+            for i in meta["cell_indices"]
+        )
     ):
         raise ValueError(
-            "malformed partial document (incomplete or wrongly "
-            "typed 'shard' section)"
+            f"malformed partial document (incomplete or wrongly "
+            f"typed {section!r} section)"
         )
 
 
-def verify_stored_digest(partial: dict, what: str) -> str:
-    """Re-verify a self-describing artifact's stored manifest digest
-    against a recomputation over its embedded manifest.
+def _partial_label(partial: dict, section: str) -> str:
+    """How refusals name a (shape-checked) partial."""
+    meta = partial[section]
+    if section == "shard":
+        return _shard_label(meta["index"], meta["count"])
+    return f"lease {meta['lease_id']} ({meta['worker_id']})"
 
-    The tamper refusal, shared by the shard merge path and the
-    coordinator's submit validation: an artifact whose stored digest
-    does not match its own manifest was corrupted or hand-edited and
-    must not fold into any aggregate.  Returns the verified digest.
-    """
+
+def _verify_stored_digest(partial: dict, label: str) -> str:
+    """Re-verify a partial's stored manifest digest against a
+    recomputation over its embedded manifest: one whose digest does
+    not match was corrupted or hand-edited and must not fold into any
+    aggregate.  Returns the verified digest."""
     actual = manifest_digest(partial["manifest"])
     if actual != partial["manifest_digest"]:
         raise ValueError(
-            f"{what}: stored manifest digest "
+            f"{label}: stored manifest digest "
             f"{partial['manifest_digest'][:12]} does not match "
             f"its manifest ({actual[:12]}) — corrupt or tampered "
             f"artifact"
@@ -397,16 +450,98 @@ def verify_stored_digest(partial: dict, what: str) -> str:
     return actual
 
 
+def fold_partial(
+    acc: SweepResults,
+    partial: dict,
+    section: str,
+    expected: Sequence[int],
+    digest: str,
+    soc: dict,
+) -> Tuple[List[CellResult], List[CellFailure]]:
+    """Check one shape-checked partial against the sweep it joins,
+    then fold its cells and failures into ``acc``.
+
+    The one check-and-fold behind :func:`merge_partials` and
+    ``Coordinator.submit_partial``.  Refused, with ``ValueError``:
+
+    - a stored digest that does not match the embedded manifest
+      (tamper), or a manifest other than the sweep's (``digest``);
+    - a recorded SoC other than the sweep's (``soc``);
+    - a declared slice other than ``expected`` (the shard plan's
+      slice, or the live lease's cells);
+    - a malformed cell payload, or cells and failures that do not
+      cover the declared slice exactly (truncated artifact);
+    - a cell that does not sit where the manifest puts it, or that
+      already has a result in ``acc`` (overlap).
+
+    Every check runs before anything folds, so a refusal leaves
+    ``acc`` untouched.  Returns the folded ``(cells, failures)``.
+    """
+    label = _partial_label(partial, section)
+    _verify_stored_digest(partial, label)
+    if partial["manifest_digest"] != digest:
+        raise ValueError(
+            f"{label}: manifest digest "
+            f"{partial['manifest_digest'][:12]} vs {digest[:12]} — "
+            f"partials from different sweeps; only partials of the "
+            f"identical manifest fold together"
+        )
+    if partial["soc"] != soc:
+        raise ValueError(
+            f"{label}: partials from different SoC configurations; "
+            f"every host must simulate the identical hardware model"
+        )
+    declared = sorted(partial[section]["cell_indices"])
+    if declared != sorted(expected):
+        raise ValueError(
+            f"{label}: declared slice does not match "
+            f"{_SECTIONS[section][1]}"
+        )
+    try:
+        cells = [cell_from_dict(c) for c in partial["cells"]]
+        failures = [
+            failure_from_dict(f) for f in partial.get("failures", [])
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{label}: malformed cell payload ({exc!r})"
+        ) from exc
+    covered = sorted(
+        [c.index for c in cells] + [f.index for f in failures]
+    )
+    if covered != declared:
+        raise ValueError(
+            f"{label}: cells present (succeeded + quarantined) do not "
+            f"match its declared slice (truncated artifact?)"
+        )
+    slots = partial["manifest"]["cells"]
+    for entry in [*cells, *failures]:
+        slot = slots[entry.index]
+        if (entry.spec_index, entry.policy, entry.seed) != (
+            slot["spec_index"], slot["policy"], slot["seed"]
+        ):
+            raise ValueError(
+                f"{label}: cell {entry.index} is not the manifest's "
+                f"cell {entry.index} — malformed cell payload"
+            )
+    for cell in cells:
+        if acc.has_cell(cell.index):
+            raise ValueError(
+                f"{label}: cell {cell.index} already has a result — "
+                f"overlapping partials"
+            )
+    for cell in cells:
+        acc.add(cell)
+    for failure in failures:
+        acc.add_failure(failure)
+    return cells, failures
+
+
 def partial_from_json(text: str) -> dict:
-    """Parse a partial artifact, rejecting foreign or truncated
+    """Parse a shard partial artifact, rejecting foreign or truncated
     documents."""
     payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError(
-            f"not a {PARTIAL_FORMAT} document "
-            f"(got {type(payload).__name__})"
-        )
-    _validate_partial_shape(payload)
+    check_partial_shape(payload, "shard")
     return payload
 
 
@@ -517,21 +652,6 @@ class CellJournal:
     def append_failure(self, failure: CellFailure) -> None:
         """Checkpoint a quarantined failure."""
         self._append("failure", failure_to_dict(failure))
-
-    def append_event(self, kind: str, data: dict) -> None:
-        """Checkpoint an extension event (checksummed like any line).
-
-        The coordinator journals its lease-op audit trail through
-        this (``kind="lease-op"``).  :meth:`read` ignores kinds it
-        does not aggregate, so extension lines never cost a resume
-        anything; consumers that care (``WorkLedger.replay``) read
-        them with :meth:`read_events`.
-        """
-        if kind in ("header", "cell", "failure"):
-            raise ValueError(
-                f"append_event cannot write reserved kind {kind!r}"
-            )
-        self._append(kind, data)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -653,10 +773,9 @@ class CellJournal:
                     elif kind == "failure":
                         failure = failure_from_dict(data)
                         failures.setdefault(failure.index, failure)
-                    # Any other checksum-valid kind is an extension
-                    # event (e.g. the coordinator's lease-op audit
-                    # lines): not aggregated here, but not damage
-                    # either — see read_events().
+                    # Any other checksum-valid kind (older
+                    # coordinators journaled lease audit lines) is
+                    # not aggregated, but not damage either.
                 except (KeyError, TypeError, ValueError):
                     skipped += 1
         if skipped:
@@ -673,44 +792,19 @@ class CellJournal:
             skipped,
         )
 
-    @classmethod
-    def read_events(cls, path, kind: str) -> list:
-        """All checksum-valid extension events of one kind, in journal
-        order (damaged lines are silently skipped, matching
-        :meth:`read`).  This is how ``WorkLedger.replay`` recovers a
-        coordinator's lease-op audit trail."""
-        path = Path(path)
-        cls._read_header(path)
-        events = []
-        with path.open("rb") as fh:
-            fh.readline()  # header, already verified
-            for raw in fh:
-                verified = cls._verify_line(raw)
-                if verified is not None and verified[0] == kind:
-                    events.append(verified[1])
-        return events
-
 
 def merge_partials(
     partials: Sequence[dict], require_complete: bool = True
 ) -> SweepResults:
     """Fold shard partial artifacts into one sweep accumulator.
 
-    Partials may arrive in any order.  Rejected loudly:
-
-    - partials whose manifests differ (compared by digest, and each
-      partial's stored digest is re-verified against its embedded
-      manifest — a tampered artifact cannot slip in) or whose
-      recorded SoC configurations differ (the workload manifest
-      cannot see the hardware model);
-    - inconsistent shard counts, repeated shard indices, a declared
-      slice that disagrees with the deterministic :class:`ShardPlan`
-      for the manifest, or a partial whose cells do not match its
-      declared slice;
-    - overlapping cells across partials;
-    - gaps (missing cells), unless ``require_complete=False`` — the
-      error names the absent shard indices so the operator knows
-      which host to chase.
+    Partials may arrive in any order.  Each is held to the first
+    partial's manifest and SoC and to its slice of the deterministic
+    :class:`ShardPlan` by :func:`fold_partial`; on top of that,
+    inconsistent shard counts and repeated shard indices are refused,
+    and so are gaps (missing cells) unless ``require_complete=False``
+    — the error names the absent shard indices so the operator knows
+    which host to chase.
 
     The merged accumulator is bit-identical to running the whole
     sweep on one host (same :meth:`SweepResults.matrix`, same export
@@ -718,45 +812,20 @@ def merge_partials(
     """
     if not partials:
         raise ValueError("no partials to merge")
-    reference = None
     for partial in partials:
-        _validate_partial_shape(partial)
-        verify_stored_digest(
-            partial,
-            f"shard "
-            f"{_shard_label(partial['shard']['index'], partial['shard']['count'])}",
-        )
-        if reference is None:
-            reference = partial
-        elif partial["manifest_digest"] != reference["manifest_digest"]:
+        check_partial_shape(partial, "shard")
+    reference = partials[0]
+    count = reference["shard"]["count"]
+    for partial in partials:
+        if partial["shard"]["count"] != count:
             raise ValueError(
-                f"partials from different sweeps: manifest digest "
-                f"{partial['manifest_digest'][:12]} (shard "
-                f"{_shard_label(partial['shard']['index'], partial['shard']['count'])}) "
-                f"vs {reference['manifest_digest'][:12]} (shard "
-                f"{_shard_label(reference['shard']['index'], reference['shard']['count'])}); "
-                f"shards are only mergeable when every host ran the "
-                f"identical manifest"
-            )
-        if partial["shard"]["count"] != reference["shard"]["count"]:
-            raise ValueError(
-                f"partials from different shard plans: {partial['shard']['count']} "
-                f"shards vs {reference['shard']['count']}"
-            )
-        if partial["soc"] != reference["soc"]:
-            raise ValueError(
-                f"partials from different SoC configurations (shard "
-                f"{_shard_label(partial['shard']['index'], partial['shard']['count'])} "
-                f"vs shard "
-                f"{_shard_label(reference['shard']['index'], reference['shard']['count'])}); "
-                f"every host must simulate the identical hardware "
-                f"model"
+                f"partials from different shard plans: "
+                f"{partial['shard']['count']} shards vs {count}"
             )
     seen_shards: Dict[int, int] = {}
     for partial in partials:
         idx = partial["shard"]["index"]
         seen_shards[idx] = seen_shards.get(idx, 0) + 1
-    count = reference["shard"]["count"]
     repeated = [
         _shard_label(i, count)
         for i, n in sorted(seen_shards.items())
@@ -767,64 +836,21 @@ def merge_partials(
             f"shard(s) {repeated} supplied more than once; drop the "
             f"duplicate partial files"
         )
+    # The reference's manifest defines the sweep: verify it before
+    # rebuilding specs from it.
+    digest = _verify_stored_digest(
+        reference, _partial_label(reference, "shard")
+    )
     manifest = reference["manifest"]
-    specs = manifest_specs(manifest)
     plan = ShardPlan.from_manifest(manifest, count)
-    acc = SweepResults(specs, list(manifest["policies"]))
-    owner: Dict[int, int] = {}
+    acc = SweepResults(
+        manifest_specs(manifest), list(manifest["policies"])
+    )
     for partial in partials:
-        shard = partial["shard"]
-        # Hold every partial to the deterministic plan the digest
-        # implies — a slice from a different tie-break (or a shard
-        # index outside the plan) would still pass the cell-level
-        # checks but corrupt the gap diagnostics below.
-        if not 0 <= shard["index"] < count:
-            raise ValueError(
-                f"shard index {shard['index']} outside the "
-                f"{count}-shard plan"
-            )
-        if sorted(shard["cell_indices"]) != list(plan.shard(shard["index"])):
-            raise ValueError(
-                f"shard {_shard_label(shard['index'], count)}: declared "
-                f"slice does not match the deterministic plan for this "
-                f"manifest (partial produced by a different planner?)"
-            )
-        try:
-            cells = [cell_from_dict(c) for c in partial["cells"]]
-            failures = [
-                failure_from_dict(f)
-                for f in partial.get("failures", [])
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            # Keep corruption failures in the same ValueError family
-            # as every other refusal (the CLI maps those to clean
-            # one-line errors).
-            raise ValueError(
-                f"shard {_shard_label(shard['index'], count)}: "
-                f"malformed cell payload ({exc!r})"
-            ) from exc
-        covered = sorted(
-            [c.index for c in cells] + [f.index for f in failures]
+        fold_partial(
+            acc, partial, "shard", plan.shard(partial["shard"]["index"]),
+            digest, reference["soc"],
         )
-        if covered != sorted(shard["cell_indices"]):
-            raise ValueError(
-                f"shard {_shard_label(shard['index'], count)}: cells "
-                f"present (succeeded + quarantined) do not match its "
-                f"declared slice (truncated artifact?)"
-            )
-        for index in covered:
-            if index in owner:
-                raise ValueError(
-                    f"cell {index} appears in shard "
-                    f"{_shard_label(owner[index], count)} and "
-                    f"shard {_shard_label(shard['index'], count)} "
-                    f"— overlapping partials"
-                )
-            owner[index] = shard["index"]
-        for cell in cells:
-            acc.add(cell)
-        for failure in failures:
-            acc.add_failure(failure)
     if require_complete and not acc.complete:
         missing = acc.missing_indices()
         failed = acc.failed_indices()
@@ -840,3 +866,74 @@ def merge_partials(
             f"quarantined cells can be re-run with sweep --resume"
         )
     return acc
+
+
+def load_sweep_dir(out) -> Tuple[dict, List[ScenarioSpec], SweepResults]:
+    """Reconstruct ``(manifest, specs, acc)`` from what an interrupted
+    sweep left in ``out``: ``manifest.json`` (or the checkpoint
+    journal's embedded manifest), any ``partial-*.json`` shard
+    artifacts, and the ``cells.jsonl`` journal.
+
+    Everything is digest-checked against the manifest, so loading the
+    wrong directory (or a tampered journal) raises ``ValueError``
+    before any simulation time is spent.  Quarantined failures stay
+    missing in ``acc``: a resume re-runs them.
+    """
+    from repro.config import DEFAULT_SOC
+
+    out = Path(out)
+    journal_path = out / JOURNAL_NAME
+    partial_files = sorted(out.glob("partial-*.json"))
+    manifest_path = out / "manifest.json"
+    manifest = None
+    if manifest_path.is_file():
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except (OSError, ValueError) as exc:
+            raise ValueError(
+                f"{manifest_path} is not readable JSON ({exc})"
+            ) from exc
+    elif journal_path.is_file():
+        manifest = CellJournal._read_header(journal_path)["manifest"]
+    if manifest is None and not partial_files:
+        raise ValueError(
+            f"nothing to resume in {out} (no manifest.json, "
+            f"no {JOURNAL_NAME}, no partial-*.json)"
+        )
+    partials = []
+    for path in partial_files:
+        try:
+            partials.append(partial_from_json(path.read_text()))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if manifest is None:
+        manifest = partials[0]["manifest"]
+    try:
+        specs = manifest_specs(manifest)
+    except ValueError as exc:
+        raise ValueError(f"{out}: {exc}") from exc
+    digest = manifest_digest(manifest)
+    for path, partial in zip(partial_files, partials):
+        if partial["manifest_digest"] != digest:
+            raise ValueError(
+                f"{path} belongs to a different sweep "
+                f"(manifest digest {partial['manifest_digest'][:12]} "
+                f"vs {digest[:12]})"
+            )
+    if partials:
+        try:
+            acc = merge_partials(partials, require_complete=False)
+        except ValueError as exc:
+            raise ValueError(f"{out}: {exc}") from exc
+    else:
+        acc = SweepResults(specs, list(manifest["policies"]))
+    if journal_path.is_file():
+        cells, failures, _skipped = CellJournal.read(
+            journal_path, digest, dataclasses.asdict(DEFAULT_SOC)
+        )
+        for cell in cells:
+            if not acc.has_cell(cell.index):
+                acc.add(cell)
+        for failure in failures:
+            acc.add_failure(failure)
+    return manifest, specs, acc

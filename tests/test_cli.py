@@ -568,6 +568,15 @@ class TestSweepExitCodes:
                 "--tasks", "8", "--seeds", "1",
                 "--max-retries", "-1",
             ])
+        for flag, value in (
+            ("--retry-backoff", "nan"),
+            ("--cell-timeout", "inf"),
+        ):
+            with pytest.raises(SystemExit, match="finite"):
+                main([
+                    "sweep", "--scenarios", "ref-a-qos-m",
+                    "--tasks", "8", "--seeds", "1", flag, value,
+                ])
 
 
 class TestSweepResumeCli:
@@ -749,6 +758,8 @@ class TestDistributedSweepCli:
         ]
         with pytest.raises(SystemExit, match="lease-ttl"):
             main(base + ["--lease-ttl", "0"])
+        with pytest.raises(SystemExit, match="lease-ttl"):
+            main(base + ["--lease-ttl", "nan"])
         with pytest.raises(SystemExit, match="lease-cost"):
             main(base + ["--lease-cost", "0"])
 

@@ -26,8 +26,6 @@ from repro.experiments.execution import (
     SweepWorker,
     TransportError,
     WorkLedger,
-    build_lease_partial,
-    execute_lease,
 )
 from repro.experiments.parallel import ParallelRunner, Supervision
 from repro.experiments.results import (
@@ -39,17 +37,15 @@ from repro.experiments.results import (
 )
 from repro.experiments.runner import ScenarioSpec
 from repro.experiments.sharding import (
-    CellJournal,
     ShardPlan,
+    build_partial,
+    load_sweep_dir,
     manifest_digest,
 )
 from repro.reporting import sweep_to_csv, sweep_to_json
 
 #: Tiny but real: 1 scenario x 4 policies x 1 seed = 4 cells.
 TINY_SPECS = [ScenarioSpec(workload_set="A", num_tasks=6, seeds=(1,))]
-
-SOC_DICT = dataclasses.asdict(DEFAULT_SOC)
-
 
 @pytest.fixture(scope="module")
 def manifest():
@@ -65,13 +61,9 @@ def serial_matrix(serial_reference):
 def tiny_cells(manifest):
     """Every cell of the tiny manifest, computed once and reused to
     craft submissions without re-simulating."""
-    runner = ParallelRunner(workers=1)
-    cells, failures = execute_lease(
-        runner, TINY_SPECS, None, DEFAULT_SOC,
-        tuple(range(len(manifest["cells"]))),
-    )
-    assert not failures
-    return {c.index: c for c in cells}
+    acc = ParallelRunner(workers=1).run_supervised(TINY_SPECS)
+    assert not acc.failures()
+    return {c.index: c for c in acc.cells()}
 
 
 class FakeClock:
@@ -94,9 +86,10 @@ def _lease_doc(lease):
 
 
 def _partial_for(manifest, lease, cells_by_index, failures=()):
-    return build_lease_partial(
+    return build_partial(
         manifest,
-        SOC_DICT,
+        DEFAULT_SOC,
+        "lease",
         _lease_doc(lease),
         [
             cells_by_index[i]
@@ -138,7 +131,7 @@ class TestWorkLedger:
         assert led.digest == manifest_digest(manifest)
 
     def test_lease_grants_costliest_first(self, manifest):
-        led = WorkLedger(manifest, lease_ttl=None, workers_hint=1)
+        led = WorkLedger(manifest, lease_ttl=None)
         lease = led.request_lease("w", max_cost=1)
         # max_cost below any cell cost still grants exactly one cell
         # — the costliest available (index 0 here: uniform costs tie-
@@ -158,8 +151,8 @@ class TestWorkLedger:
         assert len(set(seen)) == len(seen)
 
     def test_default_batch_cost_spreads_total(self, manifest):
-        led = WorkLedger(manifest, workers_hint=2)
-        # 4 cells x cost 6 over 4x2 batches -> ceil(24/8) = 3, but
+        led = WorkLedger(manifest)
+        # 4 cells x cost 6 over 8 batches -> ceil(24/8) = 3, but
         # never below the costliest single cell (6).
         assert led.default_batch_cost() == 6
 
@@ -199,27 +192,6 @@ class TestWorkLedger:
         clock.advance(1e9)
         assert led.expire() == []
 
-    def test_release_frees_immediately(self, manifest):
-        led = WorkLedger(manifest, lease_ttl=30.0)
-        lease = led.request_lease("w")
-        released = led.release(lease.lease_id)
-        assert released.lease_id == lease.lease_id
-        assert all(led.state(i) == UNLEASED for i in lease.indices)
-
-    def test_pre_lease_shard_matches_shard_plan(self, manifest):
-        plan = ShardPlan.from_manifest(manifest, 2)
-        led = WorkLedger(manifest)
-        lease0 = led.pre_lease_shard(2, 0)
-        lease1 = led.pre_lease_shard(2, 1)
-        assert lease0.indices == plan.shard(0)
-        assert lease1.indices == plan.shard(1)
-        assert lease0.cost == plan.costs[0]
-        assert led.request_lease("late") is None
-        led2 = WorkLedger(manifest)
-        led2.pre_lease_shard(2, 0)
-        with pytest.raises(ValueError, match="overlaps"):
-            led2.pre_lease_shard(1, 0)
-
     def test_complete_refuses_duplicate(self, manifest):
         led = WorkLedger(manifest)
         led.complete(0)
@@ -252,44 +224,6 @@ class TestWorkLedger:
             led.complete(i)
         assert led.lease(lease.lease_id) is None
         assert led.counts()["leases"] == 0
-
-    def test_replay_rebuilds_exact_state(self, manifest):
-        clock = FakeClock()
-        led = WorkLedger(manifest, lease_ttl=5.0, clock=clock)
-        rng = random.Random(7)
-        while not led.drained:
-            lease = led.request_lease(
-                f"w{rng.randrange(3)}", max_cost=rng.choice([1, 6, 12])
-            )
-            if lease is None:
-                clock.advance(10.0)
-                led.expire()
-                continue
-            action = rng.random()
-            if action < 0.3:
-                clock.advance(10.0)
-                led.expire()
-            elif action < 0.4:
-                led.quarantine(lease.indices[0])
-            else:
-                for i in lease.indices:
-                    led.complete(i)
-        replayed = WorkLedger.replay(manifest, led.log)
-        assert [replayed.state(i) for i in range(len(replayed))] == [
-            led.state(i) for i in range(len(led))
-        ]
-        assert replayed.counts() == led.counts()
-        assert [l.lease_id for l in replayed.live_leases()] == [
-            l.lease_id for l in led.live_leases()
-        ]
-        # Replay of the replay's log is a fixed point.
-        again = WorkLedger.replay(manifest, replayed.log)
-        assert again.counts() == led.counts()
-
-    def test_replay_unknown_op_refused(self, manifest):
-        with pytest.raises(ValueError, match="unknown ledger op"):
-            WorkLedger.replay(manifest, [{"op": "meddle"}])
-
 
 # ----------------------------------------------------------------------
 # Coordinator (in-process transport)
@@ -398,15 +332,36 @@ class TestCoordinator:
                 _partial_for(manifest, doctored, tiny_cells)
             )
 
+    def test_submit_mislabeled_cell_refused_whole(
+        self, manifest, tiny_cells
+    ):
+        """A cell that does not sit where the manifest puts it is
+        refused before anything folds: no cell of the batch reaches
+        the accumulator, and the lease stays submittable."""
+        coord = Coordinator(
+            manifest, lease_ttl=None, max_lease_cost=10_000
+        )
+        t = InProcessTransport(coord)
+        lease = t.lease_request("w")  # everything
+        partial = _partial_for(manifest, lease, tiny_cells)
+        partial["cells"][-1]["seed"] = 999
+        with pytest.raises(ValueError, match="not the manifest's"):
+            t.submit_partial(partial)
+        assert len(coord.acc) == 0
+        reply = t.submit_partial(_partial_for(manifest, lease, tiny_cells))
+        assert reply["accepted"] == len(manifest["cells"])
+
     def test_submit_not_a_lease_partial_refused(self, manifest):
         coord = Coordinator(manifest, lease_ttl=None)
         with pytest.raises(ValueError, match="not a repro-sweep"):
             coord.submit_partial({"format": "something-else"})
 
     def test_quarantined_failure_degrades(self, manifest, tiny_cells):
-        coord = Coordinator(manifest, lease_ttl=None)
+        coord = Coordinator(
+            manifest, lease_ttl=None, max_lease_cost=10_000
+        )
         t = InProcessTransport(coord)
-        lease = t.lease_request("w", max_cost=10_000)  # everything
+        lease = t.lease_request("w")  # everything
         failure = _failure_for(manifest, lease["cell_indices"][0])
         reply = t.submit_partial(
             _partial_for(manifest, lease, tiny_cells, [failure])
@@ -456,46 +411,32 @@ class TestCoordinatorJournal:
         self, manifest, tiny_cells, tmp_path, serial_matrix
     ):
         coord = Coordinator(manifest, lease_ttl=None,
-                            out_dir=tmp_path)
+                            max_lease_cost=12, out_dir=tmp_path)
         t = InProcessTransport(coord)
-        first = t.lease_request("w", max_cost=12)
+        first = t.lease_request("w")
         t.submit_partial(_partial_for(manifest, first, tiny_cells))
         done = set(first["cell_indices"])
         # Simulate a SIGKILL: no close(), no discard — just drop it.
         del coord
-        resumed = Coordinator.resume(tmp_path, lease_ttl=None)
+        loaded, _specs, acc = load_sweep_dir(tmp_path)
+        assert loaded == manifest
+        resumed = Coordinator(
+            loaded, lease_ttl=None, max_lease_cost=10_000,
+            out_dir=tmp_path, acc=acc,
+        )
         assert [
             i for i in range(len(manifest["cells"]))
             if resumed.ledger.state(i) == COMPLETED
         ] == sorted(done)
         # Only the missing cells get leased out again.
         t2 = InProcessTransport(resumed)
-        lease = t2.lease_request("w2", max_cost=10_000)
+        lease = t2.lease_request("w2")
         assert sorted(lease["cell_indices"]) == sorted(
             set(range(len(manifest["cells"]))) - done
         )
         t2.submit_partial(_partial_for(manifest, lease, tiny_cells))
         assert resumed.acc.complete
         assert resumed.acc.matrix() == serial_matrix
-
-    def test_journal_carries_replayable_lease_log(
-        self, manifest, tiny_cells, tmp_path
-    ):
-        coord = Coordinator(manifest, lease_ttl=None,
-                            out_dir=tmp_path)
-        t = InProcessTransport(coord)
-        while not coord.drained:
-            lease = t.lease_request("w")
-            t.submit_partial(
-                _partial_for(manifest, lease, tiny_cells)
-            )
-        coord.close()
-        ops = CellJournal.read_events(
-            tmp_path / "cells.jsonl", "lease-op"
-        )
-        replayed = WorkLedger.replay(manifest, ops)
-        assert replayed.drained
-        assert replayed.counts() == coord.ledger.counts()
 
     def test_foreign_journal_refused(self, manifest, tmp_path):
         other = cell_manifest(
@@ -517,14 +458,10 @@ def golden_setup():
     from test_reporting import GOLDEN_EXPORT_PATH, GOLDEN_EXPORT_SPECS
 
     manifest = cell_manifest(GOLDEN_EXPORT_SPECS)
-    runner = ParallelRunner(workers=1)
-    cells, failures = execute_lease(
-        runner, GOLDEN_EXPORT_SPECS, None, DEFAULT_SOC,
-        tuple(range(len(manifest["cells"]))),
-    )
-    assert not failures
+    acc = ParallelRunner(workers=1).run_supervised(GOLDEN_EXPORT_SPECS)
+    assert not acc.failures()
     golden = json.loads(GOLDEN_EXPORT_PATH.read_text())
-    return manifest, {c.index: c for c in cells}, golden["digests"]
+    return manifest, {c.index: c for c in acc.cells()}, golden["digests"]
 
 
 class TestLeaseExpiryDeterminism:
@@ -545,9 +482,8 @@ class TestLeaseExpiryDeterminism:
         rng = random.Random(trial)
         while not coord.drained:
             worker = f"w{rng.randrange(3)}"
-            lease = t.lease_request(
-                worker, max_cost=rng.choice([None, 1, 16, 64])
-            )
+            coord.max_lease_cost = rng.choice([None, 1, 16, 64])
+            lease = t.lease_request(worker)
             if lease is None:
                 clock.advance(10.0)
                 coord.expire_leases()
@@ -620,6 +556,25 @@ class TestHttpTransport:
             with pytest.raises(TransportError, match="HTTP 404"):
                 t._post("/nonsense", {})
 
+    def test_negative_content_length_refused(self, manifest):
+        """A negative Content-Length gets a 400 at once: reading a
+        body of length -1 would block the handler until the client
+        hangs up, so a keep-alive client would get no reply."""
+        import socket
+
+        coord = Coordinator(manifest, lease_ttl=None)
+        with CoordinatorServer(coord) as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=5
+            ) as sock:
+                sock.sendall(
+                    b"POST /status HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: -1\r\n\r\n"
+                )
+                reply = sock.recv(4096)
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"Content-Length" in reply
+
     def test_unreachable_coordinator_is_transport_error(self):
         t = HttpTransport("http://127.0.0.1:9", timeout=0.5)
         with pytest.raises(TransportError, match="unreachable"):
@@ -640,11 +595,11 @@ class TestHttpTransport:
                 super().__init__(coord)
                 self.failures = 2
 
-            def lease_request(self, worker_id, max_cost=None):
+            def lease_request(self, worker_id):
                 if self.failures:
                     self.failures -= 1
                     raise TransportError("blip")
-                return inner.lease_request(worker_id, max_cost)
+                return inner.lease_request(worker_id)
 
         worker = SweepWorker(
             Flaky(),
@@ -785,9 +740,9 @@ class TestStaticShardsOnLedger:
 
 
 class TestDefaultSupervision:
-    """``execute_lease`` and ``run_shard`` called without a supervision
-    run under ``Supervision()``: a poison cell is quarantined after the
-    default retry budget instead of raising."""
+    """``run_shard`` called without a supervision runs under
+    ``Supervision()``: a poison cell is quarantined after the default
+    retry budget instead of raising."""
 
     POLICIES = {"prema": PremaPolicy, "raising": RaisingPolicy}
 
@@ -802,13 +757,6 @@ class TestDefaultSupervision:
         assert failure.kind == "error"
         assert failure.attempts == Supervision().max_retries + 1
         assert "decide exploded" in failure.message
-
-    def test_execute_lease_quarantines_poison_cell(self):
-        cells, failures = execute_lease(
-            ParallelRunner(workers=1), TINY_SPECS, self.POLICIES,
-            DEFAULT_SOC, (0, 1),
-        )
-        self._check(cells, failures)
 
     def test_run_shard_quarantines_poison_cell(self):
         from repro.experiments.sharding import run_shard

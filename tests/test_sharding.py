@@ -11,7 +11,6 @@ import pytest
 
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.results import (
-    SweepResults,
     cell_from_dict,
     cell_manifest,
     cell_to_dict,
@@ -189,7 +188,7 @@ class TestMergeIdentity:
     ):
         """ISSUE tentpole: merging all partials reproduces the
         unsharded matrix bit-for-bit."""
-        acc = SweepResults.from_partials(partials)
+        acc = merge_partials(partials)
         matrix = acc.matrix()
         assert set(matrix) == set(serial_matrix)
         for label, cell in serial_matrix.items():
@@ -207,7 +206,7 @@ class TestMergeIdentity:
         for trial in range(3):
             shuffled = partials[:]
             random.Random(trial).shuffle(shuffled)
-            matrix = SweepResults.from_partials(shuffled).matrix()
+            matrix = merge_partials(shuffled).matrix()
             assert sweep_to_json(matrix) == want_json
             assert sweep_to_csv(matrix) == want_csv
 
@@ -246,7 +245,7 @@ class TestMergeRefusals:
     def test_gap_detected_with_absent_shard_named(self, partials):
         with pytest.raises(ValueError, match=r"absent shard\(s\): \['2/3'\]"):
             merge_partials([partials[0], partials[2]])
-        acc = SweepResults.from_partials(
+        acc = merge_partials(
             [partials[0], partials[2]], require_complete=False
         )
         assert not acc.complete
@@ -414,7 +413,7 @@ class TestShardMergeProperty:
             for i in range(num_shards)
         ]
         rng.shuffle(partials)
-        merged = SweepResults.from_partials(partials).matrix()
+        merged = merge_partials(partials).matrix()
         serial = serial_reference(specs)
         assert sweep_to_json(merged) == sweep_to_json(serial)
         assert sweep_to_csv(merged) == sweep_to_csv(serial)
@@ -671,10 +670,10 @@ class TestCellJournal:
 
 
 class TestJournalExtensionEvents:
-    """PR 8: the coordinator piggybacks its lease-op audit trail on
-    the cell journal as checksummed *extension events*.  ``read()``
-    must tolerate kinds it does not aggregate (silently — they are
-    not damage), and ``read_events()`` must recover them in order."""
+    """Journals written by older coordinators carry checksummed lines
+    of kinds ``read()`` does not aggregate (a lease audit trail).
+    ``read()`` must tolerate them silently — they are not damage —
+    while still skipping torn lines."""
 
     @pytest.fixture()
     def soc_dict(self):
@@ -693,54 +692,45 @@ class TestJournalExtensionEvents:
 
         return CellJournal.open(tmp_path, manifest, DEFAULT_SOC)
 
+    @staticmethod
+    def _append_event(path, kind, data):
+        """Write one checksummed line of ``kind``, as older
+        coordinators did."""
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        line = {
+            "kind": kind,
+            "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+            "data": data,
+        }
+        with path.open("ab") as fh:
+            fh.write(json.dumps(line).encode() + b"\n")
+
     def test_read_ignores_extension_events_silently(
         self, tmp_path, manifest, cells, soc_dict, capsys
     ):
+        path = tmp_path / JOURNAL_NAME
+        self._open(tmp_path, manifest).close()
+        self._append_event(path, "lease-op", {"op": "lease", "id": 1})
         with self._open(tmp_path, manifest) as journal:
-            journal.append_event("lease-op", {"op": "lease", "id": 1})
             journal.append_cell(cells[0])
-            journal.append_event("lease-op", {"op": "expire", "id": 1})
+        self._append_event(path, "lease-op", {"op": "expire", "id": 1})
         back, failures, skipped = CellJournal.read(
-            tmp_path / JOURNAL_NAME,
-            manifest_digest(manifest), soc_dict,
+            path, manifest_digest(manifest), soc_dict,
         )
         assert skipped == 0  # extension lines are not damage
         assert [c.index for c in back] == [cells[0].index]
         assert failures == []
         assert capsys.readouterr().err == ""
 
-    def test_read_events_in_journal_order(
-        self, tmp_path, manifest, cells
-    ):
-        ops = [{"op": "lease", "id": i} for i in range(5)]
-        with self._open(tmp_path, manifest) as journal:
-            for op in ops[:3]:
-                journal.append_event("lease-op", op)
-            journal.append_cell(cells[0])
-            for op in ops[3:]:
-                journal.append_event("lease-op", op)
-            journal.append_event("other-kind", {"op": "noise"})
-        path = tmp_path / JOURNAL_NAME
-        assert CellJournal.read_events(path, "lease-op") == ops
-        assert CellJournal.read_events(path, "other-kind") == [
-            {"op": "noise"}
-        ]
-        assert CellJournal.read_events(path, "absent") == []
-
     def test_damaged_event_lines_skipped(
-        self, tmp_path, manifest
+        self, tmp_path, manifest, soc_dict
     ):
-        with self._open(tmp_path, manifest) as journal:
-            journal.append_event("lease-op", {"op": "lease", "id": 1})
         path = tmp_path / JOURNAL_NAME
+        self._open(tmp_path, manifest).close()
+        self._append_event(path, "lease-op", {"op": "lease", "id": 1})
         with path.open("ab") as fh:
             fh.write(b'{"kind":"lease-op","sha2')  # torn tail
-        assert CellJournal.read_events(path, "lease-op") == [
-            {"op": "lease", "id": 1}
-        ]
-
-    def test_reserved_kinds_refused(self, tmp_path, manifest):
-        with self._open(tmp_path, manifest) as journal:
-            for kind in ("header", "cell", "failure"):
-                with pytest.raises(ValueError, match="reserved"):
-                    journal.append_event(kind, {})
+        back, failures, skipped = CellJournal.read(
+            path, manifest_digest(manifest), soc_dict,
+        )
+        assert (back, failures, skipped) == ([], [], 1)

@@ -55,6 +55,14 @@ class TestSupervisionPolicy:
             dict(cell_timeout=-1.0),
             dict(backoff_base=-0.1),
             dict(backoff_factor=0.0),
+            # NaN slips past a bare "<= 0" check and inf overflows
+            # time.sleep()/wait(): both are refused up front.
+            dict(cell_timeout=float("nan")),
+            dict(cell_timeout=float("inf")),
+            dict(backoff_base=float("nan")),
+            dict(backoff_base=float("inf")),
+            dict(backoff_factor=float("nan")),
+            dict(backoff_factor=float("inf")),
         ],
     )
     def test_invalid_policies_rejected(self, kwargs):
