@@ -25,24 +25,30 @@ from repro.sim.workload import WorkloadConfig, WorkloadGenerator
 
 
 class _NoRegulationMoCA(MoCAPolicy):
+    """Algorithm 3 only: the regulation stage sets no bandwidth caps."""
+
     name = "moca-no-regulation"
 
-    def _regulate(self, sim):
-        pass
+    def _plan_regulation(self, sim, planned_running, admitted_tiles):
+        return ()
 
 
 class _FcfsMoCA(MoCAPolicy):
+    """Algorithm 2 only: admit base-slot jobs in ready order while
+    tiles remain."""
+
     name = "moca-fcfs-admission"
 
-    def _admit(self, sim):
-        self._lazy_init(sim)
-        base = self.scheduler_config.tiles_per_task
-        admitted = False
-        while sim.ready and sim.free_tiles >= base:
-            sim.start_job(sim.ready[0], base)
-            admitted = True
-        if admitted:
-            self._epoch += 1
+    def _plan_admissions(self, sim):
+        base = self._scheduler.config.tiles_per_task
+        free = sim.free_tiles
+        admissions = []
+        for job in sim.ready:
+            if free < base:
+                break
+            admissions.append((job.job_id, base))
+            free -= base
+        return admissions
 
 
 def _run(policy_factory, seeds=(1, 2)):

@@ -64,12 +64,6 @@ class RuntimeDecision:
             return float("inf")
         return self.threshold_load / self.window
 
-    def apply_to(self, engine) -> None:
-        """Program a :class:`~repro.accelerator.moca_hw.MoCAHardwareEngine`
-        with this decision (Algorithm 2 line 26, ``ConfigureHW``)."""
-        engine.configure(window=self.window,
-                         threshold_load=self.threshold_load)
-
 
 class MoCARuntime:
     """The per-SoC MoCA runtime system.
@@ -87,6 +81,10 @@ class MoCARuntime:
         overflow_tolerance: Fraction of DRAM bandwidth the summed
             demand must exceed before throttling engages (marginal
             overflows self-resolve through interleaving).
+        dram_bw: The DRAM bandwidth the runtime shares out,
+            bytes/cycle (fixed for the runtime's lifetime).
+        overflow_cut: ``overflow_tolerance * dram_bw``, the overflow
+            above which throttling engages, bytes/cycle.
     """
 
     def __init__(
@@ -109,11 +107,8 @@ class MoCARuntime:
         self.urgency_cap = urgency_cap
         self.min_bw_rate = min_bw_rate
         self.overflow_tolerance = overflow_tolerance
-        # Fixed for the runtime's lifetime (the hierarchy is immutable
-        # config): cached so the per-round sweep skips the property
-        # chain and the overflow-cut multiply.
-        self._dram_bw = self.mem.dram_bandwidth
-        self._overflow_cut = overflow_tolerance * self._dram_bw
+        self.dram_bw = self.mem.dram_bandwidth
+        self.overflow_cut = overflow_tolerance * self.dram_bw
 
     def dynamic_score(
         self, user_priority: float, remain_prediction: float, slack: float
@@ -157,7 +152,7 @@ class MoCARuntime:
         """
         if num_tiles <= 0:
             raise ValueError("num_tiles must be positive")
-        dram_bw = self.mem.dram_bandwidth
+        dram_bw = self.dram_bw
         l2_bw = self.mem.l2_bandwidth
 
         # Lines 3-4: unconstrained prediction and demand for this block
@@ -183,7 +178,7 @@ class MoCARuntime:
         # maximum DRAM bandwidth?
         overflow = demand + other_bw - dram_bw
 
-        if overflow > self.overflow_tolerance * dram_bw and demand > 0:
+        if overflow > self.overflow_cut and demand > 0:
             # Lines 16-18: contention detected.  Shed only the overflow,
             # splitting the bandwidth by weighted water-fill with the
             # dynamic scores as weights: co-runners whose demand fits
@@ -225,9 +220,7 @@ class MoCARuntime:
             contention = False
 
         # Line 25: publish to the scoreboard.
-        self.scoreboard.update(
-            app_id, bw_rate=bw_rate, score=score, demand=demand
-        )
+        self.scoreboard.publish(app_id, bw_rate, demand, score)
 
         return RuntimeDecision(
             app_id=app_id,

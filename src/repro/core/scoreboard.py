@@ -3,21 +3,21 @@
 Section IV-A: *"MoCA uses a lightweight software look-up table for the
 scoreboard that is used to manage the bandwidth usage of each
 application"*.  Each entry tracks an application's current DRAM
-bandwidth rate (``BW_rate``, bytes/cycle) and its dynamic priority
-score; Algorithm 2 reads co-runners' entries when deciding how to
-shed overflow bandwidth and writes its own entry back
+bandwidth rate (``BW_rate``, bytes/cycle), its unthrottled demand and
+its dynamic priority score; Algorithm 2 reads co-runners' entries when
+deciding how to shed overflow bandwidth and writes its own entry back
 (``UpdateScoreboard``) after each layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ScoreboardEntry:
-    """One application's published state.
+    """A snapshot of one application's published state.
 
     Attributes:
         bw_rate: Currently allocated DRAM bandwidth rate, bytes/cycle.
@@ -25,47 +25,88 @@ class ScoreboardEntry:
         score: Dynamic priority score (Alg. 2 line 6).
     """
 
-    bw_rate: float = 0.0
-    demand: float = 0.0
-    score: float = 0.0
+    bw_rate: float
+    demand: float
+    score: float
 
 
 class Scoreboard:
-    """Lookup table of per-application bandwidth usage and scores."""
+    """Lookup table of per-application bandwidth usage and scores.
+
+    The table is stored in publication order as parallel columns:
+    slot ``i`` of :attr:`demand_list`, :attr:`score_list` and
+    :attr:`rate_list` belongs to the application that
+    :attr:`slot_of` maps to ``i``, and ``slot_of`` iterates in slot
+    order.  An application keeps its slot when it re-publishes and
+    goes to the end when it publishes again after :meth:`remove`.
+    Every co-runner sum Algorithm 2 takes walks the slots in this
+    order, so the floats do not depend on who reads the table.
+
+    The columns are read-only for callers; write through
+    :meth:`publish`.
+
+    Attributes:
+        slot_of: Application id -> slot index, in slot order.
+        demand_list: Published unthrottled demands, bytes/cycle.
+        score_list: Published dynamic scores.
+        rate_list: Published allocated bandwidth rates, bytes/cycle.
+    """
 
     def __init__(self) -> None:
-        self._entries: Dict[str, ScoreboardEntry] = {}
+        self.slot_of: Dict[str, int] = {}
+        self.demand_list: List[float] = []
+        self.score_list: List[float] = []
+        self.rate_list: List[float] = []
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.slot_of)
 
     def __contains__(self, app_id: str) -> bool:
-        return app_id in self._entries
+        return app_id in self.slot_of
 
-    def update(
-        self, app_id: str, bw_rate: float, score: float,
-        demand: Optional[float] = None,
+    def publish(
+        self, app_id: str, bw_rate: float, demand: float, score: float
     ) -> None:
-        """Publish an application's bandwidth state and dynamic score."""
+        """Publish an application's bandwidth state and dynamic score
+        (Alg. 2 line 25): overwrite its slot, or append a new one."""
         if bw_rate < 0:
             raise ValueError("bw_rate must be non-negative")
-        if demand is None:
-            demand = bw_rate
         if demand < 0:
             raise ValueError("demand must be non-negative")
-        self._entries[app_id] = ScoreboardEntry(
-            bw_rate=bw_rate, demand=demand, score=score
-        )
+        i = self.slot_of.get(app_id)
+        if i is None:
+            self.slot_of[app_id] = len(self.demand_list)
+            self.demand_list.append(demand)
+            self.score_list.append(score)
+            self.rate_list.append(bw_rate)
+        else:
+            self.demand_list[i] = demand
+            self.score_list[i] = score
+            self.rate_list[i] = bw_rate
 
     def remove(self, app_id: str) -> None:
-        """Drop an application (it finished or was preempted)."""
-        self._entries.pop(app_id, None)
+        """Drop an application (it finished or was preempted); the
+        slots after it move up one, keeping their order."""
+        i = self.slot_of.pop(app_id, None)
+        if i is None:
+            return
+        del self.demand_list[i]
+        del self.score_list[i]
+        del self.rate_list[i]
+        for app, j in self.slot_of.items():
+            if j > i:
+                self.slot_of[app] = j - 1
 
     def entry(self, app_id: str) -> ScoreboardEntry:
-        """Fetch one application's entry."""
-        if app_id not in self._entries:
+        """Fetch a snapshot of one application's entry."""
+        i = self.slot_of.get(app_id)
+        if i is None:
             raise KeyError(f"no scoreboard entry for {app_id!r}")
-        return self._entries[app_id]
+        return ScoreboardEntry(
+            bw_rate=self.rate_list[i],
+            demand=self.demand_list[i],
+            score=self.score_list[i],
+        )
 
     def mem_bw(self, app_id: str) -> float:
         """``MEM_BW(App_j)`` — an app's published bandwidth rate."""
@@ -75,52 +116,18 @@ class Scoreboard:
         """``score(App_j)`` — an app's published dynamic score."""
         return self.entry(app_id).score
 
-    def apps(self) -> List[str]:
-        """All registered application ids."""
-        return list(self._entries)
-
-    def other_apps(self, app_id: str) -> List[str]:
-        """Co-runners of ``app_id`` (Alg. 2's other_Running_Apps)."""
-        return [a for a in self._entries if a != app_id]
-
-    def other_totals(self, app_id: str) -> Tuple[float, float]:
-        """Aggregate co-runner state for Algorithm 2 lines 9-12.
-
-        Returns:
-            ``(other_bw_rate, weight_sum)`` where ``other_bw_rate`` is
-            the summed bandwidth of co-runners and ``weight_sum`` their
-            score-weighted bandwidth sum.
-        """
-        other_bw = 0.0
-        weight_sum = 0.0
-        for app in self.other_apps(app_id):
-            entry = self._entries[app]
-            other_bw += entry.bw_rate
-            weight_sum += entry.score * entry.bw_rate
-        return other_bw, weight_sum
-
-    def entries(self) -> Dict[str, ScoreboardEntry]:
-        """The live entry mapping, in publication order.
-
-        For read-only iteration on hot paths (the runtime's batched
-        Algorithm 2 sweep) where the per-call dict copies of
-        :meth:`demands`/:meth:`scores` are measurable; callers must
-        not mutate it — publish through :meth:`update`.
-        """
-        return self._entries
-
     def demands(self) -> Dict[str, float]:
-        """All published demands, keyed by app id."""
-        return {a: e.demand for a, e in self._entries.items()}
+        """All published demands, keyed by app id, in slot order."""
+        return dict(zip(self.slot_of, self.demand_list))
 
     def scores(self) -> Dict[str, float]:
-        """All published dynamic scores, keyed by app id."""
-        return {a: e.score for a, e in self._entries.items()}
-
-    def total_bw(self) -> float:
-        """Total published bandwidth across all applications."""
-        return sum(e.bw_rate for e in self._entries.values())
+        """All published dynamic scores, keyed by app id, in slot
+        order."""
+        return dict(zip(self.slot_of, self.score_list))
 
     def clear(self) -> None:
         """Drop every entry (simulation reset)."""
-        self._entries.clear()
+        self.slot_of.clear()
+        self.demand_list.clear()
+        self.score_list.clear()
+        self.rate_list.clear()

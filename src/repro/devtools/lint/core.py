@@ -89,6 +89,8 @@ RULES: Dict[str, str] = {
             "value object's own module",
     "P302": "AllocationPlan.trusted() invoked outside the allowlisted "
             "trust boundary",
+    "P303": "private attribute of another module's object read or "
+            "written in a core/ or baselines/ module",
 }
 
 #: Rules that cannot be suppressed (they police the lint's own

@@ -21,14 +21,26 @@ of somebody else's sealed value:
   the PR 7 contract, previously enforced by convention only.  New
   call sites must either go through ``AllocationPlan(...)`` or be
   added to the allowlist with review.
+- **P303** — in ``core/`` and ``baselines/`` modules, ``x._name`` with
+  a receiver other than ``self``/``cls`` where ``_name`` is not an
+  attribute the same module defines (assigned on ``self``/``cls`` or
+  bound in a class body).  Reading another module's private state
+  couples a decision round to that module's internals; expose a
+  public read-only view instead.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.devtools.lint.core import Finding, LintConfig, snippet_at
+
+_SELF_NAMES = ("self", "cls")
+
+#: The policy and runtime layers, which reach other objects through
+#: public seams only (P303).
+_PRIVATE_SCOPE = ("src/repro/core/", "src/repro/baselines/")
 
 __all__ = ["check_prules"]
 
@@ -40,8 +52,44 @@ def check_prules(
     config: LintConfig,
 ) -> List[Finding]:
     visitor = _PurityVisitor(lines, rel, config)
+    if config.path_allowed(rel, _PRIVATE_SCOPE):
+        visitor.own_private = _own_private_names(tree)
     visitor.visit(tree)
     return visitor.findings
+
+
+def _is_private(attr: str) -> bool:
+    return attr.startswith("_") and not (
+        attr.startswith("__") and attr.endswith("__")
+    )
+
+
+def _own_private_names(tree: ast.AST) -> Set[str]:
+    """Private attribute names the module itself defines: assigned on
+    ``self``/``cls``, or bound by a def or assignment in a class
+    body."""
+    names: List[str] = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in _SELF_NAMES
+        ):
+            names.append(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.append(stmt.name)
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = (
+                        stmt.targets if isinstance(stmt, ast.Assign)
+                        else [stmt.target]
+                    )
+                    names.extend(
+                        t.id for t in targets if isinstance(t, ast.Name)
+                    )
+    return {n for n in names if _is_private(n)}
 
 
 def _is_object_setattr(node: ast.AST) -> bool:
@@ -70,6 +118,9 @@ class _PurityVisitor(ast.NodeVisitor):
         #: local names bound to object.__setattr__ (the
         #: ``st = object.__setattr__`` idiom).
         self._setattr_aliases: Set[str] = set()
+        #: Private names this module defines (P303); None when the
+        #: module is outside ``_PRIVATE_SCOPE``.
+        self.own_private: Optional[Set[str]] = None
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
         self.findings.append(Finding(
@@ -116,6 +167,24 @@ class _PurityVisitor(ast.NodeVisitor):
                 "restricted to the plan trust boundary; use "
                 "AllocationPlan(...) or extend "
                 "LintConfig.trusted_allow with review",
+            )
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        own = self.own_private
+        if (
+            own is not None
+            and _is_private(node.attr)
+            and node.attr not in own
+            and not (
+                isinstance(node.value, ast.Name)
+                and node.value.id in _SELF_NAMES
+            )
+        ):
+            self._emit(
+                "P303", node,
+                f"{node.attr} is private state of another module's "
+                f"object; read it through a public read-only view",
             )
         self.generic_visit(node)
 

@@ -211,7 +211,7 @@ class Simulator:
         dram_bw = self.mem.dram_bandwidth
         l2_bw = self.mem.l2_bandwidth
         for job in self.jobs.values():
-            job._table = job.task.cost.runtime_table(
+            job.table = job.task.cost.runtime_table(
                 dram_bw, l2_bw, soc.overlap_f, soc.num_tiles
             )
         # Constants the epoch solve would otherwise re-derive through
@@ -233,8 +233,8 @@ class Simulator:
         self._cadence_every = self.cadence.mode == "every-event"
         self.controller = AllocationController(self)
         self.decisions = 0
-        self._boundaries = 0          # blocks retired so far
-        self._decided_boundaries = -1  # _boundaries at the last decision
+        self._blocks_retired = 0
+        self._decided_boundaries = -1  # _blocks_retired at the last decision
         self._last_decision_at: Optional[float] = None
         # Epoch batching: inside a controller batch any number of
         # mutations coalesce to a single epoch bump.
@@ -260,6 +260,13 @@ class Simulator:
     def has_pending_arrivals(self) -> bool:
         """Whether any task has yet to be dispatched (read-only)."""
         return bool(self._pending)
+
+    @property
+    def blocks_retired(self) -> int:
+        """Blocks retired so far across all jobs (read-only).  Only
+        block retirements move it, so an unchanged value means no
+        running job has entered a new block."""
+        return self._blocks_retired
 
     def start_job(self, job: Job, tiles: int) -> None:
         """Admit a READY job onto ``tiles`` tiles."""
@@ -522,7 +529,7 @@ class Simulator:
                 if cadence_every or self._should_decide():
                     decisions += 1
                     if not cadence_every:
-                        self._decided_boundaries = self._boundaries
+                        self._decided_boundaries = self._blocks_retired
                         self._last_decision_at = now
                     if fused is not None:
                         fused(self)
@@ -615,7 +622,7 @@ class Simulator:
                         job.block_idx += 1
                         job.progress = 0.0
                         self._alloc_epoch += 1
-                        self._boundaries += 1
+                        self._blocks_retired += 1
                         if trace_on:
                             trace.log(
                                 new_now, TraceEvent.BLOCK_DONE,
@@ -683,7 +690,7 @@ class Simulator:
             tiles = job.tiles
             v = job._kval
             if v is None or v[0] != bi or v[1] != tiles:
-                table = job._table
+                table = job.table
                 col = tiles - 1
                 v = (
                     bi, tiles,
@@ -752,7 +759,7 @@ class Simulator:
         if not self.running:
             return True
         if mode == "block-boundary":
-            return self._boundaries != self._decided_boundaries
+            return self._blocks_retired != self._decided_boundaries
         # "interval"
         return (
             self._last_decision_at is None

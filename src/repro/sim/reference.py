@@ -101,7 +101,7 @@ def run_reference(sim: Simulator) -> SimResult:
                 sim._dispatch_arrivals()
             if sim._should_decide():
                 sim.decisions += 1
-                sim._decided_boundaries = sim._boundaries
+                sim._decided_boundaries = sim.blocks_retired
                 sim._last_decision_at = sim.now
                 sim.controller.apply(sim.policy.decide(sim))
             sim._validate()
@@ -154,7 +154,7 @@ def _step(sim: Simulator, times: Dict[str, float]) -> bool:
     for job in completed:
         job.block_idx += 1
         job.progress = 0.0
-        sim._boundaries += 1
+        sim._blocks_retired += 1
         sim.trace.log(sim.now, TraceEvent.BLOCK_DONE, job.job_id,
                       f"block={job.block_idx - 1}")
         if job.block_idx >= job.num_blocks:

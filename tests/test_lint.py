@@ -477,6 +477,38 @@ class TestPRules:
         """)
         assert findings == []
 
+    def test_foreign_private_read_p303(self):
+        findings = check("""
+            class Policy:
+                def round(self, sim):
+                    self._seen = sim._boundaries
+        """, rel="src/repro/core/policy.py")
+        assert rules_of(findings) == ["P303"]
+
+    def test_private_defined_in_same_module_clean(self):
+        # A module's own helper object: ``frame._start`` is assigned
+        # on ``self`` in this module, so reading it through another
+        # receiver stays inside the module's encapsulation.
+        findings = check("""
+            class Frame:
+                _delta: dict
+
+                def __init__(self):
+                    self._start = {}
+
+            def rebase(frame, other):
+                frame._start.clear()
+                other._delta.clear()
+        """, rel="src/repro/core/latency.py")
+        assert findings == []
+
+    def test_foreign_private_outside_scope_clean(self):
+        findings = check("""
+            def peek(sim):
+                return sim._boundaries
+        """, rel="src/repro/sim/reference.py")
+        assert findings == []
+
 
 # ---------------------------------------------------------------------
 # Directives: suppression and its self-policing
@@ -644,7 +676,7 @@ class TestDriver:
             "L001", "L002", "L003",
             "D101", "D102", "D103", "D104", "D105",
             "R201", "R202", "R203",
-            "P301", "P302",
+            "P301", "P302", "P303",
         }
 
     def test_repo_tree_lints_clean_against_baseline(self):

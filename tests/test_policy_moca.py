@@ -114,14 +114,6 @@ class TestComputeRepartition:
         # MoCA triggers compute repartition "much less frequently".
         assert total_reparts <= 2
 
-    def test_can_be_disabled(self, soc, mem, task_factory):
-        tasks = [task_factory(task_id=f"t{i}", network="yolov2",
-                              qos_target=1e6)
-                 for i in range(2)]
-        policy = MoCAPolicy(enable_compute_repartition=False)
-        result = run_simulation(soc, tasks, policy, mem=mem)
-        assert sum(r.tile_repartitions for r in result.results) == 0
-
 
 class TestEndToEnd:
     def test_mixed_workload_finishes(self, soc, mem, task_factory):

@@ -6,9 +6,10 @@ oracle:
 - ``Simulator._solve_epoch`` (runtime-table SoA solve) vs
   :func:`repro.sim.reference.solve_block_times` (per-job ``predict``
   + dict arbiter);
-- ``MoCAPolicy._plan_regulation`` (single-sweep Algorithm 2) vs a
-  sequence of ``MoCARuntime.update_app`` calls (the validated per-app
-  reference);
+- ``MoCAPolicy._plan_regulation`` (single-sweep Algorithm 2 over the
+  scoreboard's columns) vs a sequence of ``MoCARuntime.update_app``
+  calls (the validated per-app reference), across two rounds with a
+  retirement between them;
 - ``MoCAPolicy.fast_path`` (retired-blocks counter skip) vs the full
   per-event re-decision.
 
@@ -153,7 +154,7 @@ class TestSolverBitIdentity:
         scalar = solve_block_times(sim)
         vector = _epoch_solve(sim)
         assert scalar == vector
-        table = zjob._table
+        table = zjob.table
         assert scalar["z0"] == table.t_full_rows[0][zjob.tiles - 1]
 
     def test_zero_share_is_inf_in_both_solvers(self, soc, mem,
@@ -220,16 +221,17 @@ class TestSolverBitIdentity:
 class TestRegulateBatchOracle:
     """MoCA's single-sweep regulation round
     (``MoCAPolicy._plan_regulation``) == a sequence of
-    ``MoCARuntime.update_app`` calls."""
+    ``MoCARuntime.update_app`` calls, over two rounds with a
+    retirement in between."""
 
     @staticmethod
-    def _seed_scoreboard(runtime, rng, apps, dram_bw):
+    def _seed_scoreboard(runtime, rng, apps, dram_bw, load):
         for app in apps:
-            runtime.scoreboard.update(
+            runtime.scoreboard.publish(
                 app,
                 bw_rate=rng.uniform(0.1, 2.0) * dram_bw,
                 score=rng.uniform(0.0, 20.0),
-                demand=rng.uniform(0.05, 1.5) * dram_bw,
+                demand=rng.uniform(0.05, 1.5) * dram_bw * load,
             )
 
     NOW = 2e6
@@ -244,6 +246,32 @@ class TestRegulateBatchOracle:
         if roll < 2 / 3:
             return cls.NOW + rng.uniform(1.0, 1e4)
         return rng.uniform(cls.NOW, 1e8)
+
+    @staticmethod
+    def _oracle_caps(oracle, predictor, jobs, now):
+        caps = []
+        for job in jobs:
+            task = job.task
+            decision = oracle.update_app(
+                job.job_id, job.current_block, job.tiles, task.priority,
+                predictor.remaining(task.cost, job.block_idx, job.tiles),
+                task.deadline - now,
+            )
+            caps.append((
+                job.job_id,
+                decision.bw_rate if decision.contention else None,
+            ))
+        return tuple(caps)
+
+    @staticmethod
+    def _assert_same_board(oracle, policy):
+        # The published scoreboard state must match too, slot for
+        # slot: the next decision round reads it.
+        want, got = oracle.scoreboard, policy._runtime.scoreboard
+        assert list(want.slot_of.items()) == list(got.slot_of.items())
+        assert want.demand_list == got.demand_list
+        assert want.score_list == got.score_list
+        assert want.rate_list == got.rate_list
 
     @pytest.mark.parametrize("seed", range(15))
     def test_batch_matches_update_app_sequence(self, soc, mem,
@@ -273,39 +301,37 @@ class TestRegulateBatchOracle:
         # Some apps already published, one co-runner outside the round.
         published = [j.job_id for j in jobs if rng.random() < 0.8]
         published.append("idle")
+        # Published co-runner demand from far past the channel down to
+        # a light load, so the contention test goes both ways.
+        load = rng.choice((1.0, 0.1, 0.01))
         seed_entries = rng.getstate()
         self._seed_scoreboard(
-            policy._runtime, rng, published, mem.dram_bandwidth
+            policy._runtime, rng, published, mem.dram_bandwidth, load
         )
         rng.setstate(seed_entries)
         oracle = MoCARuntime(soc, mem=mem)
-        self._seed_scoreboard(oracle, rng, published, mem.dram_bandwidth)
+        self._seed_scoreboard(
+            oracle, rng, published, mem.dram_bandwidth, load
+        )
 
         predictor = RemainingPrediction(soc, mem)
-        expected = []
-        for job in jobs:
-            task = job.task
-            decision = oracle.update_app(
-                job.job_id, job.current_block, job.tiles, task.priority,
-                predictor.remaining(task.cost, job.block_idx, job.tiles),
-                task.deadline - sim.now,
-            )
-            expected.append((
-                job.job_id,
-                decision.bw_rate if decision.contention else None,
-            ))
+        expected = self._oracle_caps(oracle, predictor, jobs, sim.now)
         got = policy._plan_regulation(sim, jobs, {})
-        assert got == tuple(expected)  # bit-identical caps, same order
-        # The published scoreboard state must match too: the next
-        # decision round reads it.
-        oracle_entries = oracle.scoreboard.entries()
-        policy_entries = policy._runtime.scoreboard.entries()
-        assert list(oracle_entries) == list(policy_entries)
-        for app in oracle_entries:
-            a, b = oracle_entries[app], policy_entries[app]
-            assert (a.bw_rate, a.demand, a.score) == (
-                b.bw_rate, b.demand, b.score
-            )
+        assert got == expected  # bit-identical caps, same order
+        self._assert_same_board(oracle, policy)
+
+        # Second round: one published app retires (a job in the round
+        # then re-publishes into a fresh last slot), and every job
+        # moves to a new block.
+        retired = rng.choice(published)
+        oracle.retire_app(retired)
+        policy._runtime.retire_app(retired)
+        for job in jobs:
+            job.block_idx = rng.randrange(job.num_blocks)
+        expected = self._oracle_caps(oracle, predictor, jobs, sim.now)
+        got = policy._plan_regulation(sim, jobs, {})
+        assert got == expected
+        self._assert_same_board(oracle, policy)
 
 
 class TestFastPathIdentity:
