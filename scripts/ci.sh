@@ -127,6 +127,32 @@ python -m repro.cli merge "$EXPORT_TMP/shards" \
 diff -r "$EXPORT_TMP/merged" "$EXPORT_TMP/serial"
 echo "sharded merge byte-identical"
 
+echo "== shared deadline-blind timelines (QoS-only variants, byte-exact) =="
+# Static and Prema never read a task's SLA target, so an in-process
+# sweep simulates each of their timelines once and builds the cells
+# that differ only in QoS level from that run.  The legs above have no
+# QoS-only variants; here the 2-worker pool (which shares nothing),
+# a sanitized serial run (which re-simulates and compares every
+# shared cell) and a 2-shard merge must all write the serial bytes.
+QOS_SWEEP=(--scenarios ref-a-qos-h,ref-a-qos-m,ref-a-qos-l
+           --tasks 16 --seeds 1,2)
+python -m repro.cli sweep "${QOS_SWEEP[@]}" --workers 1 \
+    --out "$EXPORT_TMP/qos-serial" --format json,csv
+python -m repro.cli sweep "${QOS_SWEEP[@]}" --workers 2 \
+    --out "$EXPORT_TMP/qos-pool" --format json,csv
+diff -r "$EXPORT_TMP/qos-pool" "$EXPORT_TMP/qos-serial"
+REPRO_CHECK=1 python -m repro.cli sweep "${QOS_SWEEP[@]}" --workers 1 \
+    --out "$EXPORT_TMP/qos-sanitized" --format json,csv
+diff -r "$EXPORT_TMP/qos-sanitized" "$EXPORT_TMP/qos-serial"
+for shard in 1/2 2/2; do
+    python -m repro.cli sweep "${QOS_SWEEP[@]}" --workers 1 \
+        --shard "$shard" --out "$EXPORT_TMP/qos-shards"
+done
+python -m repro.cli merge "$EXPORT_TMP/qos-shards" \
+    --out "$EXPORT_TMP/qos-merged" --format json,csv
+diff -r "$EXPORT_TMP/qos-merged" "$EXPORT_TMP/qos-serial"
+echo "shared timelines byte-identical"
+
 echo "== fault tolerance (poison crash -> exit 3 -> resume, byte-exact) =="
 # ISSUE acceptance gate: a sweep with an injected unrecoverable worker
 # crash must quarantine the poisoned cells and exit 3 (degraded)

@@ -47,6 +47,8 @@ class PremaPolicy(Policy):
     """
 
     name = "prema"
+    #: Tokens come from priority and waiting time, never a deadline.
+    reads_deadlines = False
 
     def __init__(
         self,

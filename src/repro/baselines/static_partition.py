@@ -31,6 +31,8 @@ class StaticPartitionPolicy(Policy):
     """
 
     name = "static"
+    #: FCFS admission into fixed slots never looks at a deadline.
+    reads_deadlines = False
 
     def __init__(self, tiles_per_slot: int = 2) -> None:
         if tiles_per_slot <= 0:

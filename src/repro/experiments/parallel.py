@@ -20,7 +20,12 @@ sweep.  Completion order is nondeterministic in pool mode; every cell carries
 its global submission index, so the accumulator assembles the same
 deterministic ``{label: {policy: ScenarioResult}}`` matrix whatever
 the arrival order.  ``workers=1`` runs the same per-cell loop
-in-process.  The library entry points
+in-process; there, and in the serial fallback, cells of a
+deadline-blind policy that differ only in SLA targets share one
+simulation through a store local to the call (see
+:func:`repro.experiments.runner.run_cell_detail`).  Pool workers get
+no store: a started pool's workers outlive the call.  The library
+entry points
 :func:`repro.experiments.runner.run_matrix` /
 :func:`~repro.experiments.runner.run_scenario` are this executor with
 ``Supervision(max_retries=0)`` and a fail-fast ``on_failure``; the
@@ -108,6 +113,7 @@ from repro.experiments.runner import (
     PolicyFactory,
     ScenarioResult,
     ScenarioSpec,
+    TimelineStore,
     check_unique_labels,
     default_policies,
     run_cell_detail,
@@ -174,7 +180,11 @@ class Supervision:
         return self.backoff_base * self.backoff_factor ** attempt
 
 
-def _run_cell(payload: _CellPayload, attempt: int = 0) -> CellResult:
+def _run_cell(
+    payload: _CellPayload,
+    attempt: int = 0,
+    timelines: Optional[TimelineStore] = None,
+) -> CellResult:
     """Execute one matrix cell (in a pool worker, or in-process for
     serial runs).
 
@@ -190,6 +200,9 @@ def _run_cell(payload: _CellPayload, attempt: int = 0) -> CellResult:
     the (single) fault-injection point and nothing else — the cell's
     simulation is a pure function of the payload, so a retried cell
     returns exactly the result the first attempt would have.
+
+    ``timelines`` is the sweep's store of deadline-blind runs, passed
+    on to ``run_cell_detail`` (the in-process paths only).
     """
     from repro.core.latency import track_cache_deltas
 
@@ -198,7 +211,7 @@ def _run_cell(payload: _CellPayload, attempt: int = 0) -> CellResult:
     t0 = time.perf_counter()
     with track_cache_deltas() as cache_delta:
         summary, sim_result = run_cell_detail(
-            spec, policy_name, factory, seed, soc
+            spec, policy_name, factory, seed, soc, timelines=timelines
         )
     seconds = time.perf_counter() - t0
     return CellResult(
@@ -655,9 +668,13 @@ class ParallelRunner:
                     # The pool could not be (re)built: the remainder
                     # drains in-process.
                     self.last_mode = "serial"
+            # Deadline-blind runs are shared only among this call's
+            # in-process cells; pool workers outlive the call.
+            timelines: TimelineStore = {}
             for payload, attempt in remaining:
                 self._supervise_serial(
-                    payload, attempt, sup, record_cell, quarantine
+                    payload, attempt, sup, record_cell, quarantine,
+                    timelines,
                 )
         finally:
             self.fault_plan = prior_plan
@@ -672,6 +689,7 @@ class ParallelRunner:
         sup: Supervision,
         record_cell,
         quarantine,
+        timelines: TimelineStore,
     ) -> None:
         """Run one cell in-process under the retry ledger.
 
@@ -681,7 +699,7 @@ class ParallelRunner:
         """
         while True:
             try:
-                cell = _run_cell(payload, attempt)
+                cell = _run_cell(payload, attempt, timelines)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception as exc:

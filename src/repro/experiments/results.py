@@ -46,7 +46,11 @@ __all__ = [
 
 #: Engine/decision telemetry threaded from each cell's
 #: :class:`~repro.sim.engine.SimResult` into its :class:`CellResult`
-#: (and through the shard-partial serialisation seam).
+#: (and through the shard-partial serialisation seam).  The counters
+#: describe the cell's simulation; a cell built from another cell's
+#: deadline-blind run (see :func:`repro.experiments.runner.
+#: run_cell_detail`) shares that run and reports its counters, which
+#: are exactly what the cell's own simulation would report.
 DECISION_COUNTER_FIELDS = (
     "events",
     "block_time_recomputes",
@@ -73,7 +77,8 @@ class CellResult:
         policy: Policy name.
         seed: Workload seed.
         summary: The cell's metric bundle.
-        seconds: Wall seconds the cell took inside its worker.
+        seconds: Wall seconds the cell took inside its worker (for a
+            follower: generation and summary, no simulation).
         worker_pid: OS pid of the process that ran the cell.
         cost_cache_hits / cost_cache_misses: Network-cost cache probes
             during the cell (generation + simulation); a pre-warmed
@@ -81,6 +86,9 @@ class CellResult:
         predict_memo_hits / predict_memo_misses: ``BlockCost.predict``
             memo probes during the cell.
         events: Simulation events the cell's engine loop processed.
+            This and the decision counters below describe the cell's
+            simulation, which a follower cell shares with its lead
+            (see :func:`repro.experiments.runner.run_cell_detail`).
         block_time_recomputes / block_time_reuses: Full block-time
             solves vs allocation-epoch cache hits — the counters the
             decision-cadence sweep axis is judged by.

@@ -9,11 +9,14 @@ format the paper's rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import repro.sanitizer as sanitizer
 from repro.baselines import PlanariaPolicy, PremaPolicy, StaticPartitionPolicy
 from repro.config import DEFAULT_SOC, SoCConfig
+from repro.core.latency import CACHE_COUNTER_FIELDS
 from repro.core.policy import MoCAPolicy
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.metrics import MetricsSummary, summarize
@@ -26,6 +29,8 @@ from repro.scenarios import (
     resolve_scenario,
 )
 from repro.sim.engine import SimResult, run_simulation
+from repro.sim.job import Task
+from repro.sim.plan import DecisionCadence
 from repro.sim.policy import Policy
 from repro.sim.qos import QosModel
 from repro.sim.workload import WorkloadGenerator
@@ -138,12 +143,55 @@ class ScenarioResult:
         return sum(vals) / len(vals)
 
 
+#: A sweep's deadline-blind simulations, for :func:`run_cell_detail`:
+#: timeline key -> (the lead cell's tasks, its ``SimResult``).  The
+#: tasks are kept so the costs the key names by identity stay alive.
+TimelineStore = Dict[tuple, Tuple[Sequence[Task], SimResult]]
+
+#: The fields of a generated task a deadline-blind run depends on:
+#: all but the SLA target, and the cost, which the key holds by
+#: identity.
+_TIMELINE_FIELDS = attrgetter(*(
+    f.name for f in fields(Task)
+    if f.name not in ("cost", "qos_target_cycles")
+))
+
+#: ``SimResult`` fields a follower must share with a fresh run of its
+#: own tasks: all but the trace (off in sweep cells) and the cache
+#: counters, which depend on how warm the process already is.
+_SHARED_RESULT_FIELDS = tuple(
+    f.name for f in fields(SimResult)
+    if f.name != "trace" and f.name not in CACHE_COUNTER_FIELDS
+)
+
+
+def _timeline_key(
+    policy_name: str, cadence: DecisionCadence, tasks: Sequence[Task]
+) -> tuple:
+    return (
+        policy_name,
+        cadence,
+        tuple((id(t.cost), _TIMELINE_FIELDS(t)) for t in tasks),
+    )
+
+
+def _follow(lead: SimResult, tasks: Sequence[Task]) -> SimResult:
+    """The lead's run, with each task's SLA target taken from
+    ``tasks``."""
+    target = {t.task_id: t.qos_target_cycles for t in tasks}
+    return replace(lead, results=[
+        replace(r, qos_target_cycles=target[r.task_id])
+        for r in lead.results
+    ])
+
+
 def run_cell_detail(
     spec: ScenarioSpec,
     policy_name: str,
     factory: PolicyFactory,
     seed: int,
     soc: Optional[SoCConfig] = None,
+    timelines: Optional[TimelineStore] = None,
 ) -> Tuple[MetricsSummary, "SimResult"]:
     """Run one cell; return its metric bundle *and* the raw
     :class:`~repro.sim.engine.SimResult`.
@@ -158,6 +206,23 @@ def run_cell_detail(
     carries the engine/decision telemetry (events, epoch-cache
     reuse, plans emitted/applied/no-op) the executor threads into
     each :class:`~repro.experiments.results.CellResult`.
+
+    ``timelines`` is one sweep's store of deadline-blind runs.  When
+    the policy does not read deadlines
+    (:attr:`~repro.sim.policy.Policy.reads_deadlines` is False), the
+    first cell to simulate a timeline -- the *lead* -- stores its run
+    under the policy name, the cadence and every generated task field
+    but ``qos_target_cycles``.  A later cell with the same key -- a
+    *follower*, e.g. the same workload set and seed at another QoS
+    level -- generates its tasks as usual, then takes the lead's run
+    with its own SLA targets instead of simulating: the result and
+    every decision counter are what its own simulation would give.
+    An unchecked Static or Prema run probes no process-global cache,
+    so a follower's cache telemetry (its generation probes) is exact
+    too.  One store serves one sweep: one SoC, one factory per policy
+    name.  Under ``REPRO_CHECK=1`` each follower is also simulated,
+    and a difference in its results or decision counters raises
+    :class:`~repro.sanitizer.SanitizerError`.
     """
     if soc is None:
         soc = DEFAULT_SOC
@@ -166,9 +231,29 @@ def run_cell_detail(
     networks: List[Network] = spec.networks()
     gen = WorkloadGenerator(soc, networks, mem, qos)
     tasks = gen.generate(spec.workload_config(seed))
-    result = run_simulation(
-        soc, tasks, factory(), mem=mem, cadence=spec.cadence()
-    )
+    policy = factory()
+    cadence = spec.cadence()
+    store = None if policy.reads_deadlines else timelines
+    lead = None
+    if store is not None:
+        key = _timeline_key(policy_name, cadence, tasks)
+        lead = store.get(key)
+    if lead is None:
+        result = run_simulation(soc, tasks, policy, mem=mem, cadence=cadence)
+        if store is not None:
+            store[key] = (tasks, result)
+    else:
+        result = _follow(lead[1], tasks)
+        if sanitizer.enabled:
+            fresh = run_simulation(
+                soc, tasks, policy, mem=mem, cadence=cadence
+            )
+            for name in _SHARED_RESULT_FIELDS:
+                sanitizer.require(
+                    getattr(fresh, name) == getattr(result, name),
+                    f"shared timeline differs from a fresh run in "
+                    f"{name!r}: {spec.label}/{policy_name}/seed {seed}",
+                )
     return summarize(policy_name, result.results), result
 
 

@@ -69,6 +69,17 @@ class Policy(abc.ABC):
     #: trusted-plan re-validation.
     kernel_decide_apply = None
 
+    #: Whether any decision of this policy reads a task's SLA target
+    #: (``Task.qos_target_cycles`` or ``Task.deadline``).  A
+    #: deadline-blind policy (``False``) produces the same timeline for
+    #: two task lists that differ only in their targets, so a sweep
+    #: simulates such cells once and rebuilds the others' results
+    #: from that run (see :func:`repro.experiments.runner.
+    #: run_cell_detail`).  A fact about the policy's code, not an
+    #: option: a subclass whose ``decide`` starts reading deadlines
+    #: must set it back to ``True``.
+    reads_deadlines: bool = True
+
     @abc.abstractmethod
     def decide(self, sim: "Simulator") -> AllocationPlan:
         """Compute this decision point's allocation plan.

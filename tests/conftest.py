@@ -82,10 +82,53 @@ def _serial_reference(specs, policies=None, soc=None):
     }
 
 
+def _reference_cells(specs, policies=None, soc=None):
+    """Every cell of a sweep as the ``CellResult`` the executor must
+    report, each simulated on its own through ``run_cell_detail``
+    (no shared timelines), in submission order.  ``seconds`` and
+    ``worker_pid`` are left at zero."""
+    from repro.core.latency import track_cache_deltas
+    from repro.experiments.results import (
+        DECISION_COUNTER_FIELDS,
+        CellResult,
+    )
+    from repro.experiments.runner import default_policies, run_cell_detail
+    from repro.scenarios import resolve_scenarios
+
+    if policies is None:
+        policies = default_policies()
+    cells = []
+    for spec_index, spec in enumerate(resolve_scenarios(specs)):
+        for name, factory in policies.items():
+            for seed in spec.seeds:
+                with track_cache_deltas() as cache:
+                    summary, result = run_cell_detail(
+                        spec, name, factory, seed, soc
+                    )
+                cells.append(CellResult(
+                    index=len(cells),
+                    spec_index=spec_index,
+                    label=spec.label,
+                    policy=name,
+                    seed=seed,
+                    summary=summary,
+                    seconds=0.0,
+                    **cache,
+                    **{n: getattr(result, n) for n in DECISION_COUNTER_FIELDS},
+                ))
+    return cells
+
+
 @pytest.fixture(scope="session")
 def serial_reference():
     """:func:`_serial_reference`, the executor-free serial matrix."""
     return _serial_reference
+
+
+@pytest.fixture(scope="session")
+def reference_cells():
+    """:func:`_reference_cells`, the executor-free per-cell records."""
+    return _reference_cells
 
 
 @pytest.fixture()
