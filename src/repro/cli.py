@@ -270,14 +270,8 @@ def _clean_out_dir(out_dir) -> None:
     import json
     from pathlib import Path
 
-    from repro.experiments.sharding import JOURNAL_NAME
-
     out = Path(out_dir)
-    # The checkpoint journal is this tool's own scaffolding — a
-    # --force restart abandons the interrupted sweep it belongs to.
-    journal = out / JOURNAL_NAME
-    if journal.is_file():
-        journal.unlink()
+    _remove_journal(out)
     manifest_path = out / "manifest.json"
     if not manifest_path.is_file():
         return
@@ -294,6 +288,19 @@ def _clean_out_dir(out_dir) -> None:
             if stale.is_file():
                 stale.unlink()
     manifest_path.unlink()
+
+
+def _remove_journal(out) -> None:
+    """Delete the checkpoint journal in directory ``out``, if any.
+
+    The journal is this tool's own scaffolding; a ``--force`` restart
+    abandons the interrupted sweep it belongs to.
+    """
+    from repro.experiments.sharding import JOURNAL_NAME
+
+    journal = out / JOURNAL_NAME
+    if journal.is_file():
+        journal.unlink()
 
 
 def _check_export_stems(labels) -> None:
@@ -399,22 +406,6 @@ def _failure_report(acc, out_dir=None) -> str:
     return "\n".join(lines)
 
 
-def _ordered_manifest_policies(manifest, prog: str):
-    """Factories for the manifest's policies, in manifest order (the
-    order defines the cell flattening)."""
-    from repro.experiments.runner import default_policies
-
-    policies = default_policies()
-    missing = [p for p in manifest["policies"] if p not in policies]
-    if missing:
-        raise SystemExit(
-            f"{prog}: manifest names unknown polic"
-            f"{'y' if len(missing) == 1 else 'ies'} {missing}; this "
-            f"build provides {sorted(policies)}"
-        )
-    return {name: policies[name] for name in manifest["policies"]}
-
-
 def _sweep_runner(args):
     """The :class:`~repro.experiments.parallel.ParallelRunner` a
     sweep-family invocation asked for — the worker count rides on
@@ -436,7 +427,7 @@ def _supervised_sweep(specs, args, out=None, manifest=None, acc=None):
     """
     from repro.config import DEFAULT_SOC
     from repro.experiments.results import cell_manifest
-    from repro.experiments.sharding import JOURNAL_NAME, CellJournal
+    from repro.experiments.sharding import CellJournal, manifest_policies
     from repro.reporting import decision_summary
 
     supervision = _build_supervision(args)
@@ -448,9 +439,7 @@ def _supervised_sweep(specs, args, out=None, manifest=None, acc=None):
             manifest = cell_manifest(specs)
         out.mkdir(parents=True, exist_ok=True)
         if args.force:
-            stale = out / JOURNAL_NAME
-            if stale.is_file():
-                stale.unlink()
+            _remove_journal(out)
         try:
             journal = CellJournal.open(out, manifest, DEFAULT_SOC)
         except ValueError as exc:
@@ -465,10 +454,12 @@ def _supervised_sweep(specs, args, out=None, manifest=None, acc=None):
 
         def on_failure(failure, exc):
             journal.append_failure(failure)
-    policies = (
-        _ordered_manifest_policies(manifest, "sweep")
-        if manifest is not None else None
-    )
+    policies = None
+    if manifest is not None:
+        try:
+            policies = manifest_policies(manifest)
+        except ValueError as exc:
+            raise SystemExit(f"sweep: {exc}") from exc
     runner = _sweep_runner(args)
     try:
         acc = runner.run_supervised(
@@ -798,11 +789,7 @@ def _run_sweep_serve(args, specs=None) -> Tuple[str, int]:
         out = _ensure_out_dir(args.out, args.force, "sweep")
         _check_export_stems(spec.label for spec in specs)
         if args.force:
-            from repro.experiments.sharding import JOURNAL_NAME
-
-            stale = out / JOURNAL_NAME
-            if stale.is_file():
-                stale.unlink()
+            _remove_journal(out)
         manifest = cell_manifest(specs)
     try:
         coordinator = Coordinator(
@@ -866,13 +853,6 @@ def _run_sweep_serve(args, specs=None) -> Tuple[str, int]:
         )
     if args.decisions:
         print(decision_summary(acc.cells()), file=sys.stderr)
-    status = coordinator.status()
-    if status["warmup_timeouts"]:
-        print(
-            f"sweep: workers reported {status['warmup_timeouts']} "
-            f"warm-up rendezvous timeout(s)",
-            file=sys.stderr,
-        )
     return _finish_sweep(acc, args, out, coordinator.discard_journal)
 
 

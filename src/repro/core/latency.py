@@ -500,7 +500,7 @@ _NetworkCostKey = Tuple[
 _NETWORK_COST_CACHE: Dict[_NetworkCostKey, NetworkCost] = {}
 
 #: The cache telemetry contract: every counter name consumers
-#: (``SimResult``, ``CellResult``, ``BENCH_perf.json``) carry.  Code
+#: (``SimResult``, ``CellResult``) carry.  Code
 #: that splats counter deltas into those dataclasses iterates THIS
 #: tuple, so adding a counter here requires adding the matching field
 #: there (a loud TypeError at the splat site, caught by any test that
@@ -517,8 +517,7 @@ CACHE_COUNTER_FIELDS: Tuple[str, ...] = (
 #: ``predict_memo_*`` counts :meth:`BlockCost.predict` memo probes.
 #: The parallel executor snapshots these around each cell so warm
 #: workers are observable (a pre-warmed worker's cells run at ~100 %
-#: cost-cache hit rate), and ``scripts/bench_perf.py`` publishes the
-#: aggregates in ``BENCH_perf.json``.
+#: cost-cache hit rate).
 _CACHE_STATS: Dict[str, int] = {name: 0 for name in CACHE_COUNTER_FIELDS}
 
 #: Open :class:`track_cache_deltas` frames, kept only so
@@ -667,8 +666,7 @@ def warm_network_cost_cache(
     workload generator's isolated/QoS sizing evaluate, so a warmed
     process serves those lookups from memo from the first cell.  The
     parallel executor's worker initializer calls this once per worker
-    process; ``scripts/bench_perf.py`` uses it to keep cold-start out
-    of the timed legs.
+    process.
 
     Returns:
         The number of networks warmed.

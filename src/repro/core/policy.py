@@ -170,27 +170,22 @@ class MoCAPolicy(Policy):
     def kernel_decide_apply(self, sim: "Simulator") -> None:
         """Fused decision round for the engine loop.
 
-        Makes exactly the decisions :meth:`decide` would make.
-        Rounds that admit take the plan seam verbatim; otherwise the
-        caps go through
+        Makes exactly the decisions :meth:`decide` would make, and
+        counts them as the one plan :meth:`decide` would return.
+        Rounds that admit or retile take the plan seam verbatim;
+        caps-only (and empty) rounds go through
         :meth:`~repro.sim.plan.AllocationController.apply_caps`
-        without a plan object, and a compute repartition rides a
-        plan applied after the caps (retiles read nothing the caps
-        change, and stall extensions commute).  Never called under
-        ``REPRO_CHECK=1`` (the engine drops to decide()/apply so the
-        sanitizer re-validates every trusted plan).
+        without a plan object.  Never called under ``REPRO_CHECK=1``
+        (the engine drops to decide()/apply so the sanitizer
+        re-validates every trusted plan).
         """
         admissions, caps, tiles = self._round(sim)
-        ctrl = sim.controller
-        if admissions:
-            ctrl.apply(AllocationPlan.trusted(
+        if admissions or tiles:
+            sim.controller.apply(AllocationPlan.trusted(
                 admissions=admissions, tiles=tiles, bw_caps=caps
             ))
-            return
-        if caps or not tiles:
-            ctrl.apply_caps(caps)
-        if tiles:
-            ctrl.apply(AllocationPlan.trusted(tiles=tiles))
+        else:
+            sim.controller.apply_caps(caps)
 
     # -- Algorithm 3: admission -----------------------------------------
 

@@ -7,13 +7,12 @@ SweepResults` accumulator for one manifest, and exposes exactly the
 four transport verbs:
 
 - ``lease_request`` — expire overdue leases, grant a cost-aware batch.
-- ``heartbeat`` — renew a lease, absorb worker telemetry (warm-pool
-  warmup timeouts ride this channel).
+- ``heartbeat`` — renew a lease.
 - ``submit_partial`` — check a worker's partial with the same
   :func:`~repro.experiments.sharding.fold_partial` the shard merge
   path uses, then fold it into the accumulator *incrementally* and
   checkpoint every cell to the journal.
-- ``status`` — live progress, per-worker telemetry, and (on request)
+- ``status`` — live progress, per-worker counters, and (on request)
   the manifest itself, which is how workers bootstrap.
 
 Trust boundary: the transport is untrusted.  Every submitted partial
@@ -116,7 +115,7 @@ class Coordinator:
         )
         self.max_lease_cost = max_lease_cost
         self._lock = threading.RLock()
-        #: worker_id -> telemetry record (heartbeats carry it).
+        #: worker_id -> per-worker counters shown in status.
         self.workers: Dict[str, dict] = {}
         self._journal: Optional[CellJournal] = None
         self._started = clock()
@@ -152,25 +151,11 @@ class Coordinator:
                 "manifest_digest": self.digest,
             }
 
-    def heartbeat(
-        self,
-        lease_id: int,
-        worker_id: str,
-        telemetry: Optional[dict] = None,
-    ) -> dict:
-        """Renew a lease; fold the worker's telemetry in."""
+    def heartbeat(self, lease_id: int, worker_id: str) -> dict:
+        """Renew a lease."""
         with self._lock:
             self.ledger.expire()
-            record = self._worker_record(worker_id)
-            record["heartbeats"] += 1
-            if telemetry:
-                timeouts = telemetry.get("warmup_timeouts")
-                if isinstance(timeouts, int) and not isinstance(
-                    timeouts, bool
-                ):
-                    record["warmup_timeouts"] = max(
-                        record["warmup_timeouts"], timeouts
-                    )
+            self._worker_record(worker_id)["heartbeats"] += 1
             return {"ok": self.ledger.heartbeat(lease_id)}
 
     def submit_partial(self, partial: dict) -> dict:
@@ -220,10 +205,8 @@ class Coordinator:
 
         Always carries the digest and SoC (workers verify the trust
         boundary from these), the ledger counts, the completion
-        flags, and per-worker telemetry — including the aggregated
-        warm-pool ``warmup_timeouts`` the workers report over the
-        heartbeat channel.  ``include_manifest=True`` adds the full
-        manifest (the worker bootstrap path).
+        flags, and per-worker counters.  ``include_manifest=True``
+        adds the full manifest (the worker bootstrap path).
         """
         with self._lock:
             self.ledger.expire()
@@ -243,9 +226,6 @@ class Coordinator:
                 "workers": {
                     w: dict(r) for w, r in sorted(self.workers.items())
                 },
-                "warmup_timeouts": sum(
-                    r["warmup_timeouts"] for r in self.workers.values()
-                ),
             }
             if include_manifest:
                 doc["manifest"] = self.manifest
@@ -301,7 +281,6 @@ class Coordinator:
                 "heartbeats": 0,
                 "cells_completed": 0,
                 "cells_quarantined": 0,
-                "warmup_timeouts": 0,
             }
             self.workers[worker_id] = record
         return record
@@ -365,7 +344,6 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
                     coordinator.heartbeat(
                         lease_id,
                         str(payload.get("worker", "anonymous")),
-                        payload.get("telemetry") or None,
                     ),
                 )
             if self.path == "/submit":

@@ -57,12 +57,7 @@ class Transport:
         unleased."""
         raise NotImplementedError
 
-    def heartbeat(
-        self,
-        lease_id: int,
-        worker_id: str,
-        telemetry: Optional[dict] = None,
-    ) -> dict:
+    def heartbeat(self, lease_id: int, worker_id: str) -> dict:
         """Renew a lease.  Returns ``{"ok": bool}`` — ``False`` means
         the lease is no longer live (expired/re-leased); the worker's
         in-flight work is orphaned."""
@@ -76,7 +71,7 @@ class Transport:
     def sweep_status(self, include_manifest: bool = False) -> dict:
         """The coordinator's live status document (progress counts,
         ``drained``/``complete``/``degraded`` flags, per-worker
-        telemetry; the full manifest when asked — workers bootstrap
+        counters; the full manifest when asked — workers bootstrap
         from it)."""
         raise NotImplementedError
 
@@ -93,15 +88,8 @@ class InProcessTransport(Transport):
     def lease_request(self, worker_id: str) -> Optional[dict]:
         return self.coordinator.lease_request(worker_id)
 
-    def heartbeat(
-        self,
-        lease_id: int,
-        worker_id: str,
-        telemetry: Optional[dict] = None,
-    ) -> dict:
-        return self.coordinator.heartbeat(
-            lease_id, worker_id, telemetry
-        )
+    def heartbeat(self, lease_id: int, worker_id: str) -> dict:
+        return self.coordinator.heartbeat(lease_id, worker_id)
 
     def submit_partial(self, partial: dict) -> dict:
         return self.coordinator.submit_partial(partial)
@@ -171,19 +159,10 @@ class HttpTransport(Transport):
     def lease_request(self, worker_id: str) -> Optional[dict]:
         return self._post("/lease", {"worker": worker_id}).get("lease")
 
-    def heartbeat(
-        self,
-        lease_id: int,
-        worker_id: str,
-        telemetry: Optional[dict] = None,
-    ) -> dict:
+    def heartbeat(self, lease_id: int, worker_id: str) -> dict:
         return self._post(
             "/heartbeat",
-            {
-                "lease_id": lease_id,
-                "worker": worker_id,
-                "telemetry": telemetry or {},
-            },
+            {"lease_id": lease_id, "worker": worker_id},
         )
 
     def submit_partial(self, partial: dict) -> dict:

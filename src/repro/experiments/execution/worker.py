@@ -42,7 +42,11 @@ from repro.experiments.execution.transport import (
     TransportError,
 )
 from repro.experiments.parallel import ParallelRunner, Supervision
-from repro.experiments.sharding import build_partial, manifest_specs
+from repro.experiments.sharding import (
+    build_partial,
+    manifest_policies,
+    manifest_specs,
+)
 
 __all__ = [
     "SweepWorker",
@@ -71,7 +75,6 @@ class _HeartbeatThread(threading.Thread):
         lease_id: int,
         worker_id: str,
         interval: float,
-        telemetry,
     ) -> None:
         super().__init__(
             name=f"heartbeat-lease-{lease_id}", daemon=True
@@ -80,7 +83,6 @@ class _HeartbeatThread(threading.Thread):
         self._lease_id = lease_id
         self._worker_id = worker_id
         self._interval = interval
-        self._telemetry = telemetry
         # NB: not "_stop" — threading.Thread defines that internally.
         self._halt = threading.Event()
         self.orphaned = False
@@ -89,9 +91,7 @@ class _HeartbeatThread(threading.Thread):
         while not self._halt.wait(self._interval):
             try:
                 reply = self._transport.heartbeat(
-                    self._lease_id,
-                    self._worker_id,
-                    self._telemetry(),
+                    self._lease_id, self._worker_id
                 )
             except (TransportError, ValueError):
                 continue
@@ -111,9 +111,8 @@ class SweepWorker:
         transport: In-process or HTTP transport to the coordinator.
         worker_id: Self-chosen identity shown in coordinator status;
             defaults to ``hostname-pid``.
-        runner: Pre-built (possibly pre-warmed)
-            :class:`ParallelRunner`; one is built from ``workers``
-            otherwise.
+        runner: Pre-built :class:`ParallelRunner`; one is built from
+            ``workers`` otherwise.
         workers: Pool size when building the runner.
         policies: Policy factories by name (defaults to the paper's
             four); must cover every policy the manifest names.
@@ -184,20 +183,11 @@ class SweepWorker:
                 time.sleep(delay)
                 attempt += 1
 
-    def _telemetry(self) -> dict:
-        return {
-            "warmup_timeouts": getattr(
-                self.runner, "total_warmup_timeouts", 0
-            ),
-        }
-
     # -- bootstrap ------------------------------------------------------
 
     def _bootstrap(self) -> None:
         if self.manifest is not None:
             return
-        from repro.experiments.runner import default_policies
-
         status = self._call(
             self.transport.sweep_status, include_manifest=True
         )
@@ -212,25 +202,9 @@ class SweepWorker:
             raise ValueError(
                 "coordinator status did not include the manifest"
             )
-        specs = manifest_specs(manifest)
-        policies = self._policies_in
-        if policies is None:
-            policies = default_policies()
-        missing = [
-            p for p in manifest["policies"] if p not in policies
-        ]
-        if missing:
-            raise ValueError(
-                f"manifest names policies {missing} with no "
-                f"factory; available: {sorted(policies)}"
-            )
-        # The manifest's policy order defines the cell flattening;
-        # feed the factories in exactly that order.
-        self.policies = {
-            name: policies[name] for name in manifest["policies"]
-        }
+        self.specs = manifest_specs(manifest)
+        self.policies = manifest_policies(manifest, self._policies_in)
         self.manifest = manifest
-        self.specs = specs
 
     # -- execution ------------------------------------------------------
 
@@ -246,7 +220,6 @@ class SweepWorker:
                 lease["lease_id"],
                 self.worker_id,
                 interval=ttl / 3.0,
-                telemetry=self._telemetry,
             )
             beat.start()
         t0 = time.perf_counter()
@@ -260,15 +233,13 @@ class SweepWorker:
                 beat.stop()
         seconds = time.perf_counter() - t0
         # One last heartbeat right before submitting: renews the
-        # lease across the submit itself and delivers the execution
-        # telemetry (warm-pool warmup timeouts) even on short leases
-        # that never saw a background beat.
+        # lease across the submit itself, even on short leases that
+        # never saw a background beat.
         try:
             self._call(
                 self.transport.heartbeat,
                 lease["lease_id"],
                 self.worker_id,
-                self._telemetry(),
             )
         except TransportError:
             pass  # submit is the call that matters; let it decide.
@@ -313,9 +284,9 @@ class SweepWorker:
 
     def step(self, heartbeats: bool = False) -> Optional[dict]:
         """Lease and execute at most one batch; ``None`` when nothing
-        is currently unleased.  The bench harness drives two workers
-        alternately through this to measure per-lease cost without
-        background threads in the timing."""
+        is currently unleased.  The lease-efficiency test drives two
+        workers alternately through this to measure per-lease cost
+        without background threads in the timing."""
         self._bootstrap()
         lease = self._call(
             self.transport.lease_request, self.worker_id

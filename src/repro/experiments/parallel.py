@@ -24,8 +24,9 @@ in-process; there, and in the serial fallback, cells of a
 deadline-blind policy that differ only in SLA targets share one
 simulation through a store local to the call (see
 :func:`repro.experiments.runner.run_cell_detail`).  Pool workers get
-no store: a started pool's workers outlive the call.  The library
-entry points
+no store: it lives in this process, and a lead and its followers are
+dealt to whichever worker is free.  Every pool is built and shut down
+by the call that uses it.  The library entry points
 :func:`repro.experiments.runner.run_matrix` /
 :func:`~repro.experiments.runner.run_scenario` are this executor with
 ``Supervision(max_retries=0)`` and a fail-fast ``on_failure``; the
@@ -43,13 +44,6 @@ cell from paying the cold-start that PR 1's review flagged.  Each
 :class:`CellResult` carries cache hit/miss deltas, so warmth is
 observable: a warm worker's cells report zero ``cost_cache_misses``.
 
-For timing-sensitive callers, :meth:`ParallelRunner.start_pool` makes
-the pool persistent and forces every worker to spawn (and warm) *now*;
-subsequent :meth:`~ParallelRunner.run_supervised` calls reuse it —
-``scripts/bench_perf.py`` warms the pool before its timed leg this
-way.  :meth:`close_pool` (or using the runner as a context manager)
-releases it.
-
 Pickling constraints
 --------------------
 
@@ -63,22 +57,6 @@ failing.  The fallback also engages for ``workers=1``, single-cell
 matrices, sandboxes where process pools cannot start, and pools that
 cannot be rebuilt after a crash (finished cells are kept; only the
 remainder runs serially).
-
-Reading ``BENCH_perf.json``
----------------------------
-
-``scripts/bench_perf.py`` times a fixed reference matrix serially
-(``runner.run_matrix``) and through this module's executor on a warm
-pool, and writes ``BENCH_perf.json``: ``serial.seconds`` vs
-``parallel.seconds`` (and their ratio, ``speedup``) measure this
-module; ``engine.events_per_sec`` and the ``block_time_*`` counters
-measure the simulator's engine loop; ``identical_metrics`` asserts
-the two runs agreed bit-for-bit; ``robustness.degraded`` must stay
-false (the fault-free run quarantined nothing); ``host.start_method``
-and ``parallel.cache`` record the worker start method and the
-aggregated cache counters the warm-worker path is judged by.
-``perfbench/`` is the end-to-end sweep benchmark the per-PR bounds
-are checked against.
 """
 
 from __future__ import annotations
@@ -239,8 +217,7 @@ def _warm_worker(
     """Pool initializer: pre-warm this worker's cost/predict caches.
 
     Runs once per worker process before it takes any cell; idempotent
-    (re-running is a pure cache hit), so it doubles as the payload of
-    :meth:`ParallelRunner.start_pool`'s spawn-forcing probes.
+    (re-running is a pure cache hit).
 
     ``fault_plan`` activates deterministic fault injection *in this
     worker* (the per-cell harness of :mod:`repro.experiments.faults`);
@@ -254,42 +231,6 @@ def _warm_worker(
     return warm_network_cost_cache(
         [build_model(name) for name in model_names], soc
     )
-
-
-def _warm_probe(
-    model_names: Sequence[str],
-    soc: SoCConfig,
-    barrier=None,
-) -> Tuple[int, bool]:
-    """Pool task that warms (idempotently) and reports its worker pid.
-
-    ``barrier`` (a manager-proxied ``multiprocessing.Barrier`` sized
-    to the worker count) makes the probes a true rendezvous: each
-    probe blocks until every worker holds one, so N probes provably
-    ran on N *distinct*, fully initialized workers — without it, one
-    fast worker could drain every probe while its siblings are still
-    cold-starting.  A broken/timed-out barrier (e.g. a worker died)
-    degrades to returning anyway rather than wedging the pool — but
-    no longer silently: the returned flag records the failed
-    rendezvous so the parent can warn and count it in telemetry
-    (:attr:`ParallelRunner.last_warmup_timeouts`), instead of the
-    distinct-worker guarantee degrading invisibly.
-    """
-    # Warm directly rather than via _warm_worker: re-running the
-    # initializer would clobber the fault plan it installed.
-    from repro.core.latency import warm_network_cost_cache
-    from repro.models.zoo import build_model
-
-    warm_network_cost_cache(
-        [build_model(name) for name in model_names], soc
-    )
-    warmup_timed_out = False
-    if barrier is not None:
-        try:
-            barrier.wait(timeout=60)
-        except Exception:
-            warmup_timed_out = True
-    return os.getpid(), warmup_timed_out
 
 
 def _spec_model_names(specs: Sequence[ScenarioSpec]) -> Tuple[str, ...]:
@@ -363,117 +304,9 @@ class ParallelRunner:
         #: failure paths below reproducible.  ``None`` in production.
         self.fault_plan = fault_plan
         self.last_mode: str = "serial"
-        #: Warm probes whose barrier rendezvous timed out in the most
-        #: recent :meth:`start_pool` (0 = every worker rendezvoused).
-        self.last_warmup_timeouts: int = 0
-        #: Same, accumulated over every pool this runner has started —
-        #: the telemetry workers report to a coordinator over the
-        #: heartbeat channel (a runner can warm several pools in one
-        #: sweep; the coordinator wants the run total, not the last).
-        self.total_warmup_timeouts: int = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_workers = 0
-
-    # ------------------------------------------------------------------
-    # Persistent pool management
-    # ------------------------------------------------------------------
-
-    def start_pool(
-        self,
-        specs: Sequence[ScenarioLike] = (),
-        soc: Optional[SoCConfig] = None,
-    ) -> List[int]:
-        """Start a persistent worker pool and warm it *now*.
-
-        Creates the pool (with the warm initializer covering the
-        models of ``specs``), then submits one warm probe per worker,
-        rendezvoused on a barrier so every worker process provably
-        spawns and builds its caches before this call returns —
-        moving cold-start out of whatever the caller times next.
-        (Without the rendezvous a fast worker could consume all the
-        probes while its siblings are still initializing.)  If the
-        barrier machinery itself is unavailable (no manager process
-        in this sandbox), the probes still run, just without the
-        distinct-worker guarantee.  Subsequent :meth:`run_supervised`
-        calls reuse the pool until :meth:`close_pool`.
-
-        Returns:
-            The distinct worker pids that answered the probes (empty
-            if the pool could not start; the runner then degrades to
-            per-call pools / serial fallback as usual).
-        """
-        if self._pool is not None:
-            raise RuntimeError("pool already started")
-        if self.workers == 1:
-            # The executor will run serially in-process; a warm pool
-            # would sit idle (and its telemetry would contradict
-            # last_mode == "serial").
-            return []
-        spec_list = resolve_scenarios(specs) if specs else []
-        if soc is None:
-            soc = DEFAULT_SOC
-        workers = min(self.workers, 61)
-        pool = None
-        manager = None
-        try:
-            pool = self._make_pool(workers, spec_list, soc)
-            model_names = _spec_model_names(spec_list)
-            barrier = None
-            if workers > 1:
-                import multiprocessing
-
-                try:
-                    manager = multiprocessing.Manager()
-                    barrier = manager.Barrier(workers)
-                except Exception:
-                    manager = None  # degrade: probes without rendezvous
-            probes = [
-                pool.submit(_warm_probe, model_names, soc, barrier)
-                for _ in range(workers)
-            ]
-            wait(probes)
-            answers = [p.result() for p in probes]
-            pids = sorted({pid for pid, _ in answers})
-            self.last_warmup_timeouts = sum(
-                1 for _, timed_out in answers if timed_out
-            )
-            self.total_warmup_timeouts += self.last_warmup_timeouts
-            if self.last_warmup_timeouts:
-                print(
-                    f"parallel: warm-up rendezvous timed out on "
-                    f"{self.last_warmup_timeouts} of {workers} "
-                    f"probe(s); the distinct-worker warm-start "
-                    f"guarantee does not hold for this pool",
-                    file=sys.stderr,
-                )
-        except (OSError, BrokenProcessPool) as exc:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-            print(
-                f"parallel: persistent pool unavailable "
-                f"({type(exc).__name__}: {exc})",
-                file=sys.stderr,
-            )
-            return []
-        finally:
-            if manager is not None:
-                manager.shutdown()
-        self._pool = pool
-        self._pool_workers = workers
-        return pids
-
-    def close_pool(self) -> None:
-        """Shut the persistent pool down (no-op without one)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-            self._pool_workers = 0
-
-    def __enter__(self) -> "ParallelRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close_pool()
+        #: Always 0 (no pool warm-up can time out); kept because
+        #: perfbench's sweep harness reads it.
+        self.total_warmup_timeouts = 0
 
     def _make_pool(
         self,
@@ -669,7 +502,8 @@ class ParallelRunner:
                     # drains in-process.
                     self.last_mode = "serial"
             # Deadline-blind runs are shared only among this call's
-            # in-process cells; pool workers outlive the call.
+            # in-process cells; the store lives in this process, not
+            # in the pool's workers.
             timelines: TimelineStore = {}
             for payload, attempt in remaining:
                 self._supervise_serial(
@@ -759,23 +593,17 @@ class ParallelRunner:
         queue = deque(work)
         #: Cells a crash took down, each awaiting a run on its own.
         suspects: deque = deque()
-        pool = self._pool
-        owns_pool = pool is None
-        if pool is not None:
-            workers = min(self._pool_workers, max(len(queue), 1))
-        else:
-            workers = min(self.workers, max(len(queue), 1), 61)
-        if owns_pool:
-            try:
-                pool = self._make_pool(workers, spec_list, soc)
-            except OSError as exc:
-                print(
-                    f"parallel: process pool unavailable "
-                    f"({type(exc).__name__}: {exc}); supervising "
-                    f"{len(queue)} cells serially",
-                    file=sys.stderr,
-                )
-                return list(queue)
+        workers = min(self.workers, max(len(queue), 1), 61)
+        try:
+            pool = self._make_pool(workers, spec_list, soc)
+        except OSError as exc:
+            print(
+                f"parallel: process pool unavailable "
+                f"({type(exc).__name__}: {exc}); supervising "
+                f"{len(queue)} cells serially",
+                file=sys.stderr,
+            )
+            return list(queue)
         self.last_mode = "parallel"
         window = workers if sup.cell_timeout is not None else 2 * workers
         #: future -> (payload, attempt, deadline or None)
@@ -813,14 +641,7 @@ class ParallelRunner:
 
         def replace_pool(reason: str):
             """Discard the (broken or hung) pool; build a successor."""
-            nonlocal owns_pool
             self._terminate_pool(pool)
-            if not owns_pool:
-                # The persistent pool is a corpse; forget it so later
-                # runs start fresh rather than resubmitting to it.
-                self._pool = None
-                self._pool_workers = 0
-                owns_pool = True
             try:
                 return self._make_pool(workers, spec_list, soc)
             except OSError as exc:
@@ -918,11 +739,8 @@ class ParallelRunner:
                         return list(suspects) + list(queue)
             return []
         finally:
-            if owns_pool and pool is not None:
+            if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
-            else:
-                for future in inflight:
-                    future.cancel()
 
     # ------------------------------------------------------------------
 

@@ -12,7 +12,7 @@ sweep could outgrow one host.  This module is that seam made real:
   computes the *same* plan with no coordination.
 - :func:`run_shard` executes exactly one shard's slice through
   :meth:`repro.experiments.parallel.ParallelRunner.run_supervised`
-  (warm pools, per-cell retries, quarantine) with the global cell
+  (warm workers, per-cell retries, quarantine) with the global cell
   indices the plan assigns, and packages the results with
   :func:`build_partial` as a self-describing *partial artifact*: the
   manifest (plus its digest), the shard's identity, per-cell results
@@ -80,6 +80,7 @@ __all__ = [
     "fold_partial",
     "load_sweep_dir",
     "manifest_digest",
+    "manifest_policies",
     "manifest_specs",
     "merge_partials",
     "partial_from_json",
@@ -148,6 +149,29 @@ def manifest_specs(manifest: dict) -> List[ScenarioSpec]:
             "repro.experiments.results.cell_manifest)"
         )
     return specs
+
+
+def manifest_policies(
+    manifest: dict, policies: Optional[Dict[str, object]] = None
+) -> Dict[str, object]:
+    """The factories of the manifest's policies, in manifest order
+    (the order defines the cell flattening).
+
+    ``policies`` defaults to the paper's four.  Raises ``ValueError``
+    when the manifest names a policy it has no factory for.
+    """
+    if policies is None:
+        from repro.experiments.runner import default_policies
+
+        policies = default_policies()
+    missing = [p for p in manifest["policies"] if p not in policies]
+    if missing:
+        raise ValueError(
+            f"manifest names polic"
+            f"{'y' if len(missing) == 1 else 'ies'} {missing} with no "
+            f"factory; available: {sorted(policies)}"
+        )
+    return {name: policies[name] for name in manifest["policies"]}
 
 
 def _cell_costs(manifest: dict) -> List[int]:
@@ -242,8 +266,8 @@ def run_shard(
     Rebuilds the specs from the manifest (validated round-trip),
     computes the :class:`ShardPlan`, and runs only this shard's cells
     through a :class:`~repro.experiments.parallel.ParallelRunner`
-    (``runner`` reuses a caller's warm pool; otherwise one is built
-    with ``workers``).  The returned document is self-describing —
+    (``runner`` is a caller's runner; otherwise one is built with
+    ``workers``).  The returned document is self-describing —
     it embeds the manifest, its digest, the shard identity and every
     cell result — so :func:`merge_partials` needs nothing else.
 
@@ -257,7 +281,7 @@ def run_shard(
         soc: SoC configuration (default reference SoC).
         workers: Worker processes for this shard's cells (ignored
             when ``runner`` is given).
-        runner: Optional pre-built/pre-warmed ``ParallelRunner``.
+        runner: Optional pre-built ``ParallelRunner``.
         supervision: The
             :class:`~repro.experiments.parallel.Supervision` the
             shard runs under (``None`` means its defaults).  A poison
@@ -266,7 +290,6 @@ def run_shard(
     """
     from repro.config import DEFAULT_SOC
     from repro.experiments.parallel import ParallelRunner
-    from repro.experiments.runner import default_policies
 
     if soc is None:
         soc = DEFAULT_SOC
@@ -275,17 +298,7 @@ def run_shard(
     # computes disjoint slices with no coordination.
     plan = ShardPlan.from_manifest(manifest, num_shards)
     indices = plan.shard(shard_index)
-    if policies is None:
-        policies = default_policies()
-    missing = [p for p in manifest["policies"] if p not in policies]
-    if missing:
-        raise ValueError(
-            f"manifest names policies {missing} with no factory; "
-            f"available: {sorted(policies)}"
-        )
-    # The manifest's policy order defines the cell flattening; feed
-    # the factories in exactly that order.
-    ordered = {name: policies[name] for name in manifest["policies"]}
+    ordered = manifest_policies(manifest, policies)
     if runner is None:
         runner = ParallelRunner(workers=workers or None)
     t0 = time.perf_counter()

@@ -1,8 +1,16 @@
 """Tests for repro.sim.plan: AllocationPlan, AllocationController,
 DecisionCadence — the declarative policy↔engine seam."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.experiments.results import DECISION_COUNTER_FIELDS
+from repro.experiments.runner import (
+    default_policies,
+    run_cell_detail,
+    standard_matrix,
+)
 from repro.sim.engine import SimulationError, Simulator, run_simulation
 from repro.sim.job import JobPhase
 from repro.sim.plan import (
@@ -543,3 +551,49 @@ class TestTrustedPlans:
         job = sim.jobs["t0"]
         assert job.phase is JobPhase.RUNNING
         assert job.tiles == 2 and job.bw_cap == 4.0
+
+
+def _matrix_counters(cadence="every-event", seeds=(1, 2)):
+    """Decision counters of every reference-matrix cell at 16 tasks,
+    keyed by (scenario, policy, seed)."""
+    counters = {}
+    for spec in standard_matrix(num_tasks=16, seeds=seeds):
+        spec = replace(spec, decision_cadence=cadence)
+        for name, factory in default_policies().items():
+            for seed in spec.seeds:
+                _, result = run_cell_detail(spec, name, factory, seed)
+                counters[spec.label, name, seed] = {
+                    field: getattr(result, field)
+                    for field in DECISION_COUNTER_FIELDS
+                }
+    return counters
+
+
+class TestDecisionCounters:
+    def test_every_decision_is_one_plan_with_or_without_sanitizer(
+        self, monkeypatch
+    ):
+        # The sanitizer routes every round through decide(), which
+        # returns one plan; the fused MoCA round must count the same.
+        # Workload-B/QoS-H at seed 2 has a round that caps and retiles
+        # without admitting, the case a split apply would count twice.
+        import repro.sanitizer as sanitizer
+
+        runs = {}
+        for checked in (False, True):
+            monkeypatch.setattr(sanitizer, "enabled", checked)
+            runs[checked] = _matrix_counters()
+        for cell, c in runs[False].items():
+            assert c["plans_applied"] + c["plans_noop"] == (
+                c["decisions"]
+            ), cell
+            assert c == runs[True][cell], cell
+
+    def test_block_boundary_reuses_epochs_more_than_every_event(self):
+        def reuse_ratio(cadence):
+            cells = _matrix_counters(cadence, seeds=(1,)).values()
+            reuses = sum(c["block_time_reuses"] for c in cells)
+            recomputes = sum(c["block_time_recomputes"] for c in cells)
+            return reuses / max(recomputes, 1)
+
+        assert reuse_ratio("block-boundary") > reuse_ratio("every-event")

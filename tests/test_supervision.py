@@ -145,7 +145,7 @@ class TestSerialSupervision:
 
 
 class SteppingPool:
-    """Executor double installed through ``runner._pool``.
+    """Executor double built by a monkeypatched ``_make_pool``.
 
     Cells run in-process, one per :meth:`step` (the oldest pending
     first), so every schedule is deterministic.  ``crash`` maps a cell
@@ -211,8 +211,6 @@ def _stepped(monkeypatch, crash=None, **kwargs):
         return real_wait(fs, timeout=timeout, return_when=return_when)
 
     runner = ParallelRunner(workers=2)
-    runner._pool = make_pool(2, [SPEC], None)
-    runner._pool_workers = 2
     monkeypatch.setattr(runner, "_make_pool", make_pool)
     monkeypatch.setattr(parallel, "wait", stepping_wait)
     acc = runner.run_supervised(
