@@ -13,14 +13,15 @@ Reproduction notes: pods map to Gemmini tiles; the fission heuristic
 is priority x urgency weighted apportionment with a minimum of one
 tile per admitted task, re-evaluated at every scheduling event with
 urgency quantized into buckets so repartitions fire at discrete
-urgency transitions (as Planaria's epoch-based scheduler does).
+urgency transitions (as Planaria's epoch-based scheduler does).  A
+task's remaining work is the remaining-latency suffix on its runtime
+table (:class:`~repro.core.latency.RuntimeTable`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.core.prediction import RemainingPrediction
 from repro.sim.plan import EMPTY_PLAN, AllocationPlan
 from repro.sim.policy import Policy
 
@@ -50,20 +51,13 @@ class PlanariaPolicy(Policy):
             raise ValueError("min_tiles must be positive")
         self.max_concurrent = max_concurrent
         self.min_tiles = min_tiles
-        self._predictor: Optional[RemainingPrediction] = None
         #: ``{job_id: urgency bucket}`` of the last re-derived fission.
         self._last_buckets: Dict[str, float] = {}
-        #: job_id -> (block_idx, tiles, predicted remaining cycles),
-        #: refreshed when the job's (block, tiles) key moves.
-        self._remain: Dict[str, Tuple[int, int, float]] = {}
 
     # ------------------------------------------------------------------
 
     def decide(self, sim: "Simulator") -> AllocationPlan:
         """Admit by priority, then re-derive the fission as one plan."""
-        if self._predictor is None:
-            self._predictor = RemainingPrediction(sim.soc, sim.mem)
-
         admit = self._admission_order(sim)
         incumbents = list(sim.running)
         candidates = incumbents + admit
@@ -141,21 +135,12 @@ class PlanariaPolicy(Policy):
     # ------------------------------------------------------------------
 
     def _urgency_bucket(self, job: "Job", now: float) -> float:
-        """Quantized urgency from deadline slack vs remaining work."""
-        assert self._predictor is not None
+        """Quantized urgency from deadline slack vs remaining work
+        (predicted off the job's runtime table)."""
         tiles = job.tiles
         if tiles < self.min_tiles:
             tiles = self.min_tiles
-        block = job.block_idx
-        cached = self._remain.get(job.job_id)
-        if cached is None or cached[0] != block or cached[1] != tiles:
-            cached = (
-                block,
-                tiles,
-                self._predictor.remaining(job.task.cost, block, tiles),
-            )
-            self._remain[job.job_id] = cached
-        remain = cached[2]
+        remain = job.table.remain_cols[tiles - 1][job.block_idx]
         slack = job.task.deadline - now
         if slack <= 0 or remain <= 0:
             return 4.0
@@ -200,12 +185,6 @@ class PlanariaPolicy(Policy):
             shares[jid] += 1
         return shares
 
-    def on_job_finished(self, sim: "Simulator", job: "Job") -> None:
-        """Drop the finished job's cached remaining-work prediction."""
-        self._remain.pop(job.job_id, None)
-
     def reset(self) -> None:
-        """Drop the prediction caches (new simulation)."""
-        self._predictor = None
+        """Forget the last fission (new simulation)."""
         self._last_buckets = {}
-        self._remain.clear()

@@ -21,7 +21,10 @@ check against the fluid simulator.
 Besides the per-layer API, this module derives *block costs* — the
 static shape numbers of a layer block — so the simulator and runtime
 can re-evaluate predictions under changing resource allocations
-(tiles, bandwidth share) in O(1).
+(tiles, bandwidth share) in O(1).  Each network's
+:class:`RuntimeTable` is the one run-time evaluator built on them:
+the engine's block times, Algorithm 2's ``remain_prediction`` and
+Planaria's urgency all read it.
 """
 
 from __future__ import annotations
@@ -326,34 +329,41 @@ def build_block_cost(
 
 
 class RuntimeTable:
-    """Structure-of-arrays block-time tables for one network.
+    """Algorithm 1 at every point one simulation can ask for.
 
-    The simulator's hot loop evaluates ``BlockCost.predict`` only at a
-    tiny, fixed grid of points: every block of the network crossed with
-    every tile count the SoC can grant, at the constant per-simulation
-    bandwidths.  This table evaluates that whole grid in one batch
-    (with numpy array ops when available — the fpgahart-style SoA
-    layout — or a scalar fallback) and exposes it as plain nested
-    lists, so the per-event solve is pure list indexing: no memo-dict
-    probes, no tuple-key construction, no per-call arithmetic.
+    The engine and the policies evaluate ``BlockCost.predict`` only
+    on a small fixed grid: every block of the network crossed with
+    every tile count the SoC can grant, at the constant
+    per-simulation bandwidths.  This table holds that grid (and what
+    derives from it) as plain nested lists, so the per-event solve,
+    Algorithm 2's ``remain_prediction`` and Planaria's urgency are
+    pure list indexing: no memo-dict probes, no tuple-key
+    construction, no per-call arithmetic.
 
     Attributes:
         t_full_rows: ``t_full_rows[block_idx][tiles - 1]`` — the
-            unconstrained Algorithm 1 prediction, bit-identical to
+            unconstrained Algorithm 1 prediction, the float
             ``blocks[block_idx].predict(tiles, dram_bw, l2_bw,
-            overlap_f)``.
+            overlap_f)`` returns.
         demand_rows: ``demand_rows[block_idx][tiles - 1]`` — the DRAM
             demand ``from_dram / t_full`` (0.0 when ``t_full`` is 0),
-            bit-identical to ``BlockCost.bw_demand``.
+            the float ``BlockCost.bw_demand`` returns.
         from_dram: Per-block DRAM traffic in bytes.
+        remain_cols: ``remain_cols[tiles - 1][block_idx]`` — the
+            predicted cycles of blocks ``block_idx`` onward, summed
+            right to left from 0.0; the last entry (a finished
+            network) is 0.0.
     """
 
-    __slots__ = ("t_full_rows", "demand_rows", "from_dram")
+    __slots__ = ("t_full_rows", "demand_rows", "from_dram", "remain_cols")
 
-    def __init__(self, t_full_rows, demand_rows, from_dram) -> None:
+    def __init__(
+        self, t_full_rows, demand_rows, from_dram, remain_cols
+    ) -> None:
         self.t_full_rows = t_full_rows
         self.demand_rows = demand_rows
         self.from_dram = from_dram
+        self.remain_cols = remain_cols
 
 
 def _build_runtime_table(
@@ -363,62 +373,26 @@ def _build_runtime_table(
     overlap_f: float,
     max_tiles: int,
 ) -> RuntimeTable:
-    """Batch-evaluate a network's (block x tiles) prediction grid.
-
-    The numpy path vectorizes over the tile axis but accumulates the
-    per-layer compute terms *sequentially in term order* and keeps the
-    ``hi + lo * overlap_f`` combination as separate elementwise ops —
-    float64 elementwise arithmetic is IEEE-identical to Python floats
-    only when the operation order matches, and ``predict`` sums its
-    terms left to right.  ``tolist()`` then yields exact Python
-    floats.  The scalar fallback (no numpy in the environment) calls
-    ``predict`` itself, so both builds are bit-identical to the
-    memoised scalar path by construction (property-tested in
-    ``tests/test_vectorized.py``).
-    """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is baked into CI
-        np = None
-    t_full_rows = []
-    demand_rows = []
-    from_dram = []
-    if np is None:  # pragma: no cover - numpy is baked into CI
-        for block in cost.blocks:
-            row = [
-                block.predict(t, dram_bw, l2_bw, overlap_f)
-                for t in range(1, max_tiles + 1)
-            ]
-            t_full_rows.append(row)
-            demand_rows.append([
-                block.from_dram_bytes / full if full > 0 else 0.0
-                for full in row
-            ])
-            from_dram.append(block.from_dram_bytes)
-        return RuntimeTable(t_full_rows, demand_rows, from_dram)
-    tiles = np.arange(1, max_tiles + 1)
-    zeros = np.zeros(max_tiles)
-    for block in cost.blocks:
-        compute = zeros
-        for cycles, max_t in block.compute_terms:
-            compute = compute + (
-                cycles / np.minimum(tiles, max_t) ** block.scaling_alpha
-            )
-        memory = (
-            block.from_dram_bytes / dram_bw
-            + block.total_mem_bytes / l2_bw
-        )
-        hi = np.maximum(compute, memory)
-        lo = np.minimum(compute, memory)
-        full = hi + lo * overlap_f
-        demand = np.divide(
-            block.from_dram_bytes, full,
-            out=np.zeros(max_tiles), where=full > 0,
-        )
-        t_full_rows.append(full.tolist())
-        demand_rows.append(demand.tolist())
-        from_dram.append(block.from_dram_bytes)
-    return RuntimeTable(t_full_rows, demand_rows, from_dram)
+    """Evaluate a network's (block x tiles) grid through
+    :meth:`BlockCost.predict`, then derive the demand rows and the
+    remaining-latency suffix columns from it."""
+    tile_counts = range(1, max_tiles + 1)
+    from_dram = [block.from_dram_bytes for block in cost.blocks]
+    t_full_rows = [
+        [block.predict(t, dram_bw, l2_bw, overlap_f) for t in tile_counts]
+        for block in cost.blocks
+    ]
+    demand_rows = [
+        [dram / full if full > 0 else 0.0 for full in row]
+        for dram, row in zip(from_dram, t_full_rows)
+    ]
+    remain_cols = []
+    for col in range(max_tiles):
+        suffix = [0.0] * (len(t_full_rows) + 1)
+        for i in range(len(t_full_rows) - 1, -1, -1):
+            suffix[i] = suffix[i + 1] + t_full_rows[i][col]
+        remain_cols.append(suffix)
+    return RuntimeTable(t_full_rows, demand_rows, from_dram, remain_cols)
 
 
 @dataclass(frozen=True)
@@ -478,19 +452,6 @@ class NetworkCost:
             b.predict(num_tiles, dram_bw, l2_bw, overlap_f)
             for b in self.blocks
         )
-
-    def total_from_dram(self) -> float:
-        """Whole-network DRAM traffic in bytes."""
-        return sum(b.from_dram_bytes for b in self.blocks)
-
-    def avg_bw_demand(
-        self, num_tiles: int, dram_bw: float, l2_bw: float, overlap_f: float
-    ) -> float:
-        """Network-average DRAM demand (Alg. 3 line 7's EstimatedAvg_BW)."""
-        total = self.total_prediction(num_tiles, dram_bw, l2_bw, overlap_f)
-        if total <= 0:
-            return 0.0
-        return self.total_from_dram() / total
 
 
 _NetworkCostKey = Tuple[
@@ -657,16 +618,14 @@ def warm_network_cost_cache(
     mem: Optional[MemoryHierarchy] = None,
     num_sharers: int = 1,
 ) -> int:
-    """Pre-build network costs and pre-evaluate their predict memos.
-
-    For every network, builds (or cache-hits) its :class:`NetworkCost`
-    and evaluates each block's :meth:`BlockCost.predict` memo at every
-    tile count the SoC can grant, at full DRAM/L2 bandwidth — exactly
-    the ``T_full`` points the reference block-time solve and the
-    workload generator's isolated/QoS sizing evaluate, so a warmed
-    process serves those lookups from memo from the first cell.  The
-    parallel executor's worker initializer calls this once per worker
-    process.
+    """Pre-build each network's :class:`NetworkCost` and its
+    :class:`RuntimeTable` at full DRAM/L2 bandwidth — the one table
+    every simulation on this SoC reads — so a warmed process serves
+    its first cell from cache.  Building the table evaluates each
+    block's :meth:`BlockCost.predict` at every tile count, which also
+    warms the memo the workload generator's isolated/QoS sizing
+    reads.  The parallel executor's worker initializer calls this
+    once per worker process.
 
     Returns:
         The number of networks warmed.
@@ -674,16 +633,7 @@ def warm_network_cost_cache(
     if mem is None:
         mem = MemoryHierarchy.from_soc(soc)
     for network in networks:
-        cost = build_network_cost(network, soc, mem, num_sharers)
-        for block in cost.blocks:
-            for tiles in range(1, soc.num_tiles + 1):
-                block.predict(
-                    tiles, mem.dram_bandwidth, mem.l2_bandwidth,
-                    soc.overlap_f,
-                )
-        # The engine reads these exact points from the SoA runtime
-        # table instead of the memo; warm it alongside.
-        cost.runtime_table(
+        build_network_cost(network, soc, mem, num_sharers).runtime_table(
             mem.dram_bandwidth, mem.l2_bandwidth, soc.overlap_f,
             soc.num_tiles,
         )

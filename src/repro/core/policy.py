@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.prediction import RemainingPrediction
 from repro.core.runtime import MoCARuntime
 from repro.core.scheduler import MoCAScheduler, SchedulableTask, SchedulerConfig
 from repro.memory.arbiter import _REL_TOL, waterfill_grant_last
@@ -59,7 +58,9 @@ class MoCAPolicy(Policy):
     compute repartition, always with the default
     :class:`~repro.core.scheduler.SchedulerConfig`.  The engine
     drives it through :meth:`kernel_decide_apply`; :meth:`decide`
-    returns the same decisions as one plan.
+    returns the same decisions as one plan.  Every Algorithm 1 figure
+    the round needs (block demand, ``remain_prediction``) is read off
+    the job's :class:`~repro.core.latency.RuntimeTable`.
     """
 
     name = "moca"
@@ -79,15 +80,8 @@ class MoCAPolicy(Policy):
     def __init__(self) -> None:
         self._runtime: Optional[MoCARuntime] = None
         self._scheduler: Optional[MoCAScheduler] = None
-        self._predictor: Optional[RemainingPrediction] = None
         self._sched_cache: Dict[str, SchedulableTask] = {}
         self._regulated_block: Dict[str, tuple] = {}
-        #: jid -> (block_idx, num_tiles, demand, remain, deadline,
-        #: priority) — the regulation item's table-derived tail,
-        #: refreshed only when the job's (block, tiles) key moves;
-        #: co-runner epoch bumps re-regulate the same block several
-        #: rounds in a row.
-        self._item_cache: Dict[str, tuple] = {}
         self._epoch = 0
         self._seen_boundaries = -1
 
@@ -96,7 +90,6 @@ class MoCAPolicy(Policy):
     def _lazy_init(self, sim: "Simulator") -> None:
         self._runtime = MoCARuntime(sim.soc, sim.mem)
         self._scheduler = MoCAScheduler(sim.mem.dram_bandwidth)
-        self._predictor = RemainingPrediction(sim.soc, sim.mem)
 
     def _round(self, sim: "Simulator") -> _Round:
         """One MoCA decision round against the *planned*
@@ -198,15 +191,12 @@ class MoCAPolicy(Policy):
         round anyway.  (MoCA never preempts, so a waiting job's
         ``block_idx`` is pinned at its first-seen value.)
         """
-        assert self._predictor is not None
         entry = self._sched_cache.get(job.job_id)
         if entry is None:
-            tiles = _TILES_PER_TASK
-            cost = job.task.cost
-            est = self._predictor.remaining(cost, job.block_idx, tiles)
-            total_dram = sum(
-                b.from_dram_bytes for b in cost.blocks[job.block_idx:]
-            )
+            table = job.table
+            bi = job.block_idx
+            est = table.remain_cols[_TILES_PER_TASK - 1][bi]
+            total_dram = sum(table.from_dram[bi:])
             entry = SchedulableTask(
                 task_id=job.job_id,
                 dispatched_at=job.task.dispatch_cycle,
@@ -266,8 +256,8 @@ class MoCAPolicy(Policy):
         whose derived cap restates the live one.  ``admitted_tiles``
         overlays this plan's admissions onto the live tile counts.
 
-        The round is **one sweep** over the jobs: demand/remain
-        extraction (cached per ``(block, tiles)``), dynamic scoring,
+        The round is **one sweep** over the jobs: demand and remain
+        read off the job's runtime table, dynamic scoring,
         contention detection against the scoreboard's columns,
         publication and the cap diff.  A sequence of
         :meth:`~repro.core.runtime.MoCARuntime.update_app` calls is
@@ -278,7 +268,7 @@ class MoCAPolicy(Policy):
         bit-identical to it (pinned in ``tests/test_vectorized.py``).
         """
         rt = self._runtime
-        assert rt is not None and self._predictor is not None
+        assert rt is not None
         board = rt.scoreboard
         demand_arr = board.demand_list
         score_arr = board.score_list
@@ -289,7 +279,6 @@ class MoCAPolicy(Policy):
         overflow_cut = rt.overflow_cut
         min_bw_rate = rt.min_bw_rate
         urgency_cap = rt.urgency_cap
-        suffix_of = self._predictor.suffix
         now = sim.now
         epoch = self._epoch
         # With the fast path on, a round only reaches this sweep after
@@ -300,7 +289,6 @@ class MoCAPolicy(Policy):
         # avoid re-extending reconfiguration stalls.
         track_keys = not self.fast_path
         regulated = self._regulated_block
-        item_cache = self._item_cache
         caps: List[Tuple[str, Optional[float]]] = []
         for job in planned_running:
             # Algorithm 2 runs once per (layer block, co-runner epoch):
@@ -318,31 +306,19 @@ class MoCAPolicy(Policy):
                 num_tiles = admitted_tiles.get(jid, job.tiles)
             else:
                 num_tiles = job.tiles
-            # Demand (straight off the engine's runtime table — the
-            # same float bw_demand would return), suffix remain and
-            # the task's fixed deadline/priority, cached per (block,
-            # tiles).
-            cached = item_cache.get(jid)
-            if cached is None or cached[0] != bi or cached[1] != num_tiles:
-                task = job.task
-                cached = (
-                    bi,
-                    num_tiles,
-                    job.table.demand_rows[bi][num_tiles - 1],
-                    suffix_of(task.cost, num_tiles)[bi],
-                    task.deadline,
-                    task.priority,
-                )
-                item_cache[jid] = cached
-            demand = cached[2]
+            # Lines 3-4: demand straight off the runtime table (the
+            # float bw_demand would return).
+            table = job.table
+            demand = table.demand_rows[bi][num_tiles - 1]
             # Line 6: dynamic priority score (dynamic_score inlined;
-            # remain >= 0 is guaranteed by the predictor).
-            slack = cached[4] - now
+            # the table's remain_prediction is never negative).
+            task = job.task
+            slack = task.deadline - now
             if slack <= 0:
-                score = cached[5] + urgency_cap
+                score = task.priority + urgency_cap
             else:
-                u = cached[3] / slack
-                score = cached[5] + (
+                u = table.remain_cols[num_tiles - 1][bi] / slack
+                score = task.priority + (
                     u if u < urgency_cap else urgency_cap
                 )
             # Lines 9-14: co-runner demand sum in slot order, exactly
@@ -415,22 +391,18 @@ class MoCAPolicy(Policy):
         SLA, only when the predicted gain clearly beats the migration
         stall.  Called only with idle tiles and an empty post-round
         ready queue."""
-        assert self._predictor is not None
         best_job = None
         best_gain = 0.0
         for job in planned_running:
             if not job.at_block_boundary:
                 continue
             tiles = admitted_tiles.get(job.job_id, job.tiles)
-            remain_now = self._predictor.remaining(
-                job.task.cost, job.block_idx, tiles
-            )
+            remain_cols = job.table.remain_cols
+            remain_now = remain_cols[tiles - 1][job.block_idx]
             slack = job.task.deadline - sim.now
             if remain_now <= slack:
                 continue  # on track; leave it alone
-            remain_more = self._predictor.remaining(
-                job.task.cost, job.block_idx, tiles + extra
-            )
+            remain_more = remain_cols[tiles + extra - 1][job.block_idx]
             gain = remain_now - remain_more
             if gain > best_gain:
                 best_gain = gain
@@ -453,16 +425,13 @@ class MoCAPolicy(Policy):
             self._runtime.retire_app(job.job_id)
         self._sched_cache.pop(job.job_id, None)
         self._regulated_block.pop(job.job_id, None)
-        self._item_cache.pop(job.job_id, None)
         self._epoch += 1
 
     def reset(self) -> None:
         """Clear all per-simulation state."""
         self._runtime = None
         self._scheduler = None
-        self._predictor = None
         self._sched_cache.clear()
         self._regulated_block.clear()
-        self._item_cache.clear()
         self._epoch = 0
         self._seen_boundaries = -1

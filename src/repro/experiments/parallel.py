@@ -35,9 +35,9 @@ CLI, shards and coordinator workers run it with real retry budgets.
 Warm workers
 ------------
 
-Every worker process is started with an initializer that pre-warms the
-process-global network-cost cache and the per-block predict memos for
-the models of the sweep (:func:`repro.core.latency.
+Every worker process is started with an initializer that pre-builds
+the process-global network-cost cache and each network's runtime table
+for the models of the sweep (:func:`repro.core.latency.
 warm_network_cost_cache`).  Fork-start hosts inherit the parent's warm
 caches anyway; on spawn-start hosts the initializer is what keeps each
 cell from paying the cold-start that PR 1's review flagged.  Each

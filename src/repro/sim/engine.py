@@ -203,11 +203,10 @@ class Simulator:
         self._max_events = max_events
         # Structure-of-arrays runtime tables (one per task's network,
         # memoised on the NetworkCost so shared networks build once):
-        # every (block, tiles) point the run can ever evaluate,
-        # computed in one numpy batch.  The epoch solve and MoCA's
-        # regulation sweep read these instead of probing the predict
-        # memo per call; the tables are bit-identical to
-        # BlockCost.predict.
+        # every (block, tiles) point the run can ever evaluate, built
+        # through BlockCost.predict, plus the remaining-latency
+        # suffixes.  The epoch solve and the policies read these
+        # instead of probing the predict memo per call.
         dram_bw = self.mem.dram_bandwidth
         l2_bw = self.mem.l2_bandwidth
         for job in self.jobs.values():
@@ -267,6 +266,37 @@ class Simulator:
         block retirements move it, so an unchanged value means no
         running job has entered a new block."""
         return self._blocks_retired
+
+    def note_decision(self) -> None:
+        """Record a policy consultation at ``now`` (what the
+        block-boundary and interval cadences gate on).  Both the
+        engine loop and the reference loop call this."""
+        self._decided_boundaries = self._blocks_retired
+        self._last_decision_at = self.now
+
+    def retire_block(self, job: Job) -> None:
+        """Retire ``job``'s current block at ``now``; its last block
+        finishes the job and notifies the policy.  Both the engine
+        loop and the reference loop retire through here, in running
+        order."""
+        job.block_idx += 1
+        job.progress = 0.0
+        self._alloc_epoch += 1
+        self._blocks_retired += 1
+        trace = self.trace
+        if trace.enabled:
+            trace.log(self.now, TraceEvent.BLOCK_DONE, job.job_id,
+                      f"block={job.block_idx - 1}")
+        if job.block_idx >= len(job.task.cost.blocks):
+            job.phase = JobPhase.FINISHED
+            job.finished_at = self.now
+            self._tiles_held -= job.tiles
+            job.tiles = 0
+            job.bw_cap = None
+            self.running.remove(job)
+            self.finished.append(job)
+            trace.log(self.now, TraceEvent.FINISH, job.job_id)
+            self.policy.on_job_finished(self, job)
 
     def start_job(self, job: Job, tiles: int) -> None:
         """Admit a READY job onto ``tiles`` tiles."""
@@ -485,12 +515,12 @@ class Simulator:
         controller = self.controller
         apply_plan = controller.apply
         solve = self._solve_epoch
+        retire = self.retire_block
         jobs_total = len(self.jobs)
         finished = self.finished
         running = self.running
         pending = self._pending
         max_events = self._max_events
-        trace = self.trace
         eps = _COMPLETION_EPS
         done_thr = 1.0 - eps
         min_dt = _MIN_DT
@@ -529,8 +559,7 @@ class Simulator:
                 if cadence_every or self._should_decide():
                     decisions += 1
                     if not cadence_every:
-                        self._decided_boundaries = self._blocks_retired
-                        self._last_decision_at = now
+                        self.note_decision()
                     if fused is not None:
                         fused(self)
                     else:
@@ -617,30 +646,8 @@ class Simulator:
                 if completed:
                     # Every block that landed on this horizon retires
                     # in one sweep, in running order.
-                    trace_on = trace.enabled
                     for job in completed:
-                        job.block_idx += 1
-                        job.progress = 0.0
-                        self._alloc_epoch += 1
-                        self._blocks_retired += 1
-                        if trace_on:
-                            trace.log(
-                                new_now, TraceEvent.BLOCK_DONE,
-                                job.job_id,
-                                f"block={job.block_idx - 1}",
-                            )
-                        if job.block_idx >= len(job.task.cost.blocks):
-                            job.phase = JobPhase.FINISHED
-                            job.finished_at = new_now
-                            self._tiles_held -= job.tiles
-                            job.tiles = 0
-                            job.bw_cap = None
-                            running.remove(job)
-                            finished.append(job)
-                            trace.log(
-                                new_now, TraceEvent.FINISH, job.job_id
-                            )
-                            policy.on_job_finished(self, job)
+                        retire(job)
         finally:
             self.events = events
             self.block_time_recomputes = recomputes

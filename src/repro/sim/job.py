@@ -106,10 +106,11 @@ class Job:
     #: engine reads it on every job on every event, and the double
     #: indirection was measurable on the hot path.
     job_id: str = field(init=False, repr=False, compare=False)
-    #: The engine's structure-of-arrays
+    #: The structure-of-arrays
     #: :class:`~repro.core.latency.RuntimeTable` for this job's
     #: network, attached at simulator construction (None for jobs
-    #: never handed to an engine).  Read-only outside the engine.
+    #: never handed to an engine).  The engine and the policies read
+    #: it; nothing writes it.
     table: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )

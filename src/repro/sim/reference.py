@@ -28,8 +28,6 @@ from repro.sim.engine import (
     SimulationError,
     Simulator,
 )
-from repro.sim.job import JobPhase
-from repro.sim.trace import TraceEvent
 
 _INF = float("inf")
 
@@ -101,8 +99,7 @@ def run_reference(sim: Simulator) -> SimResult:
                 sim._dispatch_arrivals()
             if sim._should_decide():
                 sim.decisions += 1
-                sim._decided_boundaries = sim.blocks_retired
-                sim._last_decision_at = sim.now
+                sim.note_decision()
                 sim.controller.apply(sim.policy.decide(sim))
             sim._validate()
             sim.block_time_recomputes += 1
@@ -152,19 +149,5 @@ def _step(sim: Simulator, times: Dict[str, float]) -> bool:
             completed.append(job)
     sim.now = now + dt
     for job in completed:
-        job.block_idx += 1
-        job.progress = 0.0
-        sim._blocks_retired += 1
-        sim.trace.log(sim.now, TraceEvent.BLOCK_DONE, job.job_id,
-                      f"block={job.block_idx - 1}")
-        if job.block_idx >= job.num_blocks:
-            job.phase = JobPhase.FINISHED
-            job.finished_at = sim.now
-            sim._tiles_held -= job.tiles
-            job.tiles = 0
-            job.bw_cap = None
-            sim.running.remove(job)
-            sim.finished.append(job)
-            sim.trace.log(sim.now, TraceEvent.FINISH, job.job_id)
-            sim.policy.on_job_finished(sim, job)
+        sim.retire_block(job)
     return True

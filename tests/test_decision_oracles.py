@@ -18,7 +18,6 @@ from repro.baselines.planaria import PlanariaPolicy
 from repro.baselines.prema import PremaPolicy
 from repro.config import DEFAULT_SOC
 from repro.core.latency import build_network_cost
-from repro.core.prediction import RemainingPrediction
 from repro.models.zoo import workload_set
 from repro.sim.engine import _READY_KEY, run_simulation
 from repro.sim.job import Job, Task
@@ -135,10 +134,19 @@ class TestPremaBestWaiting:
 # ---------------------------------------------------------------------------
 
 
-def reference_bucket(predictor, job, now, min_tiles):
-    remain = predictor.remaining(
-        job.task.cost, job.block_idx, max(job.tiles, min_tiles)
-    )
+def fresh_remaining(soc, mem, job, tiles):
+    """Predicted cycles of the job's remaining blocks, summed right to
+    left from 0.0 straight off ``BlockCost.predict``."""
+    remain = 0.0
+    for block in reversed(job.task.cost.blocks[job.block_idx:]):
+        remain = remain + block.predict(
+            tiles, mem.dram_bandwidth, mem.l2_bandwidth, soc.overlap_f
+        )
+    return remain
+
+
+def reference_bucket(soc, mem, job, now, min_tiles):
+    remain = fresh_remaining(soc, mem, job, max(job.tiles, min_tiles))
     slack = job.task.deadline - now
     if slack <= 0 or remain <= 0:
         return 4.0
@@ -168,13 +176,16 @@ class TestPlanariaCachedBuckets:
     ):
         rng = random.Random(11)
         policy = PlanariaPolicy()
-        policy._predictor = RemainingPrediction(soc, mem)
-        fresh = RemainingPrediction(soc, mem)
         jobs = [
             Job(task=task_factory(task_id=f"p{i}", network=net,
                                   qos_slack=rng.choice([0.5, 1.5, 4.0])))
             for i, net in enumerate(["kws", "alexnet", "resnet50"])
         ]
+        for job in jobs:
+            job.table = job.task.cost.runtime_table(
+                mem.dram_bandwidth, mem.l2_bandwidth, soc.overlap_f,
+                soc.num_tiles,
+            )
         for _ in range(400):
             job = rng.choice(jobs)
             n_blocks = len(job.task.cost.blocks)
@@ -185,17 +196,8 @@ class TestPlanariaCachedBuckets:
                 job.tiles = rng.randrange(soc.num_tiles + 1)
             now = rng.uniform(0.0, 2.0 * job.task.deadline)
             assert policy._urgency_bucket(job, now) == reference_bucket(
-                fresh, job, now, policy.min_tiles
+                soc, mem, job, now, policy.min_tiles
             )
-
-    def test_finished_job_entry_dropped(self, soc, mem, task_factory):
-        policy = PlanariaPolicy()
-        policy._predictor = RemainingPrediction(soc, mem)
-        job = Job(task=task_factory(task_id="gone"))
-        policy._urgency_bucket(job, 0.0)
-        assert "gone" in policy._remain
-        policy.on_job_finished(None, job)
-        assert "gone" not in policy._remain
 
     def test_matches_fresh_prediction_through_a_run(
         self, soc, mem, task_factory
@@ -205,9 +207,8 @@ class TestPlanariaCachedBuckets:
         class Checked(PlanariaPolicy):
             def _urgency_bucket(self, job, now):
                 got = super()._urgency_bucket(job, now)
-                fresh = RemainingPrediction(soc, mem)
                 assert got == reference_bucket(
-                    fresh, job, now, self.min_tiles
+                    soc, mem, job, now, self.min_tiles
                 )
                 checks.append(got)
                 return got

@@ -198,6 +198,10 @@ class TestBlockCost:
         assert cost.predict(tiles, bw, MEM.l2_bandwidth, SOC.overlap_f) > 0
 
 
+def _total_from_dram(cost):
+    return sum(b.from_dram_bytes for b in cost.blocks)
+
+
 class TestNetworkCost:
     def test_blocks_match_partition(self):
         net = build_model("squeezenet")
@@ -216,7 +220,7 @@ class TestNetworkCost:
         a = build_network_cost(net, SOC, MEM, num_sharers=1)
         b = build_network_cost(net, SOC, MEM, num_sharers=4)
         assert a is not b
-        assert b.total_from_dram() >= a.total_from_dram()
+        assert _total_from_dram(b) >= _total_from_dram(a)
 
     def test_cache_distinguishes_soc(self):
         net = build_model("alexnet")
@@ -235,19 +239,13 @@ class TestNetworkCost:
         )
         assert total == pytest.approx(parts)
 
-    def test_avg_bw_demand_consistent(self):
-        cost = build_network_cost(build_model("alexnet"), SOC, MEM)
-        avg = cost.avg_bw_demand(2, MEM.dram_bandwidth, MEM.l2_bandwidth,
-                                 SOC.overlap_f)
-        total = cost.total_prediction(2, MEM.dram_bandwidth,
-                                      MEM.l2_bandwidth, SOC.overlap_f)
-        assert avg == pytest.approx(cost.total_from_dram() / total)
-
     def test_alexnet_is_most_bandwidth_hungry(self):
+        # Network-average DRAM demand (Alg. 3 line 7's
+        # EstimatedAvg_BW): whole-network traffic over latency.
         demands = {}
         for name in model_names():
             cost = build_network_cost(build_model(name), SOC, MEM)
-            demands[name] = cost.avg_bw_demand(
+            demands[name] = _total_from_dram(cost) / cost.total_prediction(
                 2, MEM.dram_bandwidth, MEM.l2_bandwidth, SOC.overlap_f
             )
         assert max(demands, key=demands.get) == "alexnet"
@@ -301,7 +299,7 @@ class TestNetworkCostCache:
         tiny_l2 = build_network_cost(net, SOC, small_mem)
         # A 64 KiB L2 can keep almost nothing resident: DRAM traffic
         # must strictly grow, not alias the 2 MiB entry.
-        assert tiny_l2.total_from_dram() > default.total_from_dram()
+        assert _total_from_dram(tiny_l2) > _total_from_dram(default)
 
     def test_repeated_build_is_cached(self):
         net = build_model("kws")

@@ -57,6 +57,33 @@ class TestImportHygiene:
         )
         assert json.loads(out.stdout) == []
 
+    def test_runtime_imports_no_numpy(self):
+        """The runtime is stdlib-only: a fresh interpreter that imports
+        ``repro`` and runs a 4-task scenario under every policy never
+        loads numpy."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(repro.__file__).resolve().parent.parent
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.experiments.runner import ScenarioSpec, "
+            "run_scenario\n"
+            "out = run_scenario(ScenarioSpec(workload_set='A', "
+            "num_tasks=4, seeds=(1,)))\n"
+            "assert sorted(out) == "
+            "['moca', 'planaria', 'prema', 'static'], sorted(out)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_lazy_experiment_exports_resolve(self):
         import repro.experiments as experiments
         from repro.experiments import Coordinator, WorkLedger

@@ -18,8 +18,10 @@ from repro.reporting import (
     sweep_from_json,
     sweep_to_csv,
     sweep_to_json,
+    timeline_chart,
 )
 from repro.sim.job import TaskResult
+from repro.sim.trace import Trace, TraceEvent
 
 #: The fixed matrix the sweep-export goldens pin (see
 #: tests/goldens/sweep_exports.json and scripts/bless_goldens.py).
@@ -237,3 +239,50 @@ class TestResultsCsv:
         header = text.splitlines()[0]
         for col in ("latency", "runtime", "met_sla", "slowdown"):
             assert col in header
+
+
+class TestTimelineChart:
+    def _trace(self):
+        trace = Trace()
+        trace.log(0.0, TraceEvent.DISPATCH, "a")
+        trace.log(10.0, TraceEvent.START, "a")
+        trace.log(100.0, TraceEvent.FINISH, "a")
+        trace.log(5.0, TraceEvent.DISPATCH, "b")
+        trace.log(50.0, TraceEvent.START, "b")
+        trace.log(200.0, TraceEvent.FINISH, "b")
+        return trace
+
+    def test_renders_rows(self):
+        text = timeline_chart(self._trace())
+        assert "a" in text and "b" in text
+        assert "F" in text and "=" in text
+
+    def test_wait_marks_present(self):
+        text = timeline_chart(self._trace())
+        assert "." in text
+
+    def test_empty_trace_raises(self):
+        with pytest.raises(ValueError):
+            timeline_chart(Trace())
+
+    def test_max_jobs_truncates(self):
+        trace = Trace()
+        for i in range(30):
+            trace.log(float(i), TraceEvent.DISPATCH, f"j{i:02d}")
+            trace.log(float(i + 1), TraceEvent.START, f"j{i:02d}")
+            trace.log(float(i + 50), TraceEvent.FINISH, f"j{i:02d}")
+        text = timeline_chart(trace, max_jobs=5)
+        assert "more jobs not shown" in text
+
+    def test_from_real_simulation(self, soc, mem, task_factory):
+        from repro.baselines.static_partition import StaticPartitionPolicy
+        from repro.sim.engine import Simulator
+
+        tasks = [task_factory(task_id=f"t{i}", network="kws",
+                              dispatch=i * 1e5) for i in range(5)]
+        policy = StaticPartitionPolicy()
+        policy.reset()
+        sim = Simulator(soc, tasks, policy, mem=mem, trace=True)
+        sim.run()
+        text = timeline_chart(sim.trace)
+        assert text.count("F") >= 5

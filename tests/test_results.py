@@ -217,11 +217,30 @@ class TestCellManifest:
 
 
 class TestEngineCacheCounters:
+    """Per-run cache attribution.  The runs go through the reference
+    loop: it solves every event through ``BlockCost.predict``, so it
+    probes the predict memo, which the engine and the policies (they
+    read the runtime table) no longer do."""
+
     def _tasks(self, task_factory):
         return [
             task_factory(task_id=f"t{i}", dispatch=float(i) * 10.0)
             for i in range(4)
         ]
+
+    @staticmethod
+    def _sim(tasks):
+        from repro.config import DEFAULT_SOC
+        from repro.core.policy import MoCAPolicy
+        from repro.sim.engine import Simulator
+
+        return Simulator(DEFAULT_SOC, tasks, MoCAPolicy())
+
+    @staticmethod
+    def _run(sim):
+        from repro.sim.reference import run_reference
+
+        return run_reference(sim)
 
     @staticmethod
     def _deltas(result):
@@ -230,12 +249,7 @@ class TestEngineCacheCounters:
         return {name: getattr(result, name) for name in CACHE_COUNTER_FIELDS}
 
     def test_sim_result_carries_cache_deltas(self, task_factory):
-        from repro.config import DEFAULT_SOC
-        from repro.core.policy import MoCAPolicy
-        from repro.sim.engine import run_simulation
-
-        tasks = self._tasks(task_factory)
-        result = run_simulation(DEFAULT_SOC, tasks, MoCAPolicy())
+        result = self._run(self._sim(self._tasks(task_factory)))
         assert result.predict_memo_hits + result.predict_memo_misses > 0
         assert result.cost_cache_hits >= 0
         assert result.cost_cache_misses >= 0
@@ -245,20 +259,15 @@ class TestEngineCacheCounters:
         counters snapshotted at *construction*, so constructing two
         simulators and running them in reverse order attributed the
         first run's probes to both results."""
-        from repro.config import DEFAULT_SOC
-        from repro.core.policy import MoCAPolicy
-        from repro.sim.engine import Simulator
-
         tasks = self._tasks(task_factory)
         # Warm every cache, then measure one clean run as reference.
-        Simulator(DEFAULT_SOC, tasks, MoCAPolicy()).run()
-        reference = self._deltas(
-            Simulator(DEFAULT_SOC, tasks, MoCAPolicy()).run()
-        )
-        sim_a = Simulator(DEFAULT_SOC, tasks, MoCAPolicy())
-        sim_b = Simulator(DEFAULT_SOC, tasks, MoCAPolicy())
-        result_b = sim_b.run()
-        result_a = sim_a.run()
+        self._run(self._sim(tasks))
+        reference = self._deltas(self._run(self._sim(tasks)))
+        assert reference["predict_memo_hits"] > 0
+        sim_a = self._sim(tasks)
+        sim_b = self._sim(tasks)
+        result_b = self._run(sim_b)
+        result_a = self._run(sim_a)
         assert self._deltas(result_b) == reference
         assert self._deltas(result_a) == reference
 
@@ -267,19 +276,14 @@ class TestEngineCacheCounters:
     ):
         """A reset_cache_stats() after construction used to drive the
         deltas negative (after-run counters < at-init snapshot)."""
-        from repro.config import DEFAULT_SOC
         from repro.core.latency import reset_cache_stats
-        from repro.core.policy import MoCAPolicy
-        from repro.sim.engine import Simulator
 
         tasks = self._tasks(task_factory)
-        Simulator(DEFAULT_SOC, tasks, MoCAPolicy()).run()
-        reference = self._deltas(
-            Simulator(DEFAULT_SOC, tasks, MoCAPolicy()).run()
-        )
-        sim = Simulator(DEFAULT_SOC, tasks, MoCAPolicy())
+        self._run(self._sim(tasks))
+        reference = self._deltas(self._run(self._sim(tasks)))
+        sim = self._sim(tasks)
         reset_cache_stats()
-        deltas = self._deltas(sim.run())
+        deltas = self._deltas(self._run(sim))
         assert all(v >= 0 for v in deltas.values())
         assert deltas == reference
 
@@ -288,15 +292,13 @@ class TestEngineCacheCounters:
     ):
         """An outer frame (a sweep cell) contains its inner run's
         probes; a sibling frame opened afterwards sees none of them."""
-        from repro.config import DEFAULT_SOC
         from repro.core.latency import track_cache_deltas
-        from repro.core.policy import MoCAPolicy
-        from repro.sim.engine import run_simulation
 
         tasks = self._tasks(task_factory)
         with track_cache_deltas() as outer:
-            result = run_simulation(DEFAULT_SOC, tasks, MoCAPolicy())
+            result = self._run(self._sim(tasks))
         inner = self._deltas(result)
+        assert inner["predict_memo_hits"] > 0
         for name, count in inner.items():
             assert outer[name] >= count
         with track_cache_deltas() as sibling:

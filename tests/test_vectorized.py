@@ -31,7 +31,6 @@ from repro.core.latency import (
     build_network_cost,
 )
 from repro.core.policy import MoCAPolicy
-from repro.core.prediction import RemainingPrediction
 from repro.core.runtime import MoCARuntime
 from repro.models.layers import LayerKind
 from repro.models.zoo import build_model
@@ -248,14 +247,25 @@ class TestRegulateBatchOracle:
         return rng.uniform(cls.NOW, 1e8)
 
     @staticmethod
-    def _oracle_caps(oracle, predictor, jobs, now):
+    def _remaining(oracle, job):
+        """The job's remain_prediction: ``BlockCost.predict`` over its
+        remaining blocks, summed right to left from 0.0."""
+        remain = 0.0
+        for block in reversed(job.task.cost.blocks[job.block_idx:]):
+            remain = remain + block.predict(
+                job.tiles, oracle.dram_bw, oracle.mem.l2_bandwidth,
+                oracle.soc.overlap_f,
+            )
+        return remain
+
+    @classmethod
+    def _oracle_caps(cls, oracle, jobs, now):
         caps = []
         for job in jobs:
             task = job.task
             decision = oracle.update_app(
                 job.job_id, job.current_block, job.tiles, task.priority,
-                predictor.remaining(task.cost, job.block_idx, job.tiles),
-                task.deadline - now,
+                cls._remaining(oracle, job), task.deadline - now,
             )
             caps.append((
                 job.job_id,
@@ -314,8 +324,7 @@ class TestRegulateBatchOracle:
             oracle, rng, published, mem.dram_bandwidth, load
         )
 
-        predictor = RemainingPrediction(soc, mem)
-        expected = self._oracle_caps(oracle, predictor, jobs, sim.now)
+        expected = self._oracle_caps(oracle, jobs, sim.now)
         got = policy._plan_regulation(sim, jobs, {})
         assert got == expected  # bit-identical caps, same order
         self._assert_same_board(oracle, policy)
@@ -328,7 +337,7 @@ class TestRegulateBatchOracle:
         policy._runtime.retire_app(retired)
         for job in jobs:
             job.block_idx = rng.randrange(job.num_blocks)
-        expected = self._oracle_caps(oracle, predictor, jobs, sim.now)
+        expected = self._oracle_caps(oracle, jobs, sim.now)
         got = policy._plan_regulation(sim, jobs, {})
         assert got == expected
         self._assert_same_board(oracle, policy)
