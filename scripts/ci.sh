@@ -54,6 +54,18 @@ python -m pytest -q benchmarks/bench_*.py
 echo "== smoke =="
 python scripts/smoke.py A 24 M
 
+echo "== traced benchmark smoke (layer tracer vs src/ names) =="
+# The benchmark's layer tracer patches named src/ methods; a traced
+# one-second run must finish with every cell correct.  The run only
+# writes its span CSV under the ignored perfbench/out/.
+TRACED_LAST=$(python perfbench/run.py --workload small-cells-2w \
+    --seed 1 --seconds 1 --trace 1 | tail -n 1)
+python -c 'import json, sys
+failed = json.loads(sys.argv[1]).get("failed")
+if failed != 0:
+    sys.exit(f"FAIL: traced benchmark run reports failed={failed}")
+print("traced benchmark run: 0 failed")' "$TRACED_LAST"
+
 echo "== mini-sweep (2 workers) =="
 python -m repro.cli sweep \
     --scenarios bursty-mixed,diurnal-light \

@@ -460,12 +460,11 @@ _NetworkCostKey = Tuple[
 
 _NETWORK_COST_CACHE: Dict[_NetworkCostKey, NetworkCost] = {}
 
-#: The cache telemetry contract: every counter name consumers
-#: (``SimResult``, ``CellResult``) carry.  Code
-#: that splats counter deltas into those dataclasses iterates THIS
+#: The cache telemetry contract: every counter name ``CellResult``
+#: carries.  Code that splats counter deltas into it iterates THIS
 #: tuple, so adding a counter here requires adding the matching field
 #: there (a loud TypeError at the splat site, caught by any test that
-#: runs a simulation) rather than silently dropping telemetry.
+#: runs a sweep cell) rather than silently dropping telemetry.
 CACHE_COUNTER_FIELDS: Tuple[str, ...] = (
     "cost_cache_hits",
     "cost_cache_misses",
@@ -523,9 +522,8 @@ class track_cache_deltas:
     each other, and :func:`reset_cache_stats` mid-frame cannot drive
     the delta negative — the failure modes the old "diff two
     snapshots taken at construction time" convention had.
-    ``SimResult`` and ``CellResult`` cache deltas are measured
-    through this; the probe hot paths stay untouched inline
-    increments.
+    ``CellResult`` cache deltas are measured through this; the probe
+    hot paths stay untouched inline increments.
     """
 
     def __enter__(self) -> Dict[str, int]:

@@ -21,12 +21,13 @@ of somebody else's sealed value:
   the PR 7 contract, previously enforced by convention only.  New
   call sites must either go through ``AllocationPlan(...)`` or be
   added to the allowlist with review.
-- **P303** — in ``core/`` and ``baselines/`` modules, ``x._name`` with
-  a receiver other than ``self``/``cls`` where ``_name`` is not an
-  attribute the same module defines (assigned on ``self``/``cls`` or
-  bound in a class body).  Reading another module's private state
-  couples a decision round to that module's internals; expose a
-  public read-only view instead.
+- **P303** — in ``core/``, ``baselines/`` and ``sim/`` modules,
+  ``x._name`` with a receiver other than ``self``/``cls`` where
+  ``_name`` is not an attribute the same module defines (assigned on
+  ``self``/``cls`` or bound in a class body).  Reading another
+  module's private state couples a decision round, the plan
+  controller or the reference loop to that module's internals; expose
+  a public method or read-only view instead.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ from repro.devtools.lint.core import Finding, LintConfig, snippet_at
 
 _SELF_NAMES = ("self", "cls")
 
-#: The policy and runtime layers, which reach other objects through
-#: public seams only (P303).
-_PRIVATE_SCOPE = ("src/repro/core/", "src/repro/baselines/")
+#: The policy, runtime and simulator layers, which reach other
+#: objects through public seams only (P303).
+_PRIVATE_SCOPE = (
+    "src/repro/core/", "src/repro/baselines/", "src/repro/sim/",
+)
 
 __all__ = ["check_prules"]
 

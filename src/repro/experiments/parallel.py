@@ -289,20 +289,12 @@ class ParallelRunner:
             the degraded mode the remainder ran in).
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        #: Deterministic fault plan installed into every pool worker
-        #: (via the initializer) — the testing seam that makes the
-        #: failure paths below reproducible.  ``None`` in production.
-        self.fault_plan = fault_plan
         self.last_mode: str = "serial"
         #: Always 0 (no pool warm-up can time out); kept because
         #: perfbench's sweep harness reads it.
@@ -313,15 +305,16 @@ class ParallelRunner:
         workers: int,
         spec_list: Sequence[ScenarioSpec],
         soc: SoCConfig,
+        fault_plan: Optional[FaultPlan],
     ) -> ProcessPoolExecutor:
-        if spec_list or self.fault_plan is not None:
+        if spec_list or fault_plan is not None:
             return ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_warm_worker,
                 initargs=(
                     _spec_model_names(spec_list),
                     soc,
-                    self.fault_plan,
+                    fault_plan,
                 ),
             )
         return ProcessPoolExecutor(max_workers=workers)
@@ -404,9 +397,9 @@ class ParallelRunner:
                 are rejected.
             supervision: The retry/timeout/backoff/fault policy
                 (defaults to :class:`Supervision`'s defaults).  Its
-                ``fault_plan`` (or the runner's) is installed in
-                every worker via the pool initializer, and in this
-                process for the in-process-safe fault kinds.
+                ``fault_plan`` is installed in every worker via the
+                pool initializer, and in this process for the
+                in-process-safe fault kinds.
             acc: Accumulator to fold into (for resume: pre-populated
                 with previously completed cells); a fresh one is
                 built when omitted.
@@ -427,12 +420,6 @@ class ParallelRunner:
             re-run ``acc.missing_indices()``).
         """
         sup = supervision if supervision is not None else Supervision()
-        # The supervision's plan (if any) wins over the runner's for
-        # the duration of this run only — a later, differently
-        # supervised call on the same runner must not inherit it.
-        prior_plan = self.fault_plan
-        if sup.fault_plan is not None:
-            self.fault_plan = sup.fault_plan
         spec_list, policies, soc, payloads = self._build_payloads(
             specs, policies, soc, indices
         )
@@ -470,12 +457,10 @@ class ParallelRunner:
                 file=sys.stderr,
             )
 
-        installed_parent_plan = False
-        if self.fault_plan is not None:
+        if sup.fault_plan is not None:
             # In-process activation for the serial path and the
             # serial fallback; crash/hang are worker-only by design.
-            faults.install_plan(self.fault_plan, in_worker=False)
-            installed_parent_plan = True
+            faults.install_plan(sup.fault_plan, in_worker=False)
         try:
             # Only the policy factories can realistically fail to
             # pickle (specs and SoCs are frozen dataclasses of
@@ -511,8 +496,7 @@ class ParallelRunner:
                     timelines,
                 )
         finally:
-            self.fault_plan = prior_plan
-            if installed_parent_plan:
+            if sup.fault_plan is not None:
                 faults.clear_plan()
         return acc
 
@@ -595,7 +579,7 @@ class ParallelRunner:
         suspects: deque = deque()
         workers = min(self.workers, max(len(queue), 1), 61)
         try:
-            pool = self._make_pool(workers, spec_list, soc)
+            pool = self._make_pool(workers, spec_list, soc, sup.fault_plan)
         except OSError as exc:
             print(
                 f"parallel: process pool unavailable "
@@ -643,7 +627,9 @@ class ParallelRunner:
             """Discard the (broken or hung) pool; build a successor."""
             self._terminate_pool(pool)
             try:
-                return self._make_pool(workers, spec_list, soc)
+                return self._make_pool(
+                    workers, spec_list, soc, sup.fault_plan
+                )
             except OSError as exc:
                 print(
                     f"parallel: could not rebuild pool after {reason} "

@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import repro.sanitizer as sanitizer
 from repro.baselines import PlanariaPolicy, PremaPolicy, StaticPartitionPolicy
 from repro.config import DEFAULT_SOC, SoCConfig
-from repro.core.latency import CACHE_COUNTER_FIELDS
 from repro.core.policy import MoCAPolicy
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.metrics import MetricsSummary, summarize
@@ -157,11 +156,9 @@ _TIMELINE_FIELDS = attrgetter(*(
 ))
 
 #: ``SimResult`` fields a follower must share with a fresh run of its
-#: own tasks: all but the trace (off in sweep cells) and the cache
-#: counters, which depend on how warm the process already is.
+#: own tasks: all but the trace (off in sweep cells).
 _SHARED_RESULT_FIELDS = tuple(
-    f.name for f in fields(SimResult)
-    if f.name != "trace" and f.name not in CACHE_COUNTER_FIELDS
+    f.name for f in fields(SimResult) if f.name != "trace"
 )
 
 

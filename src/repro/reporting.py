@@ -55,26 +55,6 @@ def ascii_bar_chart(
     return "\n".join(lines)
 
 
-def matrix_bar_charts(matrix: Matrix, metric: str, title: str) -> str:
-    """One ASCII bar chart per scenario for a matrix metric."""
-    sections = [title]
-    peak = max(
-        getattr(result, metric)
-        for cell in matrix.values()
-        for result in cell.values()
-    )
-    for label, cell in matrix.items():
-        values = {
-            policy: getattr(cell[policy], metric)
-            for policy in POLICY_ORDER
-            if policy in cell
-        }
-        sections.append(
-            ascii_bar_chart(values, title=label, max_value=peak)
-        )
-    return "\n\n".join(sections)
-
-
 def per_scenario_summary(matrix: Matrix) -> str:
     """One aligned table per scenario: each policy's headline metrics.
 
@@ -87,8 +67,7 @@ def per_scenario_summary(matrix: Matrix) -> str:
         raise ValueError("empty matrix")
     blocks = []
     for label, cell in matrix.items():
-        policies = [p for p in POLICY_ORDER if p in cell]
-        policies += [p for p in cell if p not in POLICY_ORDER]
+        policies = _ordered_policies(cell)
         lines = [
             f"scenario {label} "
             f"({len(next(iter(cell.values())).per_seed)} seed(s))",
@@ -152,39 +131,6 @@ def decision_summary(cells) -> str:
             f"{ratio:>8.3f}"
         )
     return "\n".join(lines)
-
-
-def matrix_to_csv(matrix: Matrix, metric: str) -> str:
-    """Export one metric of a matrix as CSV text."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["scenario"] + list(POLICY_ORDER))
-    for label, cell in matrix.items():
-        writer.writerow(
-            [label]
-            + [
-                f"{getattr(cell[p], metric):.6f}" if p in cell else ""
-                for p in POLICY_ORDER
-            ]
-        )
-    return out.getvalue()
-
-
-def matrix_to_json(matrix: Matrix) -> str:
-    """Export a full matrix (all headline metrics) as JSON text."""
-    payload = {}
-    for label, cell in matrix.items():
-        payload[label] = {
-            policy: {
-                "sla_rate": result.sla_rate,
-                "stp": result.stp,
-                "stp_normalized": result.stp_normalized,
-                "fairness": result.fairness,
-                "num_seeds": len(result.per_seed),
-            }
-            for policy, result in cell.items()
-        }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _ordered_policies(cell: Dict[str, ScenarioResult]) -> List[str]:

@@ -26,8 +26,8 @@ Each running job's block time only depends on *allocation state*: the
 set of unstalled running jobs, their current blocks, tile counts and
 throttle caps.  The engine maintains an **allocation epoch** counter
 that every state mutation bumps (``start_job`` / ``set_tiles`` /
-``set_bw_cap`` / ``preempt`` / ``stall_job`` / block retirement /
-stall expiry).  Between bumps every block time is fixed, so
+``preempt`` / ``stall_job`` / a controller cap change / block
+retirement / stall expiry).  Between bumps every block time is fixed, so
 :meth:`Simulator._advance_horizon` — the engine's only loop — solves
 once per epoch (:meth:`Simulator._solve_epoch`, reading each network's
 structure-of-arrays runtime table) and advances straight
@@ -100,13 +100,6 @@ class SimResult:
             the run actually performed.
         block_time_reuses: Events served by the current epoch's
             solve instead.
-        cost_cache_hits / cost_cache_misses: Network-cost cache probes
-            during this run (attributed per run via
-            :class:`repro.core.latency.track_cache_deltas`, so
-            interleaved or nested runs cannot double-count — a warm
-            worker shows zero misses here).
-        predict_memo_hits / predict_memo_misses: ``BlockCost.predict``
-            memo probes during this run, same delta convention.
         decisions: Times the policy was consulted for a plan (under
             the default every-event cadence this equals ``events``;
             regulated cadences consult less often).
@@ -124,10 +117,6 @@ class SimResult:
     events: int = 0
     block_time_recomputes: int = 0
     block_time_reuses: int = 0
-    cost_cache_hits: int = 0
-    cost_cache_misses: int = 0
-    predict_memo_hits: int = 0
-    predict_memo_misses: int = 0
     decisions: int = 0
     plans_applied: int = 0
     plans_noop: int = 0
@@ -200,7 +189,7 @@ class Simulator:
         self.finished: List[Job] = []
         self._tiles_held = 0
         self.trace = Trace(enabled=trace)
-        self._max_events = max_events
+        self.max_events = max_events
         # Structure-of-arrays runtime tables (one per task's network,
         # memoised on the NetworkCost so shared networks build once):
         # every (block, tiles) point the run can ever evaluate, built
@@ -228,7 +217,7 @@ class Simulator:
         # the policy is consulted.
         self.cadence = cadence if cadence is not None else EVERY_EVENT
         # The default cadence consults the policy unconditionally;
-        # resolved to a flag so the hot loop skips _should_decide.
+        # resolved to a flag so the hot loop skips should_decide.
         self._cadence_every = self.cadence.mode == "every-event"
         self.controller = AllocationController(self)
         self.decisions = 0
@@ -250,7 +239,7 @@ class Simulator:
 
         Maintained as a running counter (policies probe this several
         times per event; summing the running list was measurable).
-        :meth:`_validate` cross-checks the counter against the ground
+        :meth:`validate` cross-checks the counter against the ground
         truth every event.
         """
         return self.soc.num_tiles - self._tiles_held
@@ -259,6 +248,13 @@ class Simulator:
     def has_pending_arrivals(self) -> bool:
         """Whether any task has yet to be dispatched (read-only)."""
         return bool(self._pending)
+
+    @property
+    def next_arrival(self) -> float:
+        """Dispatch cycle of the earliest undispatched task, or
+        ``inf`` once every task has arrived (read-only)."""
+        pending = self._pending
+        return pending[0][0] if pending else _INF
 
     @property
     def blocks_retired(self) -> int:
@@ -313,7 +309,7 @@ class Simulator:
         if job.started_at is None:
             job.started_at = self.now
         self.running.append(job)
-        self._bump_epoch()
+        self.bump_epoch()
         self.trace.log(self.now, TraceEvent.START, job.job_id,
                        f"tiles={tiles}")
 
@@ -343,40 +339,9 @@ class Simulator:
         self._tiles_held += tiles - job.tiles
         job.tiles = tiles
         job.tile_repartitions += 1
-        self._bump_epoch()
+        self.bump_epoch()
         self.trace.log(self.now, TraceEvent.TILE_REPARTITION, job.job_id,
                        f"tiles={tiles}")
-        return True
-
-    def set_bw_cap(self, job: Job, cap: Optional[float]) -> bool:
-        """Reconfigure a job's memory throttle.
-
-        The 5-10 cycle DMA issue-rate update is not charged here: the
-        :class:`~repro.sim.plan.AllocationController` accounts it
-        centrally.
-
-        Returns:
-            Whether the cap actually changed (same-value and
-            within-tolerance re-applications are no-ops).
-        """
-        if job.phase is not JobPhase.RUNNING:
-            raise SimulationError(f"{job.job_id} is not running")
-        if cap is not None and cap <= 0:
-            raise SimulationError("bandwidth cap must be positive")
-        old = job.bw_cap
-        if old == cap or (
-            old is not None and cap is not None
-            and abs(old - cap) < 1e-9
-        ):
-            return False
-        job.bw_cap = cap
-        job.bw_reconfigs += 1
-        self._bump_epoch()
-        if self.trace.enabled:
-            self.trace.log(
-                self.now, TraceEvent.BW_RECONFIG, job.job_id,
-                f"cap={'none' if cap is None else f'{cap:.2f}B/cyc'}",
-            )
         return True
 
     def preempt(self, job: Job) -> None:
@@ -391,7 +356,7 @@ class Simulator:
         job.bw_cap = None
         job.preemptions += 1
         insort(self.ready, job, key=_READY_KEY)
-        self._bump_epoch()
+        self.bump_epoch()
         self.trace.log(self.now, TraceEvent.PREEMPT, job.job_id)
 
     def stall_job(self, job: Job, cycles: float) -> None:
@@ -405,38 +370,32 @@ class Simulator:
         if new_until > base:
             job.stall_cycles += new_until - base
             job.stall_until = new_until
-            self._bump_epoch()
-
-    def current_block_times(self) -> Dict[str, float]:
-        """Per unstalled running job: cycles its current block needs
-        under the current allocation (the fluid rate law), solved
-        afresh by the reference oracle
-        (:func:`repro.sim.reference.solve_block_times`)."""
-        from repro.sim import reference
-
-        return reference.solve_block_times(self)
+            self.bump_epoch()
 
     # ------------------------------------------------------------------
     # Allocation-epoch bookkeeping
     # ------------------------------------------------------------------
 
-    def _bump_epoch(self) -> None:
-        """Invalidate the epoch solve (deferred inside a batch)."""
+    def bump_epoch(self) -> None:
+        """Invalidate the epoch solve (deferred inside a batch).  Every
+        allocation mutation calls this once; the
+        :class:`~repro.sim.plan.AllocationController` calls it for the
+        cap changes it writes itself."""
         if self._epoch_batch_depth:
             self._epoch_batch_dirty = True
         else:
             self._alloc_epoch += 1
 
-    def _begin_allocation_batch(self) -> None:
+    def begin_allocation_batch(self) -> None:
         """Enter a deferred-epoch batch: every mutation until the
-        matching :meth:`_end_allocation_batch` coalesces into one
+        matching :meth:`end_allocation_batch` coalesces into one
         epoch bump (none at all if nothing mutated).  The
         :class:`~repro.sim.plan.AllocationController` brackets each
         applied plan with this pair.  Re-entrant: nested batches defer
         to the outermost one."""
         self._epoch_batch_depth += 1
 
-    def _end_allocation_batch(self) -> None:
+    def end_allocation_batch(self) -> None:
         """Leave a deferred-epoch batch; the outermost exit performs
         the single coalesced epoch bump if anything mutated."""
         self._epoch_batch_depth -= 1
@@ -450,18 +409,10 @@ class Simulator:
 
     def run(self) -> SimResult:
         """Run to completion and return per-task results."""
-        # Cache telemetry is attributed through a per-run frame (not a
-        # diff of the process-global counters), so interleaved
-        # construct-then-run sequences, nested simulations and
-        # mid-run reset_cache_stats() calls can neither double-count
-        # nor drive the deltas negative.
-        from repro.core.latency import track_cache_deltas
+        self._advance_horizon()
+        return self.result()
 
-        with track_cache_deltas() as cache_delta:
-            self._advance_horizon()
-        return self._result(cache_delta)
-
-    def _result(self, cache_delta: Dict[str, int]) -> SimResult:
+    def result(self) -> SimResult:
         """Package a finished run (shared with the reference loop)."""
         makespan = max((j.finished_at or 0.0) for j in self.finished)
         return SimResult(
@@ -476,20 +427,20 @@ class Simulator:
             plans_applied=self.controller.plans_applied,
             plans_noop=self.controller.plans_noop,
             plan_actions=self.controller.actions_applied,
-            **cache_delta,
         )
 
     def _advance_horizon(self) -> None:
         """The engine loop.
 
         Between allocation-epoch bumps every live job's block
-        schedule is fixed, so the loop keeps the solve state in
-        per-job slots (``Job._kval`` table rows, ``Job._kT`` block
-        times) and locals, and advances horizon by horizon: each
-        iteration finds the next *epoch-relevant boundary* — the
-        earliest of next arrival, stall expiry, and block completion
-        under the current allocation — advances straight to it, and
-        retires every block that lands there in one sweep.
+        schedule is fixed, so the loop keeps the solve state in the
+        engine-owned job slots (``Job.solve_row`` table rows,
+        ``Job.solve_time`` block times) and locals, and advances
+        horizon by horizon: each iteration finds the next
+        *epoch-relevant boundary* — the earliest of next arrival,
+        stall expiry, and block completion under the current
+        allocation — advances straight to it, and retires every
+        block that lands there in one sweep.
 
         A policy implementing ``kernel_decide_apply`` runs its
         decision rounds through that fused hook instead of
@@ -519,8 +470,7 @@ class Simulator:
         jobs_total = len(self.jobs)
         finished = self.finished
         running = self.running
-        pending = self._pending
-        max_events = self._max_events
+        max_events = self.max_events
         eps = _COMPLETION_EPS
         done_thr = 1.0 - eps
         min_dt = _MIN_DT
@@ -541,8 +491,8 @@ class Simulator:
         # blocks in the reference order.
         act: List[Job] = []
         stl: List[Job] = []
-        dispatch = self._dispatch_arrivals
-        next_arrival = pending[0][0] if pending else inf
+        dispatch = self.dispatch_arrivals
+        next_arrival = self.next_arrival
         try:
             while len(finished) < jobs_total:
                 events += 1
@@ -555,8 +505,8 @@ class Simulator:
                 now = self.now
                 if next_arrival <= now + eps:
                     dispatch()
-                    next_arrival = pending[0][0] if pending else inf
-                if cadence_every or self._should_decide():
+                    next_arrival = self.next_arrival
+                if cadence_every or self.should_decide():
                     decisions += 1
                     if not cadence_every:
                         self.note_decision()
@@ -573,7 +523,7 @@ class Simulator:
                     vstate[0] != self._tiles_held
                     or vstate[1] != len(running)
                 ):
-                    self._validate()
+                    self.validate()
                 # ---- next-boundary scan ----------------------------
                 best = inf
                 if next_arrival != inf:
@@ -589,7 +539,7 @@ class Simulator:
                         checks += 1
                         if checks == 1 or checks % 64 == 0:
                             sanitizer.check_block_times(
-                                {j.job_id: j._kT for j in act},
+                                {j.job_id: j.solve_time for j in act},
                                 reference.solve_block_times(self),
                                 now,
                             )
@@ -600,15 +550,15 @@ class Simulator:
                         if c < best:
                             best = c
                     for job in act:
-                        T = job._kT
+                        T = job.solve_time
                         if T != inf:
                             c = (1.0 - job.progress) * T
                             if 0 <= c < best:
                                 best = c
                 if best == inf:
-                    if pending:
+                    if next_arrival != inf:
                         # Idle gap: jump to the next arrival.
-                        self.now = pending[0][0]
+                        self.now = next_arrival
                         continue
                     raise SimulationError(
                         f"deadlock at cycle {self.now:,.0f}: "
@@ -628,7 +578,7 @@ class Simulator:
                     if job.stall_until <= new_now:
                         stall_expired = True
                 for job in act:
-                    T = job._kT
+                    T = job.solve_time
                     if T == inf or T <= 0:
                         continue
                     p = job.progress + dt / T
@@ -665,11 +615,11 @@ class Simulator:
 
         One pass over the running list splits it into active and
         stalled jobs and refreshes each active job's table row
-        (``Job._kval``, re-read only when its ``(block, tiles)`` key
+        (``Job.solve_row``, re-read only when its ``(block, tiles)`` key
         moved); the arbiter then grants DRAM shares — the capped want
         when the channel is undersubscribed, the shared water-fill
         core otherwise — and each active job's time lands in
-        ``Job._kT``.  Every float operation replicates
+        ``Job.solve_time``.  Every float operation replicates
         :func:`repro.sim.reference.solve_block_times` exactly
         (sequential want-sum, raw-demand weights, freeze-order
         conservation clamp), so the times are bit-identical to it.
@@ -695,7 +645,7 @@ class Simulator:
                 continue
             bi = job.block_idx
             tiles = job.tiles
-            v = job._kval
+            v = job.solve_row
             if v is None or v[0] != bi or v[1] != tiles:
                 table = job.table
                 col = tiles - 1
@@ -705,7 +655,7 @@ class Simulator:
                     table.from_dram[bi],
                     table.demand_rows[bi][col],
                 )
-                job._kval = v
+                job.solve_row = v
             d = v[4]
             cap = job.bw_cap
             if cap is not None and cap < d:
@@ -731,10 +681,10 @@ class Simulator:
             shares = wl
         else:
             shares, _ = waterfill_grants(
-                wl, [j._kval[4] for j in act], effective
+                wl, [j.solve_row[4] for j in act], effective
             )
         for i, job in enumerate(act):
-            v = job._kval
+            v = job.solve_row
             fd = v[3]
             if fd <= 0:
                 T = v[2]
@@ -746,14 +696,14 @@ class Simulator:
                     fdd = fd / share
                     tf = v[2]
                     T = tf if tf > fdd else fdd
-            job._kT = T
+            job.solve_time = T
             if T != inf:
                 c = (1.0 - job.progress) * T
                 if 0 <= c < best:
                     best = c
         return act, stl, best
 
-    def _should_decide(self) -> bool:
+    def should_decide(self) -> bool:
         """Whether the cadence grants the policy this event.
 
         Every cadence decides while nothing is running — a ready
@@ -773,7 +723,7 @@ class Simulator:
             or self.now - self._last_decision_at >= self.cadence.interval
         )
 
-    def _dispatch_arrivals(self) -> None:
+    def dispatch_arrivals(self) -> None:
         """Move pending tasks whose dispatch time has come to READY.
 
         Each arrival is inserted at its sorted position; re-sorting
@@ -793,7 +743,7 @@ class Simulator:
                     f"net={job.task.network_name} prio={job.task.priority}",
                 )
 
-    def _validate(self) -> None:
+    def validate(self) -> None:
         """Invariant checks after every policy invocation.
 
         The full per-job sweep runs only when tile state could have

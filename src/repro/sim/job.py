@@ -114,17 +114,18 @@ class Job:
     table: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Engine per-job solve cache: the ``(block_idx, tiles,
-    #: t_full, from_dram, demand)`` tuple of the last table row read,
-    #: refreshed when the (block, tiles) key moves.  Engine-private
-    #: scratch (slots forbid ad-hoc attributes), never part of results.
-    _kval: Optional[tuple] = field(
+    #: Engine-owned solve cache: the ``(block_idx, tiles, t_full,
+    #: from_dram, demand)`` tuple of the last table row read,
+    #: refreshed when the (block, tiles) key moves.  Only the engine's
+    #: epoch solve writes it (slots forbid ad-hoc attributes); it is
+    #: never part of results.
+    solve_row: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Engine per-job block time under the last solved allocation
-    #: epoch (valid only while the engine's solved epoch matches; see
-    #: ``Simulator._solve_epoch``).
-    _kT: float = field(
+    #: Engine-owned block time under the last solved allocation epoch
+    #: (valid only while the engine's solved epoch matches; see
+    #: ``Simulator._solve_epoch``).  Only the epoch solve writes it.
+    solve_time: float = field(
         default=0.0, init=False, repr=False, compare=False
     )
 

@@ -327,8 +327,10 @@ class AllocationController:
        before admissions and grows consume them;
     4. charges reconfiguration costs centrally — the compute
        migration stall per applied tile change on a running job, the
-       DMA issue-rate update per applied cap change — instead of
-       inside each engine primitive.  Charges saturate within one
+       DMA issue-rate update per applied cap change.  The controller
+       is the only writer of a job's throttle cap: every cap, in a
+       caps-only or a mixed plan, goes through one loop
+       (:meth:`_write_caps`).  Charges saturate within one
        simulation instant (a stall ends at ``now + cycles`` however
        often it is charged), so coincident-event re-decisions cannot
        double-charge ``COMPUTE_RECONFIG_CYCLES``;
@@ -388,8 +390,6 @@ class AllocationController:
 
     def _resolve(self, plan: AllocationPlan) -> Dict[str, "Job"]:
         """Map the plan's job ids to live jobs, or fail cleanly."""
-        from repro.sim.engine import SimulationError
-
         sim_jobs = self.sim.jobs
         jobs: Dict[str, "Job"] = {}
         for jid in plan.preemptions:
@@ -400,11 +400,11 @@ class AllocationController:
                 jobs[jid] = sim_jobs.get(jid)
         for jid, job in jobs.items():
             if job is None:
-                raise SimulationError(
+                raise _simulation_error(
                     f"plan references unknown job {jid!r}"
                 )
             if job.phase is JobPhase.FINISHED:
-                raise SimulationError(
+                raise _simulation_error(
                     f"plan references finished job {jid!r}"
                 )
         return jobs
@@ -428,9 +428,7 @@ class AllocationController:
                 for jid, _ in pairs:
                     jobs[jid] = sim_jobs[jid]
         except KeyError as exc:
-            from repro.sim.engine import SimulationError
-
-            raise SimulationError(
+            raise _simulation_error(
                 f"trusted plan references unknown job {exc.args[0]!r}"
             ) from None
         return jobs
@@ -482,7 +480,7 @@ class AllocationController:
             if jid in admitted or tiles >= jobs[jid].tiles
         ]
         applied = 0
-        sim._begin_allocation_batch()
+        sim.begin_allocation_batch()
         try:
             for jid in plan.preemptions:
                 sim.preempt(jobs[jid])
@@ -494,20 +492,14 @@ class AllocationController:
                 applied += 1
             for jid, tiles in late_retiles:
                 applied += self._retile(jobs[jid], tiles)
-            for jid, cap in plan.bw_caps:
-                applied += self._recap(jobs[jid], cap)
+            applied += self._write_caps(plan.bw_caps)
             for jid, cycles in plan.stalls:
                 if cycles > 0:
                     sim.stall_job(jobs[jid], cycles)
                     applied += 1
         finally:
-            sim._end_allocation_batch()
-        if applied:
-            self.plans_applied += 1
-        else:
-            self.plans_noop += 1
-        self.actions_applied += applied
-        return applied
+            sim.end_allocation_batch()
+        return self._count(applied)
 
     def apply_caps(
         self, bw_caps: Tuple[Tuple[str, Optional[float]], ...]
@@ -515,19 +507,40 @@ class AllocationController:
         """Apply a caps-only overlay in place, counted as one plan.
 
         ``bw_caps`` is ``((job_id, cap), ...)`` over live jobs, as in
-        :attr:`AllocationPlan.bw_caps`.  Each entry keeps
-        :meth:`~repro.sim.engine.Simulator.set_bw_cap`'s checks (the
-        job is RUNNING, a cap is positive) and its tolerance no-op
-        filter; each changed cap charges the memory-reconfiguration
-        stall centrally, and the allocation epoch moves once if
-        anything changed.
+        :attr:`AllocationPlan.bw_caps`.  Fused policy hooks call this
+        directly for the regulation steady state.
 
         Returns:
             The number of caps actually changed.
         """
-        if not bw_caps:
+        return self._count(self._write_caps(bw_caps))
+
+    # ------------------------------------------------------------------
+
+    def _count(self, applied: int) -> int:
+        """Count one plan that performed ``applied`` mutations."""
+        if applied:
+            self.plans_applied += 1
+            self.actions_applied += applied
+        else:
             self.plans_noop += 1
-            return 0
+        return applied
+
+    def _write_caps(
+        self, bw_caps: Tuple[Tuple[str, Optional[float]], ...]
+    ) -> int:
+        """Write each cap target onto its job; the one cap-apply loop.
+
+        Each entry is checked (the job is RUNNING, a cap is positive)
+        and filtered as a no-op when it restates the live cap within
+        tolerance.  Each changed cap charges the memory-reconfiguration
+        stall, and the allocation epoch moves once if anything changed
+        (deferred to the batch's end inside :meth:`apply`).  Counting
+        plans is the caller's job.
+
+        Returns:
+            The number of caps actually changed.
+        """
         sim = self.sim
         now = sim.now
         sim_jobs = sim.jobs
@@ -570,14 +583,8 @@ class AllocationController:
                     job.stall_cycles += new_until - base
                     job.stall_until = new_until
         if applied:
-            sim._bump_epoch()
-            self.plans_applied += 1
-            self.actions_applied += applied
-        else:
-            self.plans_noop += 1
+            sim.bump_epoch()
         return applied
-
-    # ------------------------------------------------------------------
 
     def _retile(self, job: "Job", tiles: int) -> int:
         """Apply one tile-count target and charge the migration stall
@@ -587,13 +594,4 @@ class AllocationController:
         if not sim.set_tiles(job, tiles):
             return 0
         sim.stall_job(job, self._compute_stall)
-        return 1
-
-    def _recap(self, job: "Job", cap: Optional[float]) -> int:
-        """Apply one bandwidth-cap target and charge the DMA
-        issue-rate update centrally."""
-        sim = self.sim
-        if not sim.set_bw_cap(job, cap):
-            return 0
-        sim.stall_job(job, self._memory_stall)
         return 1

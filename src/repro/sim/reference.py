@@ -83,36 +83,31 @@ def run_reference(sim: Simulator) -> SimResult:
     """Run a freshly built ``sim`` to completion one event per step:
     dispatch, decide (``decide()`` plus a controller apply), solve
     from scratch, advance to the next event, retire."""
-    from repro.core.latency import track_cache_deltas
-
-    with track_cache_deltas() as cache_delta:
-        while len(sim.finished) < len(sim.jobs):
-            sim.events += 1
-            if sim.events > sim._max_events:
-                raise SimulationError(
-                    f"exceeded {sim._max_events} events at cycle "
-                    f"{sim.now:,.0f}"
-                )
-            if sim._pending and (
-                sim._pending[0][0] <= sim.now + _COMPLETION_EPS
-            ):
-                sim._dispatch_arrivals()
-            if sim._should_decide():
-                sim.decisions += 1
-                sim.note_decision()
-                sim.controller.apply(sim.policy.decide(sim))
-            sim._validate()
-            sim.block_time_recomputes += 1
-            if not _step(sim, solve_block_times(sim)):
-                if sim._pending:
-                    # Idle gap: jump to the next arrival.
-                    sim.now = sim._pending[0][0]
-                    continue
-                raise SimulationError(
-                    f"deadlock at cycle {sim.now:,.0f}: "
-                    f"{len(sim.ready)} ready, {len(sim.running)} running"
-                )
-    return sim._result(cache_delta)
+    while len(sim.finished) < len(sim.jobs):
+        sim.events += 1
+        if sim.events > sim.max_events:
+            raise SimulationError(
+                f"exceeded {sim.max_events} events at cycle "
+                f"{sim.now:,.0f}"
+            )
+        if sim.next_arrival <= sim.now + _COMPLETION_EPS:
+            sim.dispatch_arrivals()
+        if sim.should_decide():
+            sim.decisions += 1
+            sim.note_decision()
+            sim.controller.apply(sim.policy.decide(sim))
+        sim.validate()
+        sim.block_time_recomputes += 1
+        if not _step(sim, solve_block_times(sim)):
+            if sim.has_pending_arrivals:
+                # Idle gap: jump to the next arrival.
+                sim.now = sim.next_arrival
+                continue
+            raise SimulationError(
+                f"deadlock at cycle {sim.now:,.0f}: "
+                f"{len(sim.ready)} ready, {len(sim.running)} running"
+            )
+    return sim.result()
 
 
 def _step(sim: Simulator, times: Dict[str, float]) -> bool:
@@ -120,8 +115,8 @@ def _step(sim: Simulator, times: Dict[str, float]) -> bool:
     block that completes there; False when no event can occur."""
     now = sim.now
     best = _INF
-    if sim._pending:
-        c = sim._pending[0][0] - now
+    if sim.has_pending_arrivals:
+        c = sim.next_arrival - now
         if c >= 0:
             best = c
     for job in sim.running:

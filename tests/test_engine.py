@@ -158,7 +158,7 @@ class TestEngineApi:
 
     def test_overallocation_raises(self, soc, mem, task_factory):
         sim = self._sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         job = sim.ready[0]
         with pytest.raises(SimulationError):
             sim.start_job(job, soc.num_tiles + 1)
@@ -167,7 +167,7 @@ class TestEngineApi:
         # The primitive only retiles; the controller charges the
         # migration stall centrally.
         sim = self._sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         job = sim.ready[0]
         sim.start_job(job, 2)
         assert sim.set_tiles(job, 3)
@@ -180,45 +180,55 @@ class TestEngineApi:
 
     def test_set_tiles_same_is_noop(self, soc, mem, task_factory):
         sim = self._sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         job = sim.ready[0]
         sim.start_job(job, 2)
         sim.set_tiles(job, 2)
         assert job.tile_repartitions == 0
 
     def test_set_bw_cap_charges_small_stall(self, soc, mem, task_factory):
+        # Caps are written only by the controller, which charges the
+        # DMA issue-rate update on a caps-only and on a mixed plan.
         sim = self._sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         job = sim.ready[0]
         sim.start_job(job, 2)
-        assert sim.set_bw_cap(job, 2.0)
-        assert job.stall_until == 0.0
-        sim.controller.apply(AllocationPlan(bw_caps=((job.job_id, 4.0),)))
-        assert job.bw_reconfigs == 2
+        assert sim.controller.apply_caps(((job.job_id, 2.0),)) == 1
+        assert job.bw_cap == 2.0
         assert job.stall_until == pytest.approx(
             sim.now + sim.policy.memory_reconfig_cycles
+        )
+        sim.controller.apply(AllocationPlan(
+            tiles=((job.job_id, 3),), bw_caps=((job.job_id, 4.0),)
+        ))
+        assert job.bw_reconfigs == 2
+        assert job.stall_until == pytest.approx(
+            sim.now + sim.policy.compute_reconfig_cycles
         )
 
     def test_set_bw_cap_equal_is_noop(self, soc, mem, task_factory):
         sim = self._sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         job = sim.ready[0]
         sim.start_job(job, 2)
-        sim.set_bw_cap(job, 4.0)
-        sim.set_bw_cap(job, 4.0)
+        assert sim.controller.apply_caps(((job.job_id, 4.0),)) == 1
+        assert sim.controller.apply_caps(((job.job_id, 4.0),)) == 0
+        assert sim.controller.apply_caps(
+            ((job.job_id, 4.0 + 1e-12),)
+        ) == 0
         assert job.bw_reconfigs == 1
 
     def test_invalid_cap_raises(self, soc, mem, task_factory):
         sim = self._sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         job = sim.ready[0]
         sim.start_job(job, 2)
         with pytest.raises(SimulationError):
-            sim.set_bw_cap(job, 0.0)
+            sim.controller.apply_caps(((job.job_id, 0.0),))
 
     def test_preempt_returns_to_ready(self, soc, mem, task_factory):
         sim = self._sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         job = sim.ready[0]
         sim.start_job(job, 2)
         sim.preempt(job)
@@ -229,7 +239,7 @@ class TestEngineApi:
 
     def test_stall_job_accumulates(self, soc, mem, task_factory):
         sim = self._sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         job = sim.ready[0]
         sim.start_job(job, 2)
         sim.stall_job(job, 100.0)
@@ -241,7 +251,7 @@ class TestEngineApi:
 
     def test_free_tiles_accounting(self, soc, mem, task_factory):
         sim = self._sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         assert sim.free_tiles == soc.num_tiles
         sim.start_job(sim.ready[0], 3)
         assert sim.free_tiles == soc.num_tiles - 3
@@ -293,10 +303,10 @@ class TestReadyQueueOrdering:
         policy.reset()
         sim = Simulator(soc, tasks, policy, mem=mem)
         sim.now = 500.0
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         assert [j.job_id for j in sim.ready] == ["d"]
         sim.now = 1000.0
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         assert [j.job_id for j in sim.ready] == ["d", "a", "b", "c"]
 
     def test_preempted_job_reenters_at_fifo_position(
@@ -311,11 +321,11 @@ class TestReadyQueueOrdering:
         policy = _AllTilesPolicy()
         policy.reset()
         sim = Simulator(soc, tasks, policy, mem=mem)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         early = sim.jobs["early"]
         sim.start_job(early, 2)
         sim.now = 100.0
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         assert [j.job_id for j in sim.ready] == ["late"]
         sim.preempt(early)
         assert [j.job_id for j in sim.ready] == ["early", "late"]
@@ -340,7 +350,7 @@ class TestReadyQueueOrdering:
         sim = Simulator(soc, tasks, policy, mem=mem)
         for instant in sorted({t for t in times}):
             sim.now = instant
-            sim._dispatch_arrivals()
+            sim.dispatch_arrivals()
         want = sorted(
             sim.ready, key=lambda j: (j.task.dispatch_cycle, j.job_id)
         )

@@ -178,7 +178,7 @@ class TestKernelSanitizer:
         def corrupted(self, now, best):
             act, stl, best = solve(self, now, best)
             for job in act:
-                job._kT *= 2.0
+                job.solve_time *= 2.0
             return act, stl, best
 
         monkeypatch.setattr(Simulator, "_solve_epoch", corrupted)

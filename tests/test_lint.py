@@ -502,11 +502,19 @@ class TestPRules:
         """, rel="src/repro/core/latency.py")
         assert findings == []
 
+    def test_foreign_private_read_in_sim_p303(self):
+        # The reference loop drives the engine through public methods.
+        findings = check("""
+            def peek(sim):
+                return sim._pending
+        """, rel="src/repro/sim/reference.py")
+        assert rules_of(findings) == ["P303"]
+
     def test_foreign_private_outside_scope_clean(self):
         findings = check("""
             def peek(sim):
                 return sim._boundaries
-        """, rel="src/repro/sim/reference.py")
+        """, rel="src/repro/experiments/runner.py")
         assert findings == []
 
 

@@ -21,6 +21,7 @@ from repro.models.zoo import workload_set
 from repro.sim.engine import Simulator
 from repro.sim.policy import Policy
 from repro.sim.qos import QosLevel
+from repro.sim.reference import solve_block_times
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
 
 SPEC = ScenarioSpec(
@@ -137,13 +138,13 @@ def _force_recompute(sim):
     the reference solve."""
     for job in sim.running:
         job.current_block.clear_predict_memo()
-    return sim.current_block_times()
+    return solve_block_times(sim)
 
 
 def _epoch_solve(sim):
     """The engine's own epoch solve on the simulator's current state."""
     active, _, _ = sim._solve_epoch(sim.now, float("inf"))
-    return {job.job_id: job._kT for job in active}
+    return {job.job_id: job.solve_time for job in active}
 
 
 class _CheckedSimulator(Simulator):
@@ -154,7 +155,7 @@ class _CheckedSimulator(Simulator):
 
     def _solve_epoch(self, now, best):
         out = super()._solve_epoch(now, best)
-        solved = {job.job_id: job._kT for job in out[0]}
+        solved = {job.job_id: job.solve_time for job in out[0]}
         forced = _force_recompute(self)
         assert solved == forced, (
             f"epoch solve diverged at t={now}: {solved} != {forced}"
@@ -172,14 +173,19 @@ class TestEpochCachedBlockTimes:
         policy.reset()
         sim = Simulator(soc, tasks, policy, mem=mem)
         sim.now = max(t.dispatch_cycle for t in tasks)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         jobs = list(sim.ready)
         sim.start_job(jobs[0], 2)
         sim.start_job(jobs[1], 2)
         assert _epoch_solve(sim) == _force_recompute(sim)
         sim.set_tiles(jobs[0], 4)
         assert _epoch_solve(sim) == _force_recompute(sim)
-        sim.set_bw_cap(jobs[1], 2.0)
+        sim.controller.apply_caps(((jobs[1].job_id, 2.0),))
+        assert _epoch_solve(sim) == _force_recompute(sim)
+        # The cap's reconfiguration stall expires; the capped job
+        # rejoins the arbiter's active set.
+        sim.now = jobs[1].stall_until
+        assert jobs[1].job_id in _epoch_solve(sim)
         assert _epoch_solve(sim) == _force_recompute(sim)
         # A stalled job drops out of the arbiter's active set, and
         # rejoins once the clock passes its stall.

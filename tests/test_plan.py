@@ -132,21 +132,21 @@ class TestControllerDiffing:
         # The controller's batching pair: N mutations inside -> one
         # epoch bump, and an empty batch bumps nothing.
         sim = _sim(soc, mem, task_factory, n=2)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         epoch = sim._alloc_epoch
-        sim._begin_allocation_batch()
+        sim.begin_allocation_batch()
         sim.start_job(sim.jobs["t0"], 2)
         sim.start_job(sim.jobs["t1"], 2)
-        sim._end_allocation_batch()
+        sim.end_allocation_batch()
         assert sim._alloc_epoch == epoch + 1
-        sim._begin_allocation_batch()
-        sim._end_allocation_batch()
+        sim.begin_allocation_batch()
+        sim.end_allocation_batch()
         assert sim._alloc_epoch == epoch + 1
 
     def test_plan_applies_atomically_one_epoch_bump(self, soc, mem,
                                                     task_factory):
         sim = _sim(soc, mem, task_factory, n=3)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         epoch = sim._alloc_epoch
         applied = sim.controller.apply(
             AllocationPlan(
@@ -160,7 +160,7 @@ class TestControllerDiffing:
 
     def test_restating_live_state_is_free(self, soc, mem, task_factory):
         sim = _sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 4),)))
         job = sim.jobs["t0"]
         epoch = sim._alloc_epoch
@@ -176,7 +176,7 @@ class TestControllerDiffing:
     def test_preempt_and_readmit_same_job_in_one_plan(self, soc, mem,
                                                       task_factory):
         sim = _sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))
         job = sim.jobs["t0"]
         applied = sim.controller.apply(
@@ -194,7 +194,7 @@ class TestControllerDiffing:
     def test_bw_cap_only_plan_charges_only_memory_cost(self, soc, mem,
                                                        task_factory):
         sim = _sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))
         job = sim.jobs["t0"]
         sim.controller.apply(AllocationPlan(bw_caps=(("t0", 4.0),)))
@@ -209,7 +209,7 @@ class TestControllerDiffing:
     def test_shrink_funds_admission_in_same_plan(self, soc, mem,
                                                  task_factory):
         sim = _sim(soc, mem, task_factory, n=2)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(
             AllocationPlan(admissions=(("t0", soc.num_tiles),))
         )
@@ -232,7 +232,7 @@ class TestControllerDiffing:
         # start_job + set_tiles in one plan: the retile applies after
         # the admission, exactly like the imperative sequence.
         sim = _sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         applied = sim.controller.apply(
             AllocationPlan(admissions=(("t0", 2),), tiles=(("t0", 4),))
         )
@@ -244,7 +244,7 @@ class TestControllerDiffing:
 
     def test_extra_stalls_extend(self, soc, mem, task_factory):
         sim = _sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(
             AllocationPlan(
                 admissions=(("t0", 2),), stalls=(("t0", 500.0),),
@@ -261,7 +261,7 @@ class TestSameInstantDoubleChargeRegression:
         self, soc, mem, task_factory
     ):
         sim = _sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))
         job = sim.jobs["t0"]
         sim.controller.apply(AllocationPlan(tiles=(("t0", 4),)))
@@ -279,7 +279,7 @@ class TestSameInstantDoubleChargeRegression:
         # costs nothing more — coincident-event re-decisions cannot
         # double-bill the migration.
         sim = _sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))
         job = sim.jobs["t0"]
         sim.controller.apply(AllocationPlan(tiles=(("t0", 4),)))
@@ -293,7 +293,7 @@ class TestSameInstantDoubleChargeRegression:
         self, soc, mem, task_factory
     ):
         sim = _sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))
         job = sim.jobs["t0"]
         sim.controller.apply(AllocationPlan(bw_caps=(("t0", 4.0),)))
@@ -425,7 +425,7 @@ class TestPolicyBridge:
         for cls in (PlanariaPolicy, PremaPolicy, StaticPartitionPolicy,
                     MoCAPolicy):
             sim = _sim(soc, mem, task_factory, policy=cls())
-            sim._dispatch_arrivals()
+            sim.dispatch_arrivals()
             assert isinstance(sim.policy.decide(sim), AllocationPlan)
 
 
@@ -453,7 +453,7 @@ class TestTrustedPlans:
         self, soc, mem, task_factory
     ):
         sim = _sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))
         job = sim.jobs["t0"]
         applied = sim.controller.apply(
@@ -466,7 +466,7 @@ class TestTrustedPlans:
 
     def test_trusted_caps_restated_is_noop(self, soc, mem, task_factory):
         sim = _sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))
         sim.controller.apply(AllocationPlan.trusted(bw_caps=(("t0", 4.0),)))
         noops = sim.controller.plans_noop
@@ -484,7 +484,7 @@ class TestTrustedPlans:
         # reconfiguration stall — stall_job saturates at now + cycles
         # within an instant.
         sim = _sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))
         job = sim.jobs["t0"]
         sim.controller.apply(AllocationPlan.trusted(bw_caps=(("t0", 4.0),)))
@@ -500,7 +500,7 @@ class TestTrustedPlans:
         # Fast-path charges and *validated* plans at the same instant
         # share one saturating stall.
         sim = _sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))
         job = sim.jobs["t0"]
         sim.controller.apply(AllocationPlan.trusted(bw_caps=(("t0", 4.0),)))
@@ -543,7 +543,7 @@ class TestTrustedPlans:
         # Admissions + caps in one trusted plan: the general resolve
         # applies both in canonical order.
         sim = _sim(soc, mem, task_factory)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         applied = sim.controller.apply(AllocationPlan.trusted(
             admissions=(("t0", 2),), bw_caps=(("t0", 4.0),),
         ))

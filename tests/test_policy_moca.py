@@ -18,7 +18,7 @@ class TestAdmission:
     def test_admits_onto_slots(self, soc, mem, task_factory):
         tasks = [task_factory(task_id=f"t{i}") for i in range(6)]
         sim, policy = _sim(soc, mem, tasks)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         assert len(sim.running) == 4
 
@@ -28,7 +28,7 @@ class TestAdmission:
             for i in range(6)
         ]
         sim, policy = _sim(soc, mem, tasks)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         running = {j.job_id for j in sim.running}
         # Top-4 priorities admitted (5, 4, 3, 2).
@@ -38,7 +38,7 @@ class TestAdmission:
                                                 task_factory):
         tasks = [task_factory(task_id="only")]
         sim, policy = _sim(soc, mem, tasks)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         job = sim.running[0]
         # No backlog: the single admitted job gets an enlarged slot.
@@ -47,7 +47,7 @@ class TestAdmission:
     def test_base_slots_under_backlog(self, soc, mem, task_factory):
         tasks = [task_factory(task_id=f"t{i}") for i in range(8)]
         sim, policy = _sim(soc, mem, tasks)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         assert all(
             j.tiles == SchedulerConfig().tiles_per_task for j in sim.running
@@ -76,7 +76,7 @@ class TestRegulation:
         tasks = [task_factory(task_id=f"t{i}", network="alexnet")
                  for i in range(4)]
         sim, policy = _sim(soc, mem, tasks)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         caps = [j.bw_cap for j in sim.running if j.bw_cap is not None]
         if caps:
@@ -174,7 +174,7 @@ class TestIdleAdmission:
             task_factory(task_id="late", priority=0, dispatch=1e6),
         ]
         sim, policy = _sim(soc, mem, tasks)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         assert sim.has_pending_arrivals
         sim.controller.apply(policy.decide(sim))
         assert sim.running == []
@@ -183,7 +183,7 @@ class TestIdleAdmission:
         sim, _ = _sim(soc, mem, [task_factory(task_id="a", dispatch=5.0)])
         assert sim.has_pending_arrivals
         sim.now = 5.0
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         assert not sim.has_pending_arrivals
 
     def test_diurnal_light_seed_8_cell_completes(self):

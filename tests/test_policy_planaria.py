@@ -26,7 +26,7 @@ class TestFission:
         tasks = [task_factory(task_id="a")]
         policy = PlanariaPolicy()
         sim = _sim(soc, mem, tasks, policy)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         assert sim.running[0].tiles == soc.num_tiles
 
@@ -35,7 +35,7 @@ class TestFission:
                  for i in range(4)]
         policy = PlanariaPolicy()
         sim = _sim(soc, mem, tasks, policy)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         assert sum(j.tiles for j in sim.running) == soc.num_tiles
 
@@ -46,7 +46,7 @@ class TestFission:
         ]
         policy = PlanariaPolicy()
         sim = _sim(soc, mem, tasks, policy)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         by_id = {j.job_id: j.tiles for j in sim.running}
         assert by_id["high"] > by_id["low"]
@@ -56,7 +56,7 @@ class TestFission:
                  for i in range(4)]
         policy = PlanariaPolicy()
         sim = _sim(soc, mem, tasks, policy)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         assert all(j.tiles >= policy.min_tiles for j in sim.running)
 
@@ -64,7 +64,7 @@ class TestFission:
         tasks = [task_factory(task_id=f"t{i}") for i in range(8)]
         policy = PlanariaPolicy(max_concurrent=4)
         sim = _sim(soc, mem, tasks, policy)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         assert len(sim.running) == 4
 
@@ -106,6 +106,6 @@ class TestMigrationCost:
                  for i in range(4)]
         policy = PlanariaPolicy()
         sim = _sim(soc, mem, tasks, policy)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         assert all(j.bw_cap is None for j in sim.running)

@@ -31,7 +31,7 @@ class TestScheduling:
         policy = PremaPolicy()
         policy.reset()
         sim = Simulator(soc, tasks, policy, mem=mem)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         assert len(sim.running) == 1
         assert sim.running[0].tiles == soc.num_tiles
@@ -45,7 +45,7 @@ class TestScheduling:
         policy.reset()
         sim = Simulator(soc, tasks, policy, mem=mem)
         sim.now = 1000.0
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         assert sim.running[0].job_id == "high"
 

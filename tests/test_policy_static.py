@@ -30,7 +30,7 @@ class TestStaticPartition:
         policy = StaticPartitionPolicy(tiles_per_slot=2)
         policy.reset()
         sim = Simulator(soc, tasks, policy, mem=mem)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         assert len(sim.running) == 4
         assert sim.free_tiles == 0
@@ -54,6 +54,6 @@ class TestStaticPartition:
         policy = StaticPartitionPolicy(tiles_per_slot=4)
         policy.reset()
         sim = Simulator(soc, tasks, policy, mem=mem)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.controller.apply(policy.decide(sim))
         assert len(sim.running) == 2

@@ -34,6 +34,37 @@ class TestPublicApi:
             assert issubclass(cls, Policy)
 
 
+class TestTracedLayers:
+    def test_every_benchmark_layer_resolves(self):
+        """Each name the benchmark's layer tracer patches exists where
+        the tracer looks it up: in the class ``__dict__`` (so an
+        inherited method does not count) or as a module attribute.  A
+        rename in ``src/`` then fails here, not in a traced run."""
+        import importlib
+        import importlib.util
+        from pathlib import Path
+
+        path = (
+            Path(__file__).resolve().parent.parent
+            / "perfbench" / "tracing.py"
+        )
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracing", path
+        )
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.LAYERS
+        for layer, module_name, class_name, attr in tracing.LAYERS:
+            module = importlib.import_module(module_name)
+            if class_name is not None:
+                owner = getattr(module, class_name, None)
+                assert owner is not None, (layer, class_name)
+                target = owner.__dict__.get(attr)
+            else:
+                target = getattr(module, attr, None)
+            assert callable(target), (layer, module_name, class_name, attr)
+
+
 class TestImportHygiene:
     def test_local_sweep_imports_skip_the_execution_layer(self):
         """A local or pool sweep never loads the coordinator/HTTP layer

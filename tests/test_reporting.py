@@ -9,9 +9,6 @@ import pytest
 from repro.experiments.runner import ScenarioSpec, run_matrix, run_scenario
 from repro.reporting import (
     ascii_bar_chart,
-    matrix_bar_charts,
-    matrix_to_csv,
-    matrix_to_json,
     results_from_csv,
     results_to_csv,
     sweep_from_csv,
@@ -34,12 +31,6 @@ GOLDEN_EXPORT_PATH = (
 )
 
 RE_BLESS = "PYTHONPATH=src python scripts/bless_goldens.py"
-
-
-@pytest.fixture(scope="module")
-def tiny_matrix():
-    spec = ScenarioSpec(workload_set="A", num_tasks=16, seeds=(1,))
-    return {spec.label: run_scenario(spec)}
 
 
 @pytest.fixture(scope="module")
@@ -79,25 +70,6 @@ class TestAsciiBars:
     def test_zero_values_ok(self):
         chart = ascii_bar_chart({"x": 0.0})
         assert "0.000" in chart
-
-    def test_matrix_charts(self, tiny_matrix):
-        text = matrix_bar_charts(tiny_matrix, "sla_rate", "SLA")
-        assert "SLA" in text
-        assert "moca" in text
-
-
-class TestMatrixExport:
-    def test_csv_header_and_rows(self, tiny_matrix):
-        text = matrix_to_csv(tiny_matrix, "sla_rate")
-        lines = text.strip().splitlines()
-        assert lines[0] == "scenario,prema,static,planaria,moca"
-        assert len(lines) == 1 + len(tiny_matrix)
-
-    def test_json_round_trip(self, tiny_matrix):
-        payload = json.loads(matrix_to_json(tiny_matrix))
-        label = next(iter(tiny_matrix))
-        assert set(payload[label]) == {"prema", "static", "planaria", "moca"}
-        assert 0.0 <= payload[label]["moca"]["sla_rate"] <= 1.0
 
 
 class TestSweepExports:

@@ -217,10 +217,12 @@ class TestCellManifest:
 
 
 class TestEngineCacheCounters:
-    """Per-run cache attribution.  The runs go through the reference
-    loop: it solves every event through ``BlockCost.predict``, so it
-    probes the predict memo, which the engine and the policies (they
-    read the runtime table) no longer do."""
+    """Per-run cache attribution through ``track_cache_deltas``
+    frames, the frame each sweep cell's counters come from.  The runs
+    go through the reference loop: it solves every event through
+    ``BlockCost.predict``, so it probes the predict memo, which the
+    engine and the policies (they read the runtime table) no longer
+    do."""
 
     def _tasks(self, task_factory):
         return [
@@ -237,55 +239,26 @@ class TestEngineCacheCounters:
         return Simulator(DEFAULT_SOC, tasks, MoCAPolicy())
 
     @staticmethod
-    def _run(sim):
+    def _framed_run(sim):
+        from repro.core.latency import track_cache_deltas
         from repro.sim.reference import run_reference
 
-        return run_reference(sim)
-
-    @staticmethod
-    def _deltas(result):
-        from repro.core.latency import CACHE_COUNTER_FIELDS
-
-        return {name: getattr(result, name) for name in CACHE_COUNTER_FIELDS}
-
-    def test_sim_result_carries_cache_deltas(self, task_factory):
-        result = self._run(self._sim(self._tasks(task_factory)))
-        assert result.predict_memo_hits + result.predict_memo_misses > 0
-        assert result.cost_cache_hits >= 0
-        assert result.cost_cache_misses >= 0
+        with track_cache_deltas() as delta:
+            run_reference(sim)
+        return delta
 
     def test_interleaved_runs_do_not_double_count(self, task_factory):
-        """ISSUE satellite: deltas used to be diffs of process-global
-        counters snapshotted at *construction*, so constructing two
-        simulators and running them in reverse order attributed the
-        first run's probes to both results."""
+        """Constructing two simulators and running them in reverse
+        order attributes each run's probes to its own frame only."""
         tasks = self._tasks(task_factory)
         # Warm every cache, then measure one clean run as reference.
-        self._run(self._sim(tasks))
-        reference = self._deltas(self._run(self._sim(tasks)))
+        self._framed_run(self._sim(tasks))
+        reference = self._framed_run(self._sim(tasks))
         assert reference["predict_memo_hits"] > 0
         sim_a = self._sim(tasks)
         sim_b = self._sim(tasks)
-        result_b = self._run(sim_b)
-        result_a = self._run(sim_a)
-        assert self._deltas(result_b) == reference
-        assert self._deltas(result_a) == reference
-
-    def test_reset_between_construction_and_run_stays_non_negative(
-        self, task_factory
-    ):
-        """A reset_cache_stats() after construction used to drive the
-        deltas negative (after-run counters < at-init snapshot)."""
-        from repro.core.latency import reset_cache_stats
-
-        tasks = self._tasks(task_factory)
-        self._run(self._sim(tasks))
-        reference = self._deltas(self._run(self._sim(tasks)))
-        sim = self._sim(tasks)
-        reset_cache_stats()
-        deltas = self._deltas(self._run(sim))
-        assert all(v >= 0 for v in deltas.values())
-        assert deltas == reference
+        assert self._framed_run(sim_b) == reference
+        assert self._framed_run(sim_a) == reference
 
     def test_track_cache_deltas_nests_without_sibling_leakage(
         self, task_factory
@@ -296,8 +269,7 @@ class TestEngineCacheCounters:
 
         tasks = self._tasks(task_factory)
         with track_cache_deltas() as outer:
-            result = self._run(self._sim(tasks))
-        inner = self._deltas(result)
+            inner = self._framed_run(self._sim(tasks))
         assert inner["predict_memo_hits"] > 0
         for name, count in inner.items():
             assert outer[name] >= count

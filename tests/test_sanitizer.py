@@ -133,7 +133,7 @@ class TestTrustedPlanRevalidation:
     ):
         tasks = [task_factory(task_id="t0")]
         sim = Simulator(soc, tasks, MoCAPolicy(), mem=mem)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.start_job(sim.ready[0], tiles=2)
         # The trusted caps-only hot path would apply this silently
         # (last write wins); under REPRO_CHECK it is a broken proof
@@ -164,7 +164,7 @@ class TestTrustedPlanRevalidation:
     ):
         tasks = [task_factory(task_id="t0")]
         sim = Simulator(soc, tasks, MoCAPolicy(), mem=mem)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.start_job(sim.ready[0], tiles=2)
         plan = AllocationPlan.trusted(bw_caps=(("t0", 4.0),))
         sim.controller.apply(plan)  # no raise
@@ -177,7 +177,7 @@ class TestTrustedPlanRevalidation:
         # above is known to be testing the sanitizer, not apply().
         tasks = [task_factory(task_id="t0")]
         sim = Simulator(soc, tasks, MoCAPolicy(), mem=mem)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         sim.start_job(sim.ready[0], tiles=2)
         plan = AllocationPlan.trusted(
             bw_caps=(("t0", 4.0), ("t0", 2.0))

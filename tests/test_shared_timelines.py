@@ -13,13 +13,13 @@ from dataclasses import fields, replace
 import pytest
 
 import repro.sanitizer as sanitizer
-from repro.core.latency import CACHE_COUNTER_FIELDS
+from repro.core.latency import track_cache_deltas
 from repro.experiments import runner
 from repro.experiments.faults import FaultPlan
 from repro.experiments.parallel import ParallelRunner, Supervision
 from repro.experiments.runner import default_policies, run_cell_detail
 from repro.scenarios import get_scenario
-from repro.sim.engine import SimResult, run_simulation
+from repro.sim.engine import SimResult, Simulator, run_simulation
 from repro.sim.plan import DecisionCadence
 
 from test_scenario_properties import generate_tasks, random_spec
@@ -37,12 +37,17 @@ _COUNTERS = tuple(
 )
 
 
-def _timeline(result):
-    """A run's per-task schedule and its counters, SLA targets aside."""
+def _timeline(soc, tasks, policy, mem, cadence):
+    """A run's per-task schedule and its counters, SLA targets aside,
+    and the process-global cache probes the run itself made."""
+    policy.reset()
+    sim = Simulator(soc, tasks, policy, mem=mem, cadence=cadence)
+    with track_cache_deltas() as probes:
+        result = sim.run()
     return (
         [replace(r, qos_target_cycles=1.0) for r in result.results],
         [getattr(result, name) for name in _COUNTERS],
-    )
+    ), probes
 
 
 def _scrambled(tasks, rng):
@@ -73,22 +78,17 @@ class TestDeadlineDeclarations:
             scrambled = _scrambled(tasks, random.Random(case))
             for cadence in CADENCES:
                 for name, factory in policies.items():
-                    runs = [
-                        _timeline(run_simulation(
-                            soc, t, factory(), mem=mem, cadence=cadence
-                        ))
+                    (own, probes), (other, _) = (
+                        _timeline(soc, t, factory(), mem, cadence)
                         for t in (tasks, scrambled)
-                    ]
+                    )
                     if name in blind:
-                        assert runs[0] == runs[1], (case, cadence, name)
+                        assert own == other, (case, cadence, name)
                         # A follower reports only its generation's
                         # cache probes, which is exact only if the
                         # run it skips would have made none.
-                        assert not any(
-                            runs[0][1][_COUNTERS.index(n)]
-                            for n in CACHE_COUNTER_FIELDS
-                        )
-                    elif runs[0] != runs[1]:
+                        assert not any(probes.values())
+                    elif own != other:
                         changed.add(name)
         # A wrong False on either deadline-reading policy would let a
         # sweep share timelines that differ.
@@ -194,8 +194,7 @@ class TestSanitizedFollowers:
         assert shared.results == fresh.results
         assert all(
             getattr(shared, f.name) == getattr(fresh, f.name)
-            for f in fields(SimResult)
-            if f.name != "trace" and f.name not in CACHE_COUNTER_FIELDS
+            for f in fields(SimResult) if f.name != "trace"
         )
 
     def test_divergent_lead_caught(self, soc, monkeypatch):

@@ -199,7 +199,7 @@ def _stepped(monkeypatch, crash=None, **kwargs):
     crash = dict(crash or {})
     pools = []
 
-    def make_pool(workers, spec_list, soc):
+    def make_pool(workers, spec_list, soc, fault_plan):
         log["pools"] += 1
         pools.append(SteppingPool(log, crash))
         return pools[-1]
@@ -364,10 +364,10 @@ class TestBrokenPoolFallback:
         pool dies, cannot be rebuilt, the remainder reruns in-process,
         and the aggregate stays bit-identical."""
         plan = FaultPlan.parse("crash:cells=2:attempts=all")
-        runner = ParallelRunner(workers=2, fault_plan=plan)
+        runner = ParallelRunner(workers=2)
         _no_rebuild(monkeypatch, runner)
         cells = runner.run_supervised(
-            [SPEC], supervision=Supervision(**FAST)
+            [SPEC], supervision=Supervision(fault_plan=plan, **FAST)
         ).cells()
         assert runner.last_mode == "serial"  # fallback engaged
         assert sorted(c.index for c in cells) == list(range(CELLS))
@@ -378,12 +378,12 @@ class TestBrokenPoolFallback:
 
     def test_fallback_cells_not_duplicated(self, monkeypatch):
         plan = FaultPlan.parse("crash:cells=0:attempts=all")
-        runner = ParallelRunner(workers=2, fault_plan=plan)
+        runner = ParallelRunner(workers=2)
         _no_rebuild(monkeypatch, runner)
         indices = [
             c.index
             for c in runner.run_supervised(
-                [SPEC], supervision=Supervision(**FAST)
+                [SPEC], supervision=Supervision(fault_plan=plan, **FAST)
             ).cells()
         ]
         assert len(indices) == len(set(indices)) == CELLS

@@ -59,7 +59,7 @@ def _random_state_sim(soc, mem, task_factory, rng,
         for i in range(n_jobs)
     ]
     sim = Simulator(soc, tasks, MoCAPolicy(), mem=mem)
-    sim._dispatch_arrivals()
+    sim.dispatch_arrivals()
     free = soc.num_tiles
     for job in list(sim.ready):
         if free == 0 or rng.random() < 0.2:
@@ -84,7 +84,7 @@ def _random_state_sim(soc, mem, task_factory, rng,
 def _epoch_solve(sim):
     """The engine's epoch solve on the simulator's current state."""
     active, _, _ = sim._solve_epoch(sim.now, float("inf"))
-    return {job.job_id: job._kT for job in active}
+    return {job.job_id: job.solve_time for job in active}
 
 
 class TestSolverBitIdentity:
@@ -140,7 +140,7 @@ class TestSolverBitIdentity:
         )
         peers = [task_factory(task_id=f"p{i}") for i in range(2)]
         sim = Simulator(soc, [task] + peers, MoCAPolicy(), mem=mem)
-        sim._dispatch_arrivals()
+        sim.dispatch_arrivals()
         free = soc.num_tiles
         for job in list(sim.ready):
             tiles = max(1, free // 2)
