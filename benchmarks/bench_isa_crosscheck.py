@@ -1,17 +1,20 @@
-"""Ablation: instruction-level pipeline vs Algorithm 1.
+"""Ablation: instruction-level execution vs Algorithm 1.
 
-Executes every layer of every benchmark network on the decoupled
-access/execute pipeline (Gemmini-style mvin/compute/mvout streams with
-double buffering) and compares network totals against Algorithm 1's
-closed form — the instruction-level analogue of the paper's FireSim
-validation.  Also quantifies what throttling costs a memory-bound
-network vs a compute-bound one, the asymmetry MoCA's design exploits.
+Executes every layer of every benchmark network alone on the
+instruction-level co-simulation (Gemmini-style mvin/compute/mvout
+streams, run in order one instruction at a time, so a tile's memory
+and compute phases add up rather than overlap) and compares network
+totals against Algorithm 1's closed form — the instruction-level
+analogue of the paper's FireSim validation.  Also quantifies what
+throttling costs a memory-bound network vs a compute-bound one, the
+asymmetry MoCA's design exploits.
 """
 
 import pytest
 
+from repro.accelerator.dma import MEM_REQUEST_BYTES
 from repro.accelerator.moca_hw import MoCAHardwareEngine
-from repro.accelerator.pipeline import simulate_layer
+from repro.accelerator.multitile import co_run_layers
 from repro.config import DEFAULT_SOC
 from repro.core.latency import estimate_layer
 from repro.memory.hierarchy import MemoryHierarchy
@@ -25,17 +28,15 @@ def _network_totals():
     rows = {}
     for name in model_names():
         net = build_model(name)
-        pipe = sum(
-            simulate_layer(l, SOC,
-                           dram_share_bytes_per_cycle=MEM.dram_bandwidth
-                           ).makespan
+        isa = sum(
+            co_run_layers(SOC, MEM.dram_bandwidth, {"a": l}).makespan
             for l in net.layers
         )
         analytic = sum(
             estimate_layer(l, SOC, MEM, num_tiles=1).prediction
             for l in net.layers
         )
-        rows[name] = (pipe, analytic, pipe / analytic)
+        rows[name] = (isa, analytic, isa / analytic)
     return rows
 
 
@@ -43,11 +44,11 @@ def test_isa_pipeline_crosscheck(benchmark):
     rows = benchmark.pedantic(_network_totals, rounds=1, iterations=1)
 
     print()
-    print("Instruction-level pipeline vs Algorithm 1 (1 tile):")
-    print(f"{'network':<12s}{'pipeline Mcyc':>15s}{'analytic Mcyc':>15s}"
+    print("Instruction-level execution vs Algorithm 1 (1 tile):")
+    print(f"{'network':<12s}{'isa Mcyc':>15s}{'analytic Mcyc':>15s}"
           f"{'ratio':>8s}")
-    for name, (pipe, analytic, ratio) in rows.items():
-        print(f"{name:<12s}{pipe / 1e6:>15.3f}{analytic / 1e6:>15.3f}"
+    for name, (isa, analytic, ratio) in rows.items():
+        print(f"{name:<12s}{isa / 1e6:>15.3f}{analytic / 1e6:>15.3f}"
               f"{ratio:>8.3f}")
 
     # Shape: the two abstractions agree within ~35 % on every network.
@@ -61,11 +62,14 @@ def test_isa_pipeline_crosscheck(benchmark):
         net = build_model(model_name)
         free = throttled = 0.0
         for layer in net.layers:
-            free += simulate_layer(layer, SOC).makespan
+            free += co_run_layers(SOC, MEM.dram_bandwidth,
+                                  {"a": layer}).makespan
             engine = MoCAHardwareEngine()
             engine.configure(window=1000,
                              threshold_load=int(bytes_per_cycle / 64 * 1000))
-            throttled += simulate_layer(layer, SOC, engine=engine).makespan
+            cap = engine.allowed_rate() * MEM_REQUEST_BYTES
+            throttled += co_run_layers(SOC, MEM.dram_bandwidth, {"a": layer},
+                                       caps={"a": cap}).makespan
         return throttled / free
 
     alexnet_slowdown = throttled_slowdown("alexnet")

@@ -54,6 +54,12 @@ python -m pytest -q benchmarks/bench_*.py
 echo "== smoke =="
 python scripts/smoke.py A 24 M
 
+echo "== examples (each must exit 0) =="
+for example in examples/*.py; do
+    echo "-- $example"
+    python "$example" >/dev/null
+done
+
 echo "== traced benchmark smoke (layer tracer vs src/ names) =="
 # The benchmark's layer tracer patches named src/ methods; a traced
 # one-second run must finish with every cell correct.  The run only

@@ -1,17 +1,14 @@
-"""DMA / memory-request-stream model.
+"""Memory-request accounting of the DMA path.
 
 Gemmini's decoupled access/execute front end issues load and store
 requests to the shared memory system through its DMA.  The MoCA
 hardware sits between the ld/st queues and the request generation
 engine, so its units are *memory requests*, not bytes.  This module
-converts between the two and models the request stream a layer block
-produces, which is what the access counter observes and the
-thresholding module regulates.
+converts a block's byte traffic into the request count the access
+counter observes and the thresholding module regulates.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.models.layers import ceil_div
 
@@ -27,41 +24,3 @@ def bytes_to_requests(num_bytes: int) -> int:
     if num_bytes == 0:
         return 0
     return ceil_div(num_bytes, MEM_REQUEST_BYTES)
-
-
-def requests_to_bytes(num_requests: int) -> int:
-    """Bytes moved by ``num_requests`` full memory requests."""
-    if num_requests < 0:
-        raise ValueError("request count must be non-negative")
-    return num_requests * MEM_REQUEST_BYTES
-
-
-@dataclass
-class DmaModel:
-    """Request-stream model of one tile's DMA engine.
-
-    Attributes:
-        issue_rate: Peak requests issued per cycle when unthrottled.
-            A Gemmini DMA sustains roughly one 64 B request per 4
-            cycles per tile against the L2.
-    """
-
-    issue_rate: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.issue_rate <= 0:
-            raise ValueError("issue_rate must be positive")
-
-    def requests_for(self, load_bytes: int, store_bytes: int) -> int:
-        """Total requests for a (load, store) traffic pair."""
-        return bytes_to_requests(load_bytes) + bytes_to_requests(store_bytes)
-
-    def unthrottled_cycles(self, num_requests: int) -> float:
-        """Cycles to issue ``num_requests`` at the peak issue rate."""
-        if num_requests < 0:
-            raise ValueError("request count must be non-negative")
-        return num_requests / self.issue_rate
-
-    def peak_bandwidth_bytes_per_cycle(self) -> float:
-        """Bandwidth of one unthrottled DMA in bytes per cycle."""
-        return self.issue_rate * MEM_REQUEST_BYTES

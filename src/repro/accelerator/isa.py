@@ -9,10 +9,10 @@ generation engine — which is why it can throttle memory without
 touching the compute pipeline.
 
 This module lowers a layer (through its scratchpad tiling plan) into
-that instruction stream; :mod:`repro.accelerator.pipeline` executes the
-stream on a decoupled access/execute pipeline model.  Together they
-provide an instruction-level cross-check of the analytical latency
-model (Algorithm 1) and of the throttling engine's effect on real
+that instruction stream; :mod:`repro.accelerator.multitile` executes
+streams in order against a shared DRAM channel.  Together they provide
+an instruction-level cross-check of the analytical latency model
+(Algorithm 1) and of the throttling engine's effect on real
 instruction streams.
 """
 
@@ -47,8 +47,7 @@ class Instruction:
         op: Opcode.
         num_bytes: Bytes moved (MVIN/MVOUT; 0 for COMPUTE).
         macs: Multiply-accumulates (COMPUTE; 0 for moves).
-        tile_index: Which data tile of the layer this belongs to, used
-            by the pipeline model to track dependencies.
+        tile_index: Which data tile of the layer this belongs to.
     """
 
     op: Opcode

@@ -1,22 +1,35 @@
-"""Multi-tenant instruction-level co-simulation.
+"""Instruction-level co-simulation of tiles sharing DRAM.
 
-Runs several tiles' instruction streams concurrently against the
-shared DRAM: at every instruction boundary the active ``mvin``/``mvout``
-transfers split the channel bandwidth (demand-proportionally, or capped
-by per-app MoCA throttles), while ``compute`` instructions proceed
-independently on each tile's array — the decoupled access/execute
-behaviour at instruction granularity.
+Runs one or more tiles' instruction streams (lowered by
+:func:`repro.accelerator.isa.lower_layer`) against the shared DRAM:
+at every instruction boundary the active ``mvin``/``mvout`` transfers
+split the channel bandwidth (demand-proportionally, or capped by
+per-app MoCA throttles), while ``compute`` instructions run on each
+tile's own array.
 
-Purpose: an independent cross-check of the *fluid* engine's contention
-model.  Both abstractions must agree on how much co-location stretches
-memory-bound execution (see ``tests/test_multitile.py``), which is the
-quantity every headline result rests on.
+Each tile executes its stream strictly in order, one instruction at a
+time: its next ``mvin`` waits for its previous ``mvout``, which waits
+for its ``compute``.  Transfers and compute overlap only *across*
+tiles, never within one (there is no double buffering), so a lone
+tile's makespan is its bytes over its granted bandwidth plus its MACs
+over its array rate, and a throttle cap stretches only its memory
+instructions.
+
+This is the repo's one instruction-level oracle:
+
+- one tenant: the cross-check of Algorithm 1 (the analogue of the
+  paper's FireSim validation, ``benchmarks/bench_isa_crosscheck.py``)
+  and of what a throttle costs memory- vs compute-bound layers;
+- several tenants: the cross-check of the *fluid* engine's contention
+  model.  Both abstractions must agree on how much co-location
+  stretches memory-bound execution (see ``tests/test_multitile.py``),
+  which is the quantity every headline result rests on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.accelerator.isa import Instruction, Opcode, compute_rate_for
 from repro.config import SoCConfig
@@ -34,8 +47,6 @@ class _AppState:
     instructions: Sequence[Instruction]
     pc: int = 0
     remaining: float = 0.0          # bytes or MACs left in current ins
-    load_done: Dict[int, bool] = field(default_factory=dict)
-    compute_done: Dict[int, bool] = field(default_factory=dict)
     finish_time: Optional[float] = None
 
     def current(self) -> Optional[Instruction]:
@@ -143,7 +154,7 @@ class MultiTenantPipelineSim:
                 rate = self._rate(app, state, ins, shares)
                 state.remaining -= rate * dt
                 if state.remaining <= _EPS:
-                    self._retire(state, ins)
+                    state.pc += 1
                     self._arm(state)
                     if state.current() is None:
                         state.finish_time = now
@@ -155,14 +166,6 @@ class MultiTenantPipelineSim:
         if ins.op is Opcode.COMPUTE:
             return compute_rate_for(state.layer, self.soc)
         return shares.get(app, 0.0)
-
-    @staticmethod
-    def _retire(state: _AppState, ins: Instruction) -> None:
-        if ins.op is Opcode.MVIN:
-            state.load_done[ins.tile_index] = True
-        elif ins.op is Opcode.COMPUTE:
-            state.compute_done[ins.tile_index] = True
-        state.pc += 1
 
     @staticmethod
     def _arm(state: _AppState) -> None:

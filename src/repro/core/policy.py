@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.runtime import MoCARuntime
 from repro.core.scheduler import MoCAScheduler, SchedulableTask, SchedulerConfig
-from repro.memory.arbiter import _REL_TOL, waterfill_grant_last
+from repro.memory.arbiter import _REL_TOL, waterfill_grants
 from repro.sim.plan import EMPTY_PLAN, AllocationPlan
 from repro.sim.policy import Policy
 
@@ -354,11 +354,11 @@ class MoCAPolicy(Policy):
                         )
                     wants.append(demand)
                     weights.append(score)
-                    share = waterfill_grant_last(
+                    share = waterfill_grants(
                         wants,
                         [w if w > 1e-9 else 0.0 for w in weights],
                         dram_bw,
-                    )
+                    )[0][-1]
                 g = share if share > min_bw_rate else min_bw_rate
                 bw_rate = g if g < demand else demand
                 cap = bw_rate

@@ -37,8 +37,8 @@ A checked-in JSON file recording findings that are understood and
 accepted, so the lint gate stays at zero *new* findings.  Each entry
 carries a mandatory reason and matches by ``(rule, path, snippet)`` —
 the stripped source line — so entries survive unrelated edits moving
-line numbers.  Entries that no longer match anything are reported as
-stale (a nudge to prune, not a failure).
+line numbers.  Entries for a linted file that no longer match anything
+are reported as stale (a nudge to prune, not a failure).
 """
 
 from __future__ import annotations
@@ -469,9 +469,16 @@ def baseline_entries(
 
 
 def apply_baseline(
-    findings: List[Finding], entries: List[dict]
+    findings: List[Finding],
+    entries: List[dict],
+    linted: Optional[Iterable[str]] = None,
 ) -> Tuple[List[Finding], int, List[dict]]:
     """Drop findings matched by the baseline.
+
+    ``linted`` is the set of repo-relative paths the findings came
+    from; an unmatched entry is stale only if its path was linted
+    (a subset run cannot tell whether an entry elsewhere still
+    matches).  ``None`` means every entry's path was linted.
 
     Returns ``(remaining, matched_count, stale_entries)``.
     """
@@ -486,9 +493,11 @@ def apply_baseline(
             matched += 1
         else:
             remaining.append(f)
+    checked = None if linted is None else set(linted)
     stale = [
         e for e in entries
         if (e["rule"], e["path"], e["snippet"]) not in used
+        and (checked is None or e["path"] in checked)
     ]
     return remaining, matched, stale
 
@@ -519,12 +528,14 @@ def lint_paths(
             files.append(p)
     report = LintReport()
     all_findings: List[Finding] = []
+    linted: List[str] = []
     for f in files:
         try:
             rel = f.resolve().relative_to(repo_root.resolve())
             rel_str = rel.as_posix()
         except ValueError:
             rel_str = f.as_posix()
+        linted.append(rel_str)
         source = f.read_text()
         file_findings = lint_source(source, rel_str, config)
         all_findings.extend(file_findings)
@@ -532,7 +543,7 @@ def lint_paths(
         report.files_checked += 1
     if baseline:
         all_findings, matched, stale = apply_baseline(
-            all_findings, baseline
+            all_findings, baseline, linted
         )
         report.baselined = matched
         report.stale_baseline = stale

@@ -10,23 +10,12 @@ Planaria on Workload-A QoS-H, 1.8x over static on Workload-C QoS-H,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.config import SoCConfig
-from repro.experiments.fig5_sla import Matrix, run_fig5
-from repro.experiments.runner import POLICY_ORDER, ScenarioSpec
+from repro.experiments.fig5_sla import Matrix
+from repro.experiments.runner import POLICY_ORDER
 
 GROUPS: Tuple[str, ...] = ("p-Low", "p-Mid", "p-High")
-
-
-def run_fig6(
-    num_tasks: int = 250,
-    seeds: Tuple[int, ...] = (1, 2, 3),
-    soc: Optional[SoCConfig] = None,
-    specs: Optional[Sequence[ScenarioSpec]] = None,
-) -> Matrix:
-    """Figure 6 reuses the Figure 5 matrix (same simulations)."""
-    return run_fig5(num_tasks=num_tasks, seeds=seeds, soc=soc, specs=specs)
 
 
 def group_rates(matrix: Matrix) -> Dict[str, Dict[str, Dict[str, float]]]:

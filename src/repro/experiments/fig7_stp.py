@@ -10,25 +10,10 @@ and Workload-C (memory-aware layer grouping).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict
 
-from repro.config import SoCConfig
-from repro.experiments.fig5_sla import Matrix, run_fig5
-from repro.experiments.runner import (
-    POLICY_ORDER,
-    ScenarioSpec,
-    geomean_improvement,
-)
-
-
-def run_fig7(
-    num_tasks: int = 250,
-    seeds: Tuple[int, ...] = (1, 2, 3),
-    soc: Optional[SoCConfig] = None,
-    specs: Optional[Sequence[ScenarioSpec]] = None,
-) -> Matrix:
-    """Figure 7 reuses the Figure 5 matrix (same simulations)."""
-    return run_fig5(num_tasks=num_tasks, seeds=seeds, soc=soc, specs=specs)
+from repro.experiments.fig5_sla import Matrix
+from repro.experiments.runner import POLICY_ORDER, geomean_improvement
 
 
 def stp_normalized_to_planaria(matrix: Matrix) -> Dict[str, Dict[str, float]]:

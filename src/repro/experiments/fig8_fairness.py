@@ -10,25 +10,10 @@ co-runners without regulation.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict
 
-from repro.config import SoCConfig
-from repro.experiments.fig5_sla import Matrix, run_fig5
-from repro.experiments.runner import (
-    POLICY_ORDER,
-    ScenarioSpec,
-    geomean_improvement,
-)
-
-
-def run_fig8(
-    num_tasks: int = 250,
-    seeds: Tuple[int, ...] = (1, 2, 3),
-    soc: Optional[SoCConfig] = None,
-    specs: Optional[Sequence[ScenarioSpec]] = None,
-) -> Matrix:
-    """Figure 8 reuses the Figure 5 matrix (same simulations)."""
-    return run_fig5(num_tasks=num_tasks, seeds=seeds, soc=soc, specs=specs)
+from repro.experiments.fig5_sla import Matrix
+from repro.experiments.runner import POLICY_ORDER, geomean_improvement
 
 
 def fairness_normalized_to_planaria(

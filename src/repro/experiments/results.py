@@ -406,10 +406,6 @@ class SweepResults:
             for name in DECISION_COUNTER_FIELDS
         }
 
-    def worker_pids(self) -> List[int]:
-        """Distinct worker pids observed, sorted."""
-        return sorted({c.worker_pid for c in self._cells.values()})
-
 
 def cell_to_dict(cell: CellResult) -> dict:
     """A :class:`CellResult` as JSON-ready primitives.

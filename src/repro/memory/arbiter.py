@@ -121,75 +121,6 @@ def waterfill_grants(wants, weights, total):
     return grants, freeze_order
 
 
-def waterfill_grant_last(wants, weights, total):
-    """:func:`waterfill_grants` specialised to the caller that only
-    consumes the *last* requestor's grant — MoCA's batched regulation,
-    where the app under regulation always sits at the end of the
-    parallel lists and its co-runners' grants are discarded.
-
-    Bit-identical to ``waterfill_grants(wants, weights, total)[0][-1]``:
-    the freeze rounds perform the same float operations in the same
-    order, and the conservation clamp accumulates the granted sum at
-    each freeze point — the same addends in the same freeze order the
-    reference's deferred ``freeze_order`` loop replays — so the final
-    scale factor is the same float.  Skipping the freeze-order list,
-    the replay pass and the grants array itself (only the last slot is
-    ever read back) was measurable at regulation's call rate.
-    """
-    n = len(wants)
-    i_last = n - 1
-    frozen = [False] * n
-    n_active = n
-    granted = 0.0
-    remaining = total
-    last = 0.0
-    while n_active:
-        weight_sum = 0.0
-        for i in range(n):
-            if not frozen[i]:
-                weight_sum += weights[i]
-        if weight_sum <= 0:
-            equal = remaining / n_active
-            for i in range(n):
-                if not frozen[i]:
-                    w = wants[i]
-                    g = w if w <= equal else equal
-                    granted += g
-                    if i == i_last:
-                        last = g
-            break
-        scale = remaining / weight_sum
-        n_newly = 0
-        for i in range(n):
-            if not frozen[i] and (
-                wants[i] <= weights[i] * scale * _REL1
-            ):
-                w = wants[i]
-                remaining -= w
-                granted += w
-                frozen[i] = True
-                n_newly += 1
-                if i == i_last:
-                    last = w
-        if not n_newly:
-            for i in range(n):
-                if not frozen[i]:
-                    g = weights[i] * scale
-                    granted += g
-                    if i == i_last:
-                        last = g
-            break
-        n_active -= n_newly
-        if remaining <= 0:
-            # Remaining unfrozen requestors get 0.0 (``last`` keeps
-            # its initial 0.0 unless the last slot froze above; the
-            # granted sum is unchanged).
-            break
-    if granted > total:
-        last = last * (total / granted)
-    return last
-
-
 def allocate_bandwidth(
     demands: Mapping[str, float],
     total: float,

@@ -1,4 +1,4 @@
-"""The full shared-memory hierarchy: L2 + DRAM + arbitration.
+"""The full shared-memory hierarchy: L2 + DRAM.
 
 Bundles the capacity and bandwidth models Algorithm 1 consults so the
 latency estimator and the simulator take a single object.
@@ -6,18 +6,16 @@ latency estimator and the simulator take a single object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass
 
 from repro.config import SoCConfig
-from repro.memory.arbiter import allocate_bandwidth
 from repro.memory.dram import DramModel
 from repro.memory.l2 import L2Model
 
 
 @dataclass(frozen=True)
 class MemoryHierarchy:
-    """Shared L2 + DRAM with bandwidth arbitration.
+    """Shared L2 + DRAM.
 
     Attributes:
         l2: Shared cache model.
@@ -49,13 +47,3 @@ class MemoryHierarchy:
     def tile_cached(self, per_tile_bytes: int, num_sharers: int = 1) -> bool:
         """Algorithm 1 line 10: does one data tile survive in the L2?"""
         return self.l2.fits(per_tile_bytes, num_sharers)
-
-    def share_dram(
-        self,
-        demands: Mapping[str, float],
-        caps: Optional[Mapping[str, float]] = None,
-    ) -> Dict[str, float]:
-        """Arbitrate DRAM bandwidth among requestors (see arbiter)."""
-        if not demands:
-            return {}
-        return allocate_bandwidth(demands, self.dram_bandwidth, caps)

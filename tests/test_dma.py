@@ -1,13 +1,8 @@
-"""Tests for repro.accelerator.dma (request-stream model)."""
+"""Tests for repro.accelerator.dma (request accounting)."""
 
 import pytest
 
-from repro.accelerator.dma import (
-    MEM_REQUEST_BYTES,
-    DmaModel,
-    bytes_to_requests,
-    requests_to_bytes,
-)
+from repro.accelerator.dma import MEM_REQUEST_BYTES, bytes_to_requests
 
 
 class TestConversions:
@@ -25,35 +20,6 @@ class TestConversions:
         with pytest.raises(ValueError):
             bytes_to_requests(-1)
 
-    def test_requests_to_bytes(self):
-        assert requests_to_bytes(3) == 3 * MEM_REQUEST_BYTES
-
-    def test_requests_to_bytes_negative(self):
-        with pytest.raises(ValueError):
-            requests_to_bytes(-1)
-
     def test_round_trip_upper_bound(self):
         n = 1000
-        assert requests_to_bytes(bytes_to_requests(n)) >= n
-
-
-class TestDmaModel:
-    def test_invalid_issue_rate(self):
-        with pytest.raises(ValueError):
-            DmaModel(issue_rate=0)
-
-    def test_requests_for(self):
-        dma = DmaModel()
-        assert dma.requests_for(128, 64) == 3
-
-    def test_unthrottled_cycles(self):
-        dma = DmaModel(issue_rate=0.5)
-        assert dma.unthrottled_cycles(10) == pytest.approx(20.0)
-
-    def test_unthrottled_cycles_negative(self):
-        with pytest.raises(ValueError):
-            DmaModel().unthrottled_cycles(-1)
-
-    def test_peak_bandwidth(self):
-        dma = DmaModel(issue_rate=0.25)
-        assert dma.peak_bandwidth_bytes_per_cycle() == pytest.approx(16.0)
+        assert bytes_to_requests(n) * MEM_REQUEST_BYTES >= n

@@ -696,3 +696,22 @@ class TestDriver:
         )
         assert report.clean, render_text(report)
         assert report.stale_baseline == []
+
+    def test_stale_only_for_linted_paths(self):
+        # A subset run cannot see the files other entries name, so it
+        # must not call them stale; a full run still flags a dead one.
+        baseline = load_baseline(REPO_ROOT / "lint_baseline.json")
+        subset = lint_paths(
+            [REPO_ROOT / "src" / "repro" / "sim"],
+            REPO_ROOT,
+            baseline=baseline,
+        )
+        assert subset.stale_baseline == [], render_text(subset)
+        dead = dict(baseline[0], snippet="self._httpd.removed()")
+        full = lint_paths(
+            [REPO_ROOT / "src", REPO_ROOT / "scripts"],
+            REPO_ROOT,
+            baseline=baseline + [dead],
+        )
+        assert full.stale_baseline == [dead]
+        assert full.baselined == len(baseline)

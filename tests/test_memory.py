@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import DEFAULT_SOC
+from repro.memory.arbiter import allocate_bandwidth
 from repro.memory.dram import DramModel
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.l2 import L2Model
@@ -135,9 +136,9 @@ class TestMemoryHierarchy:
 
     def test_share_dram_empty(self):
         mem = MemoryHierarchy.from_soc(DEFAULT_SOC)
-        assert mem.share_dram({}) == {}
+        assert allocate_bandwidth({}, mem.dram_bandwidth) == {}
 
     def test_share_dram_respects_total(self):
         mem = MemoryHierarchy.from_soc(DEFAULT_SOC)
-        shares = mem.share_dram({"a": 20.0, "b": 20.0})
+        shares = allocate_bandwidth({"a": 20.0, "b": 20.0}, mem.dram_bandwidth)
         assert sum(shares.values()) <= mem.dram_bandwidth * 1.001

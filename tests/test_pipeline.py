@@ -1,9 +1,12 @@
-"""Tests for repro.accelerator.pipeline (decoupled access/execute)."""
+"""Tests for the one-tenant instruction pipeline: a lone layer's
+MVIN/COMPUTE/MVOUT stream run through repro.accelerator.multitile."""
 
 import pytest
 
+from repro.accelerator.dma import MEM_REQUEST_BYTES
+from repro.accelerator.isa import compute_rate_for, lower_layer, stream_totals
 from repro.accelerator.moca_hw import MoCAHardwareEngine
-from repro.accelerator.pipeline import DecoupledPipeline, simulate_layer
+from repro.accelerator.multitile import co_run_layers
 from repro.config import DEFAULT_SOC
 from repro.core.latency import estimate_layer
 from repro.memory.hierarchy import MemoryHierarchy
@@ -12,6 +15,7 @@ from repro.models.zoo import build_model
 
 SOC = DEFAULT_SOC
 MEM = MemoryHierarchy.from_soc(SOC)
+BW = MEM.dram_bandwidth
 
 
 def _conv(ch=64, hw=56):
@@ -19,72 +23,94 @@ def _conv(ch=64, hw=56):
                      padding=1)
 
 
+def _fc():
+    """A memory-bound layer: AlexNet-class fully-connected."""
+    return DenseLayer("fc", in_features=9216, out_features=4096)
+
+
+def _alone(layer, cap=None, bandwidth=BW):
+    """Makespan of ``layer`` run as the only tenant."""
+    caps = None if cap is None else {"a": cap}
+    return co_run_layers(SOC, bandwidth, {"a": layer}, caps=caps).makespan
+
+
+def _engine_cap(threshold_load):
+    """The DRAM cap (B/cycle) a MoCA engine throttle of
+    ``threshold_load`` requests per 1000 cycles enforces."""
+    engine = MoCAHardwareEngine()
+    engine.configure(window=1000, threshold_load=threshold_load)
+    return engine.allowed_rate() * MEM_REQUEST_BYTES
+
+
+def _dma_bytes(layer):
+    totals = stream_totals(lower_layer(layer, SOC))
+    return totals["load_bytes"] + totals["store_bytes"]
+
+
+def _array_and_dma_cycles(layer):
+    """A lone tile's array time and its DMA time at full bandwidth."""
+    totals = stream_totals(lower_layer(layer, SOC))
+    return totals["macs"] / compute_rate_for(layer, SOC), _dma_bytes(layer) / BW
+
+
 class TestPipelineBasics:
     def test_positive_makespan(self):
-        result = simulate_layer(_conv(), SOC)
-        assert result.makespan > 0
-        assert result.array_busy > 0
-        assert result.dma_busy > 0
+        array, dma = _array_and_dma_cycles(_conv())
+        assert _alone(_conv()) > 0
+        assert array > 0
+        assert dma > 0
 
     def test_utilizations_bounded(self):
-        result = simulate_layer(_conv(), SOC)
-        assert 0 < result.dma_utilization <= 1.0
-        assert 0 < result.array_utilization <= 1.0
+        makespan = _alone(_conv())
+        array, dma = _array_and_dma_cycles(_conv())
+        assert 0 < dma / makespan <= 1.0
+        assert 0 < array / makespan <= 1.0
 
     def test_makespan_at_least_each_resource(self):
-        result = simulate_layer(_conv(), SOC)
-        assert result.makespan >= result.array_busy
-        assert result.makespan >= result.dma_busy
+        for layer in (_fc(), _conv(), _conv(ch=128, hw=28)):
+            array, dma = _array_and_dma_cycles(layer)
+            makespan = _alone(layer)
+            assert makespan >= array
+            assert makespan >= dma
 
     def test_compute_bound_layer_array_dominated(self):
         # Large square conv: heavy reuse, compute dominates.
-        result = simulate_layer(_conv(ch=128, hw=28), SOC)
-        assert result.array_busy > result.dma_busy
+        array, dma = _array_and_dma_cycles(_conv(ch=128, hw=28))
+        assert array > dma
 
     def test_memory_bound_layer_dma_dominated(self):
-        fc = DenseLayer("fc", in_features=9216, out_features=4096)
-        result = simulate_layer(fc, SOC)
-        assert result.dma_busy > result.array_busy
+        array, dma = _array_and_dma_cycles(_fc())
+        assert dma > array
 
     def test_invalid_dram_share(self):
-        with pytest.raises(ValueError):
-            DecoupledPipeline(SOC, dram_share_bytes_per_cycle=0.0)
+        for share in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                co_run_layers(SOC, share, {"a": _conv()})
 
 
 class TestThrottling:
     def test_throttle_lengthens_memory_bound_layer(self):
-        fc = DenseLayer("fc", in_features=9216, out_features=4096)
-        free = simulate_layer(fc, SOC)
-        engine = MoCAHardwareEngine()
-        engine.configure(window=1000, threshold_load=125)  # 8 B/cycle
-        throttled = simulate_layer(fc, SOC, engine=engine)
-        assert throttled.makespan > free.makespan
-        assert throttled.throttle_bubbles > 0
+        assert _alone(_fc(), cap=_engine_cap(125)) > _alone(_fc())
 
     def test_throttle_never_stalls_compute(self):
-        # Array busy time is identical with and without throttling —
-        # the engine gates only the memory path (decoupled execute).
-        layer = _conv()
-        free = simulate_layer(layer, SOC)
-        engine = MoCAHardwareEngine()
-        engine.configure(window=1000, threshold_load=63)  # ~4 B/cycle
-        throttled = simulate_layer(layer, SOC, engine=engine)
-        assert throttled.array_busy == pytest.approx(free.array_busy)
+        # In-order execution: a cap adds exactly the extra transfer
+        # time of every DMA byte and leaves compute untouched.
+        cap = _engine_cap(63)  # ~4 B/cycle
+        layers = [_fc(), _conv(), *build_model("resnet50").layers]
+        for layer in layers:
+            capped = _alone(layer, cap=cap)
+            extra = _dma_bytes(layer) * (1 / cap - 1 / BW)
+            assert capped - _alone(layer) == pytest.approx(
+                extra, abs=1e-9 * capped
+            ), layer.name
 
     def test_tighter_throttle_slower(self):
-        fc = DenseLayer("fc", in_features=9216, out_features=4096)
-        results = []
-        for threshold in (250, 125, 63):  # 16, 8, 4 B/cycle
-            engine = MoCAHardwareEngine()
-            engine.configure(window=1000, threshold_load=threshold)
-            results.append(simulate_layer(fc, SOC, engine=engine).makespan)
+        # 16, 8 and ~4 B/cycle throttles.
+        results = [_alone(_fc(), cap=_engine_cap(t)) for t in (250, 125, 63)]
         assert results == sorted(results)
 
     def test_dram_share_acts_like_throttle(self):
-        fc = DenseLayer("fc", in_features=9216, out_features=4096)
-        full = simulate_layer(fc, SOC, dram_share_bytes_per_cycle=16.0)
-        quarter = simulate_layer(fc, SOC, dram_share_bytes_per_cycle=4.0)
-        assert quarter.makespan > full.makespan
+        assert _alone(_fc(), bandwidth=4.0) > _alone(_fc(), bandwidth=16.0)
 
 
 class TestCrossValidation:
@@ -93,22 +119,17 @@ class TestCrossValidation:
     @pytest.mark.parametrize("name", ["squeezenet", "alexnet", "resnet50"])
     def test_network_level_agreement(self, name):
         net = build_model(name)
-        pipeline_total = 0.0
-        analytic_total = 0.0
-        for layer in net.layers:
-            pipeline_total += simulate_layer(
-                layer, SOC, dram_share_bytes_per_cycle=MEM.dram_bandwidth
-            ).makespan
-            analytic_total += estimate_layer(
-                layer, SOC, MEM, num_tiles=1
-            ).prediction
-        ratio = pipeline_total / analytic_total
-        # Different abstractions (per-instruction double buffering vs
-        # the overlap_f closed form): they must agree within ~35 %.
+        isa_total = sum(_alone(layer) for layer in net.layers)
+        analytic_total = sum(
+            estimate_layer(layer, SOC, MEM, num_tiles=1).prediction
+            for layer in net.layers
+        )
+        ratio = isa_total / analytic_total
+        # Different abstractions (in-order instructions vs the
+        # overlap_f closed form): they must agree within ~35 %.
         assert 0.65 < ratio < 1.35, ratio
 
     def test_compute_bound_layer_agreement(self):
         layer = _conv(ch=128, hw=28)
-        pipe = simulate_layer(layer, SOC).makespan
         analytic = estimate_layer(layer, SOC, MEM, num_tiles=1).prediction
-        assert pipe == pytest.approx(analytic, rel=0.35)
+        assert _alone(layer) == pytest.approx(analytic, rel=0.35)
