@@ -43,8 +43,8 @@ _EPS = 1e-9
 class _AppState:
     """Progress of one co-running application's stream."""
 
-    layer: Layer
     instructions: Sequence[Instruction]
+    compute_rate: float             # MACs/cycle of its compute ins
     pc: int = 0
     remaining: float = 0.0          # bytes or MACs left in current ins
     finish_time: Optional[float] = None
@@ -106,7 +106,10 @@ class MultiTenantPipelineSim:
         if not apps:
             raise ValueError("no apps to simulate")
         states = {
-            app: _AppState(layer=layer, instructions=list(stream))
+            app: _AppState(
+                instructions=list(stream),
+                compute_rate=compute_rate_for(layer, self.soc),
+            )
             for app, (layer, stream) in apps.items()
         }
         for state in states.values():
@@ -114,44 +117,54 @@ class MultiTenantPipelineSim:
 
         now = 0.0
         events = 0
+        dma_apps: Optional[tuple] = None
+        shares: Mapping[str, float] = {}
         while any(s.finish_time is None for s in states.values()):
             events += 1
             if events > max_events:
                 raise RuntimeError("co-simulation exceeded event budget")
 
-            # Current rates: DMA instructions share the DRAM; computes
-            # run at their tile's array rate.
-            demands: Dict[str, float] = {}
-            for app, state in states.items():
-                ins = state.current()
-                if ins is not None and ins.op is not Opcode.COMPUTE:
-                    demands[app] = self.dram_bandwidth
-            shares = (
-                allocate_bandwidth(demands, self.dram_bandwidth, caps)
-                if demands else {}
+            # DMA instructions share the DRAM; the split depends only
+            # on which apps are transferring, so it is re-solved only
+            # when that set changes.
+            current = tuple(
+                app for app, state in states.items()
+                if (ins := state.current()) is not None
+                and ins.op is not Opcode.COMPUTE
             )
+            if current != dma_apps:
+                dma_apps = current
+                shares = (
+                    allocate_bandwidth(
+                        dict.fromkeys(current, self.dram_bandwidth),
+                        self.dram_bandwidth, caps,
+                    )
+                    if current else {}
+                )
 
-            # Time to each app's next instruction completion.
+            # Each running app's rate (computes run at their tile's
+            # array rate) and the time to its next completion.
+            rates: Dict[str, float] = {}
             dt = float("inf")
             for app, state in states.items():
                 ins = state.current()
                 if ins is None:
                     continue
-                rate = self._rate(app, state, ins, shares)
-                if rate <= 0:
-                    continue
-                dt = min(dt, state.remaining / rate)
+                if ins.op is Opcode.COMPUTE:
+                    rate = state.compute_rate
+                else:
+                    rate = shares.get(app, 0.0)
+                rates[app] = rate
+                if rate > 0:
+                    dt = min(dt, state.remaining / rate)
             if dt == float("inf"):
                 raise RuntimeError("co-simulation stalled")
             dt = max(dt, _EPS)
 
             # Advance everyone.
             now += dt
-            for app, state in states.items():
-                ins = state.current()
-                if ins is None:
-                    continue
-                rate = self._rate(app, state, ins, shares)
+            for app, rate in rates.items():
+                state = states[app]
                 state.remaining -= rate * dt
                 if state.remaining <= _EPS:
                     state.pc += 1
@@ -160,12 +173,6 @@ class MultiTenantPipelineSim:
                         state.finish_time = now
         finish = {app: s.finish_time for app, s in states.items()}
         return CoSimResult(finish_times=finish, makespan=max(finish.values()))
-
-    def _rate(self, app: str, state: _AppState, ins: Instruction,
-              shares: Mapping[str, float]) -> float:
-        if ins.op is Opcode.COMPUTE:
-            return compute_rate_for(state.layer, self.soc)
-        return shares.get(app, 0.0)
 
     @staticmethod
     def _arm(state: _AppState) -> None:

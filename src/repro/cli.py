@@ -376,7 +376,7 @@ def _build_supervision(args):
     from repro.experiments.parallel import Supervision
 
     try:
-        return Supervision(
+        supervision = Supervision(
             max_retries=args.max_retries,
             cell_timeout=args.cell_timeout,
             backoff_base=args.retry_backoff,
@@ -384,6 +384,18 @@ def _build_supervision(args):
         )
     except ValueError as exc:
         raise SystemExit(f"sweep: {exc}") from exc
+    _check_cell_timeout(args)
+    return supervision
+
+
+def _check_cell_timeout(args) -> None:
+    """Refuse ``--cell-timeout`` on a one-worker run: its cells run
+    in-process, where a hung cell cannot be interrupted."""
+    if args.cell_timeout is not None and _sweep_runner(args).workers == 1:
+        raise SystemExit(
+            "sweep: --cell-timeout needs --workers >= 2 (a serial "
+            "cell cannot be interrupted)"
+        )
 
 
 def _failure_report(acc, out_dir=None) -> str:
@@ -893,6 +905,7 @@ def _run_sweep_worker(args) -> Tuple[str, int]:
         )
     except ValueError as exc:
         raise SystemExit(f"sweep: {exc}") from exc
+    _check_cell_timeout(args)
     if args.inject_faults is not None:
         activate_in_worker_process(args.inject_faults)
     try:

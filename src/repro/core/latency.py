@@ -181,14 +181,6 @@ def estimate_layer(
     )
 
 
-#: Bound on each :class:`BlockCost`'s per-instance predict memo.
-#: Sized far above any single simulation's working set (the engine
-#: probes tens of distinct points per block) so eviction only ever
-#: engages on long continuous-style runs accumulating contended
-#: bandwidth points across many simulations.
-_PREDICT_MEMO_CAP = 4096
-
-
 @dataclass(frozen=True)
 class BlockCost:
     """Static shape accounting of a layer block, reusable across
@@ -234,59 +226,12 @@ class BlockCost:
     ) -> float:
         """Algorithm 1 latency for this block under an allocation.
 
-        Memoised per instance: the simulator and the policies evaluate
-        the same (tiles, bandwidths) points thousands of times per run,
-        and the inputs fully determine the output.
+        Callers that read many points read the network's
+        :class:`RuntimeTable`, which is built through this method.
         """
-        key = (num_tiles, dram_bw, l2_bw, overlap_f)
-        memo = self.__dict__.get("_predict_memo")
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_predict_memo", memo)
-        # Identity-pinned LRU: ``predict`` is a pure function of its
-        # key, so evicting an entry can never change a result — a
-        # re-probed point recomputes the identical float.  The bound
-        # matters because block costs are process-cached for their
-        # lifetime while contended bandwidth points vary continuously:
-        # a long continuous-style run would otherwise grow each memo
-        # without limit.  Hits reinsert their key (move-to-end), so
-        # insertion order is recency order and the oldest entry is
-        # the least recently used.
-        cached = memo.pop(key, None)
-        if cached is not None:
-            memo[key] = cached
-            _CACHE_STATS["predict_memo_hits"] += 1
-            return cached
-        _CACHE_STATS["predict_memo_misses"] += 1
         compute = self.compute_ideal(num_tiles)
         memory = self.memory_ideal(dram_bw, l2_bw)
-        hi = max(compute, memory)
-        lo = min(compute, memory)
-        result = hi + lo * overlap_f
-        if len(memo) >= _PREDICT_MEMO_CAP:
-            del memo[next(iter(memo))]
-        memo[key] = result
-        return result
-
-    def clear_predict_memo(self) -> None:
-        """Drop this block's :meth:`predict` memo (it rebuilds
-        transparently; benchmarks and tests use this to time or
-        compare against the unmemoised path)."""
-        self.__dict__.pop("_predict_memo", None)
-
-    def __getstate__(self) -> dict:
-        """Pickle only the declared fields.
-
-        The per-instance ``_predict_memo`` lives in ``__dict__`` and
-        would otherwise ship inside every pickled spec/cost payload —
-        a warm parent process was serializing potentially huge memo
-        dicts to every pool worker.  The memo is a pure cache and
-        rebuilds transparently, so it is dropped here; a pickle of a
-        warm instance is byte-for-byte the pickle of a cold one.
-        """
-        state = dict(self.__dict__)
-        state.pop("_predict_memo", None)
-        return state
+        return max(compute, memory) + min(compute, memory) * overlap_f
 
     def bw_demand(
         self, num_tiles: int, dram_bw: float, l2_bw: float, overlap_f: float
@@ -331,14 +276,14 @@ def build_block_cost(
 class RuntimeTable:
     """Algorithm 1 at every point one simulation can ask for.
 
-    The engine and the policies evaluate ``BlockCost.predict`` only
-    on a small fixed grid: every block of the network crossed with
-    every tile count the SoC can grant, at the constant
-    per-simulation bandwidths.  This table holds that grid (and what
-    derives from it) as plain nested lists, so the per-event solve,
-    Algorithm 2's ``remain_prediction`` and Planaria's urgency are
-    pure list indexing: no memo-dict probes, no tuple-key
-    construction, no per-call arithmetic.
+    The engine, the policies and the QoS sizing evaluate
+    ``BlockCost.predict`` only on a small fixed grid: every block of
+    the network crossed with every tile count the SoC can grant, at
+    the constant per-simulation bandwidths.  This table holds that
+    grid (and what derives from it) as plain nested lists, so the
+    per-event solve, Algorithm 2's ``remain_prediction``, Planaria's
+    urgency and ``QosModel.isolated_latency`` are pure list indexing
+    with no per-call arithmetic.  It is the one memo of Algorithm 1.
 
     Attributes:
         t_full_rows: ``t_full_rows[block_idx][tiles - 1]`` — the
@@ -438,8 +383,7 @@ class NetworkCost:
 
     def __getstate__(self) -> dict:
         """Pickle only the declared fields — the runtime-table cache
-        (like :class:`BlockCost`'s predict memo) rebuilds
-        transparently and must not inflate worker payloads."""
+        rebuilds transparently and must not inflate worker payloads."""
         state = dict(self.__dict__)
         state.pop("_runtime_tables", None)
         return state
@@ -468,13 +412,10 @@ _NETWORK_COST_CACHE: Dict[_NetworkCostKey, NetworkCost] = {}
 CACHE_COUNTER_FIELDS: Tuple[str, ...] = (
     "cost_cache_hits",
     "cost_cache_misses",
-    "predict_memo_hits",
-    "predict_memo_misses",
 )
 
-#: Process-global cache telemetry.  ``cost_cache_*`` counts
-#: :func:`build_network_cost` probes of ``_NETWORK_COST_CACHE``;
-#: ``predict_memo_*`` counts :meth:`BlockCost.predict` memo probes.
+#: Process-global cache telemetry: ``cost_cache_*`` counts
+#: :func:`build_network_cost` probes of ``_NETWORK_COST_CACHE``.
 #: The parallel executor snapshots these around each cell so warm
 #: workers are observable (a pre-warmed worker's cells run at ~100 %
 #: cost-cache hit rate).
@@ -482,9 +423,7 @@ _CACHE_STATS: Dict[str, int] = {name: 0 for name in CACHE_COUNTER_FIELDS}
 
 #: Open :class:`track_cache_deltas` frames, kept only so
 #: :func:`reset_cache_stats` can re-base their start snapshots.  The
-#: probe sites stay plain inline increments — the predict-memo path
-#: runs millions of probes per sweep and must not pay a function call
-#: or a frame loop per probe.
+#: probe sites stay plain inline increments.
 _DELTA_FRAMES: list = []
 
 
@@ -552,15 +491,6 @@ def clear_network_cost_cache() -> None:
     _NETWORK_COST_CACHE.clear()
 
 
-def clear_predict_memos() -> None:
-    """Drop the per-instance :meth:`BlockCost.predict` memos of every
-    cached network cost (for benchmarks that need cold-start timing
-    symmetry; the memos rebuild transparently)."""
-    for cost in _NETWORK_COST_CACHE.values():
-        for block in cost.blocks:
-            block.clear_predict_memo()
-
-
 def build_network_cost(
     network: Network,
     soc: SoCConfig,
@@ -618,12 +548,10 @@ def warm_network_cost_cache(
 ) -> int:
     """Pre-build each network's :class:`NetworkCost` and its
     :class:`RuntimeTable` at full DRAM/L2 bandwidth — the one table
-    every simulation on this SoC reads — so a warmed process serves
-    its first cell from cache.  Building the table evaluates each
-    block's :meth:`BlockCost.predict` at every tile count, which also
-    warms the memo the workload generator's isolated/QoS sizing
-    reads.  The parallel executor's worker initializer calls this
-    once per worker process.
+    every simulation on this SoC reads, and the workload generator's
+    isolated/QoS sizing too — so a warmed process serves its first
+    cell from cache.  The parallel executor's worker initializer
+    calls this once per worker process.
 
     Returns:
         The number of networks warmed.

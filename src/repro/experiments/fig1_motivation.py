@@ -26,6 +26,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.models.zoo import build_model
 from repro.sim.engine import run_simulation
 from repro.sim.job import Task
+from repro.sim.qos import QosModel
 
 #: The four DNNs of the motivation study.
 FIG1_NETWORKS: Tuple[str, ...] = (
@@ -50,15 +51,6 @@ class Fig1Row:
     worst_increase: float
 
 
-def _isolated_runtime(
-    name: str, soc: SoCConfig, mem: MemoryHierarchy, tiles: int
-) -> float:
-    cost = build_network_cost(build_model(name), soc, mem)
-    return cost.total_prediction(
-        tiles, mem.dram_bandwidth, mem.l2_bandwidth, soc.overlap_f
-    )
-
-
 def run_fig1(
     soc: Optional[SoCConfig] = None,
     trials: int = 300,
@@ -71,8 +63,10 @@ def run_fig1(
         soc = DEFAULT_SOC
     mem = MemoryHierarchy.from_soc(soc)
     rng = random.Random(seed)
+    qos = QosModel(soc)
     iso = {
-        n: _isolated_runtime(n, soc, mem, tiles_per_app) for n in networks
+        n: qos.isolated_latency(build_model(n), mem, tiles_per_app)
+        for n in networks
     }
     # Co-located applications also pressure the shared L2's capacity:
     # Algorithm 1's residency checks are evaluated with the trial's

@@ -83,8 +83,6 @@ class CellResult:
         cost_cache_hits / cost_cache_misses: Network-cost cache probes
             during the cell (generation + simulation); a pre-warmed
             worker runs every cell at zero misses.
-        predict_memo_hits / predict_memo_misses: ``BlockCost.predict``
-            memo probes during the cell.
         events: Simulation events the cell's engine loop processed.
             This and the decision counters below describe the cell's
             simulation, which a follower cell shares with its lead
@@ -108,8 +106,6 @@ class CellResult:
     worker_pid: int = 0
     cost_cache_hits: int = 0
     cost_cache_misses: int = 0
-    predict_memo_hits: int = 0
-    predict_memo_misses: int = 0
     events: int = 0
     block_time_recomputes: int = 0
     block_time_reuses: int = 0
@@ -393,10 +389,13 @@ class SweepResults:
 
     def cache_stats(self) -> Dict[str, int]:
         """Cache counters summed over every accumulated cell."""
-        return {
+        stats = {
             name: sum(getattr(c, name) for c in self._cells.values())
             for name in CACHE_COUNTER_FIELDS
         }
+        # Always 0 (no predict memo); kept for perfbench's harness.
+        stats.update(predict_memo_hits=0, predict_memo_misses=0)
+        return stats
 
     def decision_stats(self) -> Dict[str, int]:
         """Engine/decision counters summed over every accumulated

@@ -214,9 +214,8 @@ def run_cell_detail(
     level -- generates its tasks as usual, then takes the lead's run
     with its own SLA targets instead of simulating: the result and
     every decision counter are what its own simulation would give.
-    An unchecked Static or Prema run probes no process-global cache,
-    so a follower's cache telemetry (its generation probes) is exact
-    too.  One store serves one sweep: one SoC, one factory per policy
+    A Static or Prema run probes no process-global cache, so a
+    follower's cache telemetry (its generation probes) is exact too.  One store serves one sweep: one SoC, one factory per policy
     name.  Under ``REPRO_CHECK=1`` each follower is also simulated,
     and a difference in its results or decision counters raises
     :class:`~repro.sanitizer.SanitizerError`.

@@ -24,12 +24,9 @@ from typing import Callable, List, Sequence, Tuple
 from repro.baselines.static_partition import StaticPartitionPolicy
 from repro.config import DEFAULT_SOC, MIB, SoCConfig
 from repro.core.policy import MoCAPolicy
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.metrics import summarize
-from repro.models.zoo import workload_set
-from repro.sim.engine import run_simulation
-from repro.sim.qos import QosLevel, QosModel
-from repro.sim.workload import WorkloadConfig, WorkloadGenerator
+from repro.experiments.runner import run_matrix
+from repro.scenarios import ScenarioSpec
+from repro.sim.qos import QosLevel
 
 
 @dataclass(frozen=True)
@@ -56,21 +53,16 @@ class SweepPoint:
 
 def _evaluate(soc: SoCConfig, num_tasks: int, seeds: Sequence[int],
               workload: str = "C") -> Tuple[float, float]:
-    mem = MemoryHierarchy.from_soc(soc)
-    gen = WorkloadGenerator(soc, workload_set(workload), mem,
-                            QosModel(soc, slack_factor=2.0))
-    moca_rates, static_rates = [], []
-    for seed in seeds:
-        tasks = gen.generate(WorkloadConfig(
-            num_tasks=num_tasks, qos_level=QosLevel.HARD, load_factor=0.7,
-            seed=seed,
-        ))
-        moca = run_simulation(soc, tasks, MoCAPolicy(), mem=mem)
-        static = run_simulation(soc, tasks, StaticPartitionPolicy(), mem=mem)
-        moca_rates.append(summarize("moca", moca.results).sla_rate)
-        static_rates.append(summarize("static", static.results).sla_rate)
-    n = len(seeds)
-    return sum(moca_rates) / n, sum(static_rates) / n
+    spec = ScenarioSpec(
+        workload_set=workload, qos_level=QosLevel.HARD,
+        num_tasks=num_tasks, seeds=tuple(seeds), load_factor=0.7,
+        slack_factor=2.0,
+    )
+    cell = run_matrix(
+        [spec], {"moca": MoCAPolicy, "static": StaticPartitionPolicy},
+        soc=soc,
+    )[spec.label]
+    return cell["moca"].sla_rate, cell["static"].sla_rate
 
 
 def _sweep(

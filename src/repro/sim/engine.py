@@ -195,7 +195,7 @@ class Simulator:
         # every (block, tiles) point the run can ever evaluate, built
         # through BlockCost.predict, plus the remaining-latency
         # suffixes.  The epoch solve and the policies read these
-        # instead of probing the predict memo per call.
+        # instead of calling predict per event.
         dram_bw = self.mem.dram_bandwidth
         l2_bw = self.mem.l2_bandwidth
         for job in self.jobs.values():

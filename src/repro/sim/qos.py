@@ -74,10 +74,8 @@ class QosModel:
         (defaults to the whole SoC — the metrics' ``C_single``)."""
         if mem is None:
             mem = MemoryHierarchy.from_soc(self.soc)
-        tiles = self.soc.num_tiles if num_tiles is None else num_tiles
-        cost = build_network_cost(network, self.soc, mem)
-        return cost.total_prediction(
-            tiles, mem.dram_bandwidth, mem.l2_bandwidth, self.soc.overlap_f
+        return self.isolated_latency_from_cost(
+            build_network_cost(network, self.soc, mem), mem, num_tiles
         )
 
     def isolated_latency_from_cost(
@@ -86,11 +84,23 @@ class QosModel:
         mem: MemoryHierarchy,
         num_tiles: Optional[int] = None,
     ) -> float:
-        """Same as :meth:`isolated_latency` from a prebuilt cost."""
+        """Same as :meth:`isolated_latency` from a prebuilt cost.
+
+        Read off the network's :class:`~repro.core.latency.RuntimeTable`
+        (the one the simulator reads): the column is summed left to
+        right from 0, the float ``NetworkCost.total_prediction``
+        returns.
+        """
         tiles = self.soc.num_tiles if num_tiles is None else num_tiles
-        return cost.total_prediction(
-            tiles, mem.dram_bandwidth, mem.l2_bandwidth, self.soc.overlap_f
+        if not 1 <= tiles <= self.soc.num_tiles:
+            raise ValueError(
+                f"num_tiles must be in 1..{self.soc.num_tiles}, got {tiles}"
+            )
+        table = cost.runtime_table(
+            mem.dram_bandwidth, mem.l2_bandwidth, self.soc.overlap_f,
+            self.soc.num_tiles,
         )
+        return sum(row[tiles - 1] for row in table.t_full_rows)
 
     def baseline_target(
         self, network: Network, mem: Optional[MemoryHierarchy] = None

@@ -19,6 +19,7 @@ from repro.core.latency import build_network_cost
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.models.zoo import build_model
 from repro.sim.job import Task
+from repro.sim.qos import QosModel
 
 FORMAT_VERSION = 1
 
@@ -107,15 +108,13 @@ def load_tasks(
     """
     if mem is None:
         mem = MemoryHierarchy.from_soc(soc)
+    qos = QosModel(soc)
     payload = _parse_payload(text)
     tasks: List[Task] = []
     for entry in payload["tasks"]:
         network = build_model(entry["network"])
         cost = build_network_cost(network, soc, mem)
-        isolated = cost.total_prediction(
-            soc.num_tiles, mem.dram_bandwidth, mem.l2_bandwidth,
-            soc.overlap_f,
-        )
+        isolated = qos.isolated_latency_from_cost(cost, mem)
         tasks.append(
             Task(
                 task_id=entry["task_id"],

@@ -275,6 +275,28 @@ class TestSweepGuards:
                 )
             assert time.time() - t0 < 5.0
 
+    def test_serial_cell_timeout_refused(self, monkeypatch):
+        """A one-worker run cannot interrupt a cell, so ``--cell-timeout``
+        is refused before any cell runs instead of silently ignored:
+        on a local sweep, on ``--workers 0`` resolving to one CPU, and
+        on a coordinator worker."""
+        base = ["sweep", "--scenarios", "bursty-mixed", "--tasks", "8",
+                "--seeds", "1", "--cell-timeout", "0.001"]
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        for argv in (
+            base,
+            base + ["--workers", "1"],
+            base + ["--workers", "0"],
+            ["sweep", "--worker", "http://127.0.0.1:1",
+             "--cell-timeout", "5"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert str(excinfo.value) == (
+                "sweep: --cell-timeout needs --workers >= 2 (a serial "
+                "cell cannot be interrupted)"
+            ), argv
+
     def test_merge_empty_dir_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["merge", str(tmp_path)])

@@ -1,6 +1,6 @@
-"""Coverage for the PR 1 cost-cache helpers: the network-cost cache,
-the per-block predict memos, their invalidation hooks, the
-order-sensitive structural fingerprint and the cache telemetry."""
+"""Coverage for the cost-cache helpers: the network-cost cache and
+its runtime tables, the invalidation hook, the order-sensitive
+structural fingerprint and the cache telemetry."""
 
 from dataclasses import replace
 
@@ -13,12 +13,12 @@ from repro.core.latency import (
     build_network_cost,
     cache_stats,
     clear_network_cost_cache,
-    clear_predict_memos,
     reset_cache_stats,
     warm_network_cost_cache,
 )
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.models.zoo import build_model
+from repro.sim.qos import QosModel
 
 
 @pytest.fixture()
@@ -159,23 +159,30 @@ class TestCacheTelemetry:
         assert stats["cost_cache_hits"] == 1
         assert stats["cost_cache_misses"] == 1
 
-    def test_warm_then_predict_is_all_hits(self, cold_cache, mem):
+    def test_warm_then_predict_is_all_hits(
+        self, cold_cache, mem, monkeypatch
+    ):
         """After warm_network_cost_cache, every full-bandwidth predict
-        point the engine evaluates is a memo hit."""
+        point the engine and the QoS sizing read is already in the
+        network's runtime table: the build is a cost-cache hit and no
+        block is evaluated again."""
         net = build_model("kws")
         warm_network_cost_cache([net], DEFAULT_SOC, mem)
         reset_cache_stats()
+        calls = []
+        real = BlockCost.predict
+        monkeypatch.setattr(
+            BlockCost, "predict",
+            lambda self, *args: calls.append(args) or real(self, *args),
+        )
         cost = build_network_cost(net, DEFAULT_SOC, mem)  # pure hit
-        for block in cost.blocks:
-            for tiles in range(1, DEFAULT_SOC.num_tiles + 1):
-                block.predict(
-                    tiles, mem.dram_bandwidth, mem.l2_bandwidth,
-                    DEFAULT_SOC.overlap_f,
-                )
-        stats = cache_stats()
-        assert stats["predict_memo_misses"] == 0
-        assert stats["predict_memo_hits"] > 0
-        assert stats["cost_cache_hits"] == 1  # the build above
+        cost.runtime_table(
+            mem.dram_bandwidth, mem.l2_bandwidth, DEFAULT_SOC.overlap_f,
+            DEFAULT_SOC.num_tiles,
+        )
+        QosModel(DEFAULT_SOC).isolated_latency(net, mem, num_tiles=2)
+        assert calls == []
+        assert cache_stats() == {"cost_cache_hits": 2, "cost_cache_misses": 0}
 
     def test_reset_zeroes_counters_not_caches(self, cold_cache, mem):
         net = build_model("kws")
@@ -183,113 +190,3 @@ class TestCacheTelemetry:
         reset_cache_stats()
         assert all(v == 0 for v in cache_stats().values())
         assert build_network_cost(net, DEFAULT_SOC, mem) is first
-
-
-class TestPredictMemoLRU:
-    def _point(self, mem, scale=1.0):
-        return (
-            1, mem.dram_bandwidth * scale, mem.l2_bandwidth,
-            DEFAULT_SOC.overlap_f,
-        )
-
-    def test_cap_bounds_memo(self, cold_cache, mem, monkeypatch):
-        """ISSUE satellite: the per-block predict memo is bounded —
-        flooding it with distinct bandwidth points (what a long
-        continuous-style run does) evicts instead of growing without
-        limit, and an evicted point recomputes the identical float."""
-        monkeypatch.setattr(latency, "_PREDICT_MEMO_CAP", 8)
-        cost = build_network_cost(build_model("kws"), DEFAULT_SOC, mem)
-        block = cost.blocks[0]
-        block.clear_predict_memo()
-        first_point = self._point(mem)
-        baseline = block.predict(*first_point)
-        for i in range(1, 50):
-            block.predict(*self._point(mem, scale=1.0 / (1.0 + i)))
-        memo = block.__dict__["_predict_memo"]
-        assert len(memo) <= 8
-        assert first_point not in memo  # evicted by the flood
-        assert block.predict(*first_point) == baseline
-
-    def test_hits_refresh_recency(self, cold_cache, mem, monkeypatch):
-        """A hit moves its entry to most-recently-used: after probing
-        cap distinct points, re-hitting the oldest and inserting one
-        more evicts the *second*-oldest, not the re-hit one."""
-        monkeypatch.setattr(latency, "_PREDICT_MEMO_CAP", 4)
-        cost = build_network_cost(build_model("kws"), DEFAULT_SOC, mem)
-        block = cost.blocks[0]
-        block.clear_predict_memo()
-        points = [
-            self._point(mem, scale=1.0 / (1.0 + i)) for i in range(4)
-        ]
-        for p in points:
-            block.predict(*p)
-        block.predict(*points[0])  # refresh the oldest
-        block.predict(*self._point(mem, scale=0.01))  # force eviction
-        memo = block.__dict__["_predict_memo"]
-        assert points[0] in memo
-        assert points[1] not in memo
-
-    def test_eviction_never_changes_metrics(
-        self, cold_cache, monkeypatch
-    ):
-        """A full MoCA simulation with the predict memo capped to a
-        pathologically tiny size produces bit-identical results to
-        the unbounded run — eviction is identity-pinned, it can only
-        cost time, never change a number."""
-        from repro.core.policy import MoCAPolicy
-        from repro.sim.engine import run_simulation
-        from repro.sim.qos import QosLevel
-        from repro.sim.workload import WorkloadConfig, WorkloadGenerator
-        from repro.models.zoo import workload_set
-
-        mem = MemoryHierarchy.from_soc(DEFAULT_SOC)
-        gen = WorkloadGenerator(DEFAULT_SOC, workload_set("A"), mem)
-        tasks = gen.generate(
-            WorkloadConfig(
-                num_tasks=16, qos_level=QosLevel.MEDIUM, seed=7
-            )
-        )
-
-        def run():
-            clear_network_cost_cache()
-            clear_predict_memos()
-            return run_simulation(
-                DEFAULT_SOC, tasks, MoCAPolicy(), mem=mem
-            )
-
-        reference = run()
-        monkeypatch.setattr(latency, "_PREDICT_MEMO_CAP", 4)
-        capped = run()
-        assert capped.results == reference.results
-        assert capped.makespan == reference.makespan
-
-
-class TestPredictMemo:
-    def test_clear_predict_memos_invalidates(
-        self, cold_cache, mem, monkeypatch
-    ):
-        """clear_predict_memos() drops the per-block memo of every
-        cached cost: the compute counter moves again after a clear."""
-        cost = build_network_cost(build_model("kws"), DEFAULT_SOC, mem)
-        block = cost.blocks[0]
-        point = (4, mem.dram_bandwidth, mem.l2_bandwidth,
-                 DEFAULT_SOC.overlap_f)
-
-        calls = {"n": 0}
-        real = BlockCost.compute_ideal
-
-        def counting(self, num_tiles):
-            calls["n"] += 1
-            return real(self, num_tiles)
-
-        monkeypatch.setattr(BlockCost, "compute_ideal", counting)
-        block.clear_predict_memo()
-
-        first = block.predict(*point)
-        assert calls["n"] == 1
-        assert block.predict(*point) == first
-        assert calls["n"] == 1  # memo hit, no recompute
-
-        clear_predict_memos()
-        assert block.predict(*point) == first
-        assert calls["n"] == 2  # memo dropped, recomputed

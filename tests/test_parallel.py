@@ -134,10 +134,8 @@ def _tasks(num_tasks=12, seed=3):
 
 
 def _force_recompute(sim):
-    """Solve from scratch: drop the per-block prediction memos and run
-    the reference solve."""
-    for job in sim.running:
-        job.current_block.clear_predict_memo()
+    """Solve from scratch with the reference solve, which calls
+    ``BlockCost.predict`` directly."""
     return solve_block_times(sim)
 
 

@@ -65,6 +65,37 @@ class TestTracedLayers:
             assert callable(target), (layer, module_name, class_name, attr)
 
 
+class TestBenchmarkReads:
+    def test_sweep_telemetry_names_resolve(self):
+        """Each sweep attribute and counter key the benchmark harness
+        (``perfbench/sweep.py``) reads exists under that name.  A
+        rename in ``src/`` then fails here, not in a benchmark run."""
+        from repro.experiments.parallel import ParallelRunner, Supervision
+        from repro.experiments.runner import ScenarioSpec
+        from repro.sim.qos import QosLevel
+
+        runner = ParallelRunner(workers=1)
+        spec = ScenarioSpec(
+            workload_set="A", qos_level=QosLevel.MEDIUM, num_tasks=4,
+            seeds=(1,),
+        )
+        acc = runner.run_supervised([spec], supervision=Supervision())
+        assert runner.last_mode in ("serial", "parallel")
+        assert runner.workers == 1
+        assert runner.total_warmup_timeouts == 0
+        assert acc.complete and len(acc) == acc.expected
+        assert acc.matrix()
+        assert all(cell.seconds >= 0.0 for cell in acc.cells())
+        assert set(acc.cache_stats()) >= {
+            "cost_cache_hits", "cost_cache_misses",
+            "predict_memo_hits", "predict_memo_misses",
+        }
+        assert set(acc.decision_stats()) >= {
+            "events", "block_time_reuses", "block_time_recomputes",
+            "decisions", "plans_applied", "plan_actions",
+        }
+
+
 class TestImportHygiene:
     def test_local_sweep_imports_skip_the_execution_layer(self):
         """A local or pool sweep never loads the coordinator/HTTP layer

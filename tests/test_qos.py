@@ -78,3 +78,28 @@ class TestQosModel:
         assert qos.isolated_latency_from_cost(cost, mem) == pytest.approx(
             qos.isolated_latency(net, mem)
         )
+
+
+class TestRuntimeTablePath:
+    """Isolated latencies are read off the network's runtime table,
+    the one memo of Algorithm 1."""
+
+    @pytest.mark.parametrize("name", model_names())
+    def test_table_sum_equals_total_prediction(self, mem, name):
+        from repro.core.latency import build_network_cost
+
+        qos = QosModel(DEFAULT_SOC)
+        cost = build_network_cost(build_model(name), DEFAULT_SOC, mem)
+        for tiles in range(1, DEFAULT_SOC.num_tiles + 1):
+            want = cost.total_prediction(
+                tiles, mem.dram_bandwidth, mem.l2_bandwidth,
+                DEFAULT_SOC.overlap_f,
+            )
+            got = qos.isolated_latency_from_cost(cost, mem, tiles)
+            assert got.hex() == want.hex(), tiles
+
+    @pytest.mark.parametrize("tiles", [0, -1, DEFAULT_SOC.num_tiles + 1])
+    def test_out_of_range_tiles_refused(self, mem, tiles):
+        qos = QosModel(DEFAULT_SOC)
+        with pytest.raises(ValueError, match="num_tiles must be in"):
+            qos.isolated_latency(build_model("kws"), mem, num_tiles=tiles)

@@ -60,11 +60,8 @@ def _scrambled(tasks, rng):
 
 class TestDeadlineDeclarations:
     def test_blind_policies_ignore_targets_and_the_others_do_not(
-        self, soc, monkeypatch
+        self, soc
     ):
-        # Unchecked runs: the sanitizer's reference solve probes the
-        # predict memos, which the zero-probe assertion below excludes.
-        monkeypatch.setattr(sanitizer, "enabled", False)
         policies = default_policies()
         blind = {
             name for name, factory in policies.items()

@@ -1,5 +1,7 @@
 """Tests for repro.experiments.sweeps (appendix-F customization)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.sweeps import (
@@ -42,3 +44,49 @@ class TestSweeps:
         text = format_sweep("title", points)
         assert "title" in text
         assert "2.00x" in text
+
+
+class TestSweepCellsThroughRunMatrix:
+    """Sweep cells run through the one cell builder
+    (``run_matrix``); the points equal a plain generate-and-simulate
+    loop bit for bit."""
+
+    @staticmethod
+    def _plain(soc, num_tasks, seeds):
+        from repro.baselines.static_partition import StaticPartitionPolicy
+        from repro.core.policy import MoCAPolicy
+        from repro.memory.hierarchy import MemoryHierarchy
+        from repro.metrics import summarize
+        from repro.models.zoo import workload_set
+        from repro.sim.engine import run_simulation
+        from repro.sim.qos import QosLevel, QosModel
+        from repro.sim.workload import WorkloadConfig, WorkloadGenerator
+
+        mem = MemoryHierarchy.from_soc(soc)
+        gen = WorkloadGenerator(soc, workload_set("C"), mem,
+                                QosModel(soc, slack_factor=2.0))
+        rates = {"moca": [], "static": []}
+        for seed in seeds:
+            tasks = gen.generate(WorkloadConfig(
+                num_tasks=num_tasks, qos_level=QosLevel.HARD,
+                load_factor=0.7, seed=seed,
+            ))
+            for name, policy in (("moca", MoCAPolicy()),
+                                 ("static", StaticPartitionPolicy())):
+                result = run_simulation(soc, tasks, policy, mem=mem)
+                rates[name].append(summarize(name, result.results).sla_rate)
+        return tuple(sum(r) / len(r) for r in rates.values())
+
+    @pytest.mark.parametrize("mutate", [
+        lambda soc: soc,
+        lambda soc: dataclasses.replace(
+            soc, dram_bandwidth_bytes_per_cycle=8.0
+        ),
+        lambda soc: soc.with_tiles(4),
+    ], ids=["default", "8B-per-cycle", "4-tiles"])
+    def test_points_match_plain_loop(self, mutate):
+        from repro.config import DEFAULT_SOC
+        from repro.experiments.sweeps import _evaluate
+
+        soc = mutate(DEFAULT_SOC)
+        assert _evaluate(soc, 16, (1, 2)) == self._plain(soc, 16, (1, 2))

@@ -370,40 +370,32 @@ class TestFastPathIdentity:
         assert tuple(runs["on"].results) == tuple(runs["off"].results)
 
 
-class TestPredictMemoPickleFlat:
-    """satellite: the predict memo must not leak into pickles.
+class TestCostPickleFlat:
+    """No cache state leaks into pickles.
 
-    A warm parent process was shipping every ``BlockCost``'s memo dict
-    (and every ``NetworkCost``'s runtime-table cache) inside the task
-    payload of each pool worker; payload size grew with how long the
-    parent had been running.  ``__getstate__`` drops both caches, so a
+    A warm parent process must not ship a ``NetworkCost``'s
+    runtime-table cache inside the task payload of each pool worker;
+    ``__getstate__`` drops it, and ``BlockCost`` keeps no cache, so a
     warm instance pickles byte-for-byte like a cold one.
     """
 
     def test_warm_cost_pickles_byte_identical_to_cold(self, soc, mem):
         cost = build_network_cost(build_model("squeezenet"), soc, mem)
-        for block in cost.blocks:
-            block.clear_predict_memo()
         cost.__dict__.pop("_runtime_tables", None)
         cold = pickle.dumps(cost)
-        # Warm the caches hard: many predict points + runtime tables.
+        # Warm every cache a simulation and the QoS sizing touch.
         for tiles in range(1, soc.num_tiles + 1):
-            cost.total_prediction(
-                tiles, mem.dram_bandwidth, mem.l2_bandwidth,
-                soc.overlap_f,
-            )
+            QosModel(soc).isolated_latency_from_cost(cost, mem, tiles)
             for block in cost.blocks:
                 block.predict(
                     tiles, mem.dram_bandwidth * 1.5,
                     mem.l2_bandwidth, soc.overlap_f,
                 )
         cost.runtime_table(
-            mem.dram_bandwidth, mem.l2_bandwidth, soc.overlap_f,
+            mem.dram_bandwidth * 1.5, mem.l2_bandwidth, soc.overlap_f,
             soc.num_tiles,
         )
-        assert any(
-            "_predict_memo" in b.__dict__ for b in cost.blocks
-        )
+        assert len(cost.__dict__["_runtime_tables"]) == 2
         warm = pickle.dumps(cost)
         assert warm == cold
 
