@@ -32,6 +32,12 @@ fi
 echo "== tier-1 pytest =="
 python -m pytest -x -q
 
+echo "== tier-1 pytest, sanitized (REPRO_CHECK=1) =="
+# The same suite with the runtime sanitizer on, so a failure that only
+# shows while it re-checks block times, plans and shared followers
+# cannot hide.
+REPRO_CHECK=1 python -m pytest -x -q
+
 echo "== slow suite =="
 python -m pytest -x -q -m slow
 

@@ -27,8 +27,9 @@ Sweep exit codes (stable, scriptable)::
         cell drained; for --worker: the coordinator reported drained)
     3   degraded — the sweep finished, but persistently failing
         cells were quarantined (re-run them with sweep --resume DIR)
-    1   hard error — usage errors, refused directories, unreadable
-        artifacts; nothing was partially delivered
+    1   hard error — usage errors (a flag the mode does not read: see
+        ``_MODES``), refused directories, unreadable artifacts;
+        nothing was partially delivered
     86  a worker killed by an injected crash fault (--inject-faults
         'crash:...' in --worker mode treats the whole process as the
         disposable unit; the coordinator re-leases its cells)
@@ -40,7 +41,7 @@ import argparse
 import re
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.experiments.fig1_motivation import format_fig1, run_fig1
 from repro.experiments.fig5_sla import format_fig5, run_fig5
@@ -206,20 +207,16 @@ def _export_filename(label: str) -> str:
 def _ensure_out_dir(out_dir, force: bool, prog: str,
                     allow_non_empty: bool = False,
                     create: bool = True):
-    """Create (or vet) an export directory — vetting only, no deletion.
+    """Vet an export directory and, unless ``create=False``, create
+    it; never delete anything.
 
-    ISSUE bugfix: an existing directory with prior artifacts used to
-    be clobbered without warning.  A non-empty directory is now
-    refused unless ``--force`` was passed; empty or absent
-    directories are created silently.  Called *before* the run so a
-    refusal cannot discard computed results; the actual cleanup of
-    prior artifacts is :func:`_clean_out_dir`, deferred until the
-    new results exist.  ``allow_non_empty`` skips the emptiness check
-    (the shard path shares one directory across N partials and guards
-    only its own file).  ``create=False`` vets without mkdir — the
-    pre-sweep check must not leave a stray empty directory behind
-    when the run itself later fails (the export writer creates the
-    directory once results exist).
+    A non-empty directory is refused unless ``force``.  Callers vet
+    *before* the run, so a refusal cannot discard computed results;
+    :func:`_clean_out_dir` removes prior artifacts once the new
+    results exist.  ``allow_non_empty`` skips the emptiness check
+    (shards share one directory and guard only their own file).
+    ``create=False`` vets without mkdir, so a run that fails later
+    leaves no stray empty directory (the export writer creates it).
     """
     from pathlib import Path
 
@@ -369,35 +366,6 @@ def _write_sweep_exports(
     return written
 
 
-def _build_supervision(args):
-    """Build the :class:`~repro.experiments.parallel.Supervision`
-    policy from the sweep flags (clean one-line errors for bad
-    values)."""
-    from repro.experiments.parallel import Supervision
-
-    try:
-        supervision = Supervision(
-            max_retries=args.max_retries,
-            cell_timeout=args.cell_timeout,
-            backoff_base=args.retry_backoff,
-            fault_plan=args.inject_faults,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"sweep: {exc}") from exc
-    _check_cell_timeout(args)
-    return supervision
-
-
-def _check_cell_timeout(args) -> None:
-    """Refuse ``--cell-timeout`` on a one-worker run: its cells run
-    in-process, where a hung cell cannot be interrupted."""
-    if args.cell_timeout is not None and _sweep_runner(args).workers == 1:
-        raise SystemExit(
-            "sweep: --cell-timeout needs --workers >= 2 (a serial "
-            "cell cannot be interrupted)"
-        )
-
-
 def _failure_report(acc, out_dir=None) -> str:
     """Human summary of a degraded sweep: what was quarantined, why,
     and how to heal it."""
@@ -418,16 +386,6 @@ def _failure_report(acc, out_dir=None) -> str:
     return "\n".join(lines)
 
 
-def _sweep_runner(args):
-    """The :class:`~repro.experiments.parallel.ParallelRunner` a
-    sweep-family invocation asked for — the worker count rides on
-    the runner, so the local, shard and coordinator-worker execution
-    paths pick it up identically."""
-    from repro.experiments.parallel import ParallelRunner
-
-    return ParallelRunner(workers=args.workers or None)
-
-
 def _supervised_sweep(specs, args, out=None, manifest=None, acc=None):
     """Run the cells of ``specs`` that ``acc`` still lacks under
     supervision, journaling into ``out`` when exporting.  Shared by
@@ -442,7 +400,7 @@ def _supervised_sweep(specs, args, out=None, manifest=None, acc=None):
     from repro.experiments.sharding import CellJournal, manifest_policies
     from repro.reporting import decision_summary
 
-    supervision = _build_supervision(args)
+    supervision = args.supervision
     plan = supervision.fault_plan
     journal = None
     on_cell = on_failure = None
@@ -472,9 +430,8 @@ def _supervised_sweep(specs, args, out=None, manifest=None, acc=None):
             policies = manifest_policies(manifest)
         except ValueError as exc:
             raise SystemExit(f"sweep: {exc}") from exc
-    runner = _sweep_runner(args)
     try:
-        acc = runner.run_supervised(
+        acc = args.runner.run_supervised(
             specs, policies, supervision=supervision, acc=acc,
             on_cell=on_cell, on_failure=on_failure,
         )
@@ -504,7 +461,7 @@ def _finish_sweep(acc, args, out, discard=None) -> Tuple[str, int]:
     matrix = acc.matrix()
     if out is not None:
         written = _write_sweep_exports(
-            matrix, acc.specs, out, args.formats or _EXPORT_FORMATS,
+            matrix, acc.specs, out, args.format or _EXPORT_FORMATS,
             policies=acc.policies, clean=args.force,
         )
         print(
@@ -514,132 +471,58 @@ def _finish_sweep(acc, args, out, discard=None) -> Tuple[str, int]:
     return per_scenario_summary(matrix), EXIT_OK
 
 
-def _run_sweep(args) -> Tuple[str, int]:
-    """The ``sweep`` subcommand: registry scenarios -> summary tables,
-    optionally exported as per-scenario JSON/CSV artifacts.
+def _run_sweep_list(args) -> Tuple[str, int]:
+    """``sweep --list``: the registered scenarios."""
+    from repro.scenarios import format_scenario_table
 
-    Returns ``(text, exit_code)`` — exit codes per the module
-    docstring (0 complete / 3 degraded / 1 hard error, the last via
-    SystemExit)."""
+    return format_scenario_table(), EXIT_OK
+
+
+def _sweep_specs(args) -> list:
+    """The scenarios a fresh sweep runs: ``--scenarios`` expanded
+    against the registry, with the ``--tasks``/``--seeds``/
+    ``--cadence`` overrides applied and the labels checked unique."""
     from dataclasses import replace
 
-    from repro.scenarios import format_scenario_table, get_scenario
+    from repro.experiments.runner import check_unique_labels
+    from repro.scenarios import get_scenario
 
-    if args.list_scenarios:
-        return format_scenario_table(), EXIT_OK
-    if args.worker_url is not None:
-        blocked = [
-            (flag, value)
-            for flag, value in (
-                ("--scenarios", args.scenarios or None),
-                ("--serve", args.serve or None),
-                ("--out", args.out),
-                ("--shard", args.shard),
-                ("--resume", args.resume),
-                ("--tasks", args.tasks),
-                ("--seeds", args.seeds),
-                ("--cadence", args.cadence),
-                ("--format", args.formats),
-            )
-            if value is not None
-        ]
-        if blocked:
-            raise SystemExit(
-                f"sweep: {blocked[0][0]} cannot be combined with "
-                f"--worker (the coordinator owns the manifest, the "
-                f"overrides and the exports)"
-            )
-        return _run_sweep_worker(args)
-    if args.resume is not None:
-        blocked = [
-            (flag, value)
-            for flag, value in (
-                ("--scenarios", args.scenarios or None),
-                ("--shard", args.shard),
-                ("--tasks", args.tasks),
-                ("--seeds", args.seeds),
-                ("--cadence", args.cadence),
-            )
-            if value is not None
-        ]
-        if blocked:
-            raise SystemExit(
-                f"sweep: {blocked[0][0]} cannot be combined with "
-                f"--resume (the sweep's manifest already pins the "
-                f"scenarios and overrides)"
-            )
-        if args.serve:
-            return _run_sweep_serve(args)
-        return _run_sweep_resume(args)
-    if not args.scenarios:
+    if args.scenarios is None:
         raise SystemExit(
             "sweep: pass --scenarios NAME[,NAME...], --resume DIR or "
             "--list (e.g. --scenarios bursty-mixed,diurnal-light)"
         )
-    if args.workers < 0:
-        raise SystemExit("sweep: --workers must be >= 0 (0 = one per CPU)")
-    if args.serve:
-        if args.shard is not None:
-            raise SystemExit(
-                "sweep: --shard cannot be combined with --serve (a "
-                "coordinator leases cells dynamically; static shards "
-                "plan their slice locally)"
-            )
-        if args.out is None:
-            raise SystemExit(
-                "sweep: --serve requires --out DIR (the lease "
-                "journal, coordinator.json and the final exports "
-                "live there)"
-            )
-    if args.formats is not None and args.out is None:
-        raise SystemExit("sweep: --format requires --out DIR")
-    if args.shard is not None:
-        if args.out is None:
-            raise SystemExit(
-                "sweep: --shard requires --out DIR (the partial "
-                "artifact destination)"
-            )
-        if args.formats is not None:
-            raise SystemExit(
-                "sweep: --format has no effect with --shard (partial "
-                "artifacts are always JSON; pass --format to merge)"
-            )
-        if args.decisions:
-            raise SystemExit(
-                "sweep: --decisions has no effect with --shard (the "
-                "partial artifact already carries every cell's "
-                "decision counters; merge the shards first)"
-            )
+    overrides = {}
+    if args.tasks is not None:
+        overrides["num_tasks"] = args.tasks
+    if args.seeds is not None:
+        overrides["seeds"] = args.seeds
+    if args.cadence is not None:
+        overrides["decision_cadence"] = args.cadence.mode
+        overrides["decision_interval"] = args.cadence.interval
     specs = []
     for name in _expand_scenario_patterns(args.scenarios):
         try:
             spec = get_scenario(name)
         except KeyError as exc:
             raise SystemExit(f"sweep: {exc.args[0]}") from exc
-        overrides = {}
-        if args.tasks is not None:
-            overrides["num_tasks"] = args.tasks
-        if args.seeds is not None:
-            overrides["seeds"] = args.seeds
-        if args.cadence is not None:
-            overrides["decision_cadence"] = args.cadence.mode
-            overrides["decision_interval"] = args.cadence.interval
         try:
             specs.append(replace(spec, **overrides) if overrides else spec)
         except ValueError as exc:
             raise SystemExit(f"sweep: bad override for {name}: {exc}") from exc
     # Usage errors get clean one-liners; errors raised *inside* the
     # simulation keep their tracebacks.
-    from repro.experiments.runner import check_unique_labels
-
     try:
         check_unique_labels(specs)
     except ValueError as exc:
         raise SystemExit(f"sweep: {exc}") from exc
-    if args.serve:
-        return _run_sweep_serve(args, specs=specs)
-    if args.shard is not None:
-        return _run_sweep_shard(specs, args)
+    return specs
+
+
+def _run_sweep_local(args) -> Tuple[str, int]:
+    """``sweep --scenarios ...``: run every cell here, optionally
+    exporting into ``--out DIR``."""
+    specs = _sweep_specs(args)
     out = None
     if args.out is not None:
         # Vet the destination and export names BEFORE the
@@ -658,7 +541,7 @@ def _run_sweep(args) -> Tuple[str, int]:
     return _finish_sweep(acc, args, out, discard)
 
 
-def _run_sweep_shard(specs, args) -> Tuple[str, int]:
+def _run_sweep_shard(args) -> Tuple[str, int]:
     """``sweep --shard I/N``: run one shard, write its partial artifact.
 
     Every shard of the same sweep must be invoked with identical
@@ -676,7 +559,7 @@ def _run_sweep_shard(specs, args) -> Tuple[str, int]:
     from repro.experiments.sharding import partial_to_json, run_shard
 
     shard_index, num_shards = args.shard
-    manifest = cell_manifest(specs)
+    manifest = cell_manifest(_sweep_specs(args))
     # Vet only; the directory is created just before the write so a
     # shard failing mid-run leaves no stray empty directory behind.
     out = _ensure_out_dir(args.out, args.force, "sweep",
@@ -687,9 +570,8 @@ def _run_sweep_shard(specs, args) -> Tuple[str, int]:
             f"sweep: {path} already exists; pass --force to overwrite"
         )
     partial = run_shard(
-        manifest, shard_index, num_shards, workers=args.workers,
-        runner=_sweep_runner(args),
-        supervision=_build_supervision(args),
+        manifest, shard_index, num_shards,
+        runner=args.runner, supervision=args.supervision,
     )
     out.mkdir(parents=True, exist_ok=True)
     path.write_text(partial_to_json(partial))
@@ -742,8 +624,6 @@ def _run_sweep_resume(args) -> Tuple[str, int]:
     writes the full exports.  By retry-determinism the final exports
     are byte-identical to an uninterrupted fault-free sweep.
     """
-    if args.workers < 0:
-        raise SystemExit("sweep: --workers must be >= 0 (0 = one per CPU)")
     out, manifest, specs, acc = _load_resume_dir(args)
     print(
         f"sweep: resuming {out}: {len(acc)} of {acc.expected} cells "
@@ -757,7 +637,7 @@ def _run_sweep_resume(args) -> Tuple[str, int]:
     return _finish_sweep(acc, args, out, discard)
 
 
-def _run_sweep_serve(args, specs=None) -> Tuple[str, int]:
+def _run_sweep_serve(args) -> Tuple[str, int]:
     """``sweep --serve``: run the sweep as a coordinator service.
 
     Instead of executing cells locally, serve them over HTTP to any
@@ -770,11 +650,8 @@ def _run_sweep_serve(args, specs=None) -> Tuple[str, int]:
     byte-identical exports a local run writes (and the same exit
     codes: 0 complete, 3 degraded).
 
-    ``specs`` is the fresh-serve scenario list; ``None`` means the
-    resume path (``args.resume`` names the directory).
+    With ``--resume DIR`` it re-serves the cells DIR still lacks.
     """
-    import math
-
     from repro.config import DEFAULT_SOC
     from repro.experiments.execution import (
         Coordinator,
@@ -783,12 +660,8 @@ def _run_sweep_serve(args, specs=None) -> Tuple[str, int]:
     from repro.experiments.results import cell_manifest
     from repro.reporting import decision_summary
 
-    if args.lease_ttl is not None and not 0 < args.lease_ttl < math.inf:
-        raise SystemExit("sweep: --lease-ttl must be positive and finite")
-    if args.lease_cost is not None and args.lease_cost < 1:
-        raise SystemExit("sweep: --lease-cost must be >= 1")
     acc = None
-    if specs is None:
+    if args.resume is not None:
         out, manifest, specs, acc = _load_resume_dir(args)
         print(
             f"sweep: re-serving {out}: {len(acc)} of {acc.expected} "
@@ -798,6 +671,7 @@ def _run_sweep_serve(args, specs=None) -> Tuple[str, int]:
             file=sys.stderr,
         )
     else:
+        specs = _sweep_specs(args)
         out = _ensure_out_dir(args.out, args.force, "sweep")
         _check_export_stems(spec.label for spec in specs)
         if args.force:
@@ -881,6 +755,8 @@ def _run_sweep_worker(args) -> Tuple[str, int]:
     process is the disposable unit in this mode — its leases expire
     and the coordinator re-issues them).
     """
+    from dataclasses import replace
+
     from repro.config import DEFAULT_SOC
     from repro.experiments.execution import (
         HttpTransport,
@@ -888,33 +764,22 @@ def _run_sweep_worker(args) -> Tuple[str, int]:
         TransportError,
     )
     from repro.experiments.faults import activate_in_worker_process
-    from repro.experiments.parallel import Supervision
 
-    if args.workers < 0:
-        raise SystemExit("sweep: --workers must be >= 0 (0 = one per CPU)")
-    try:
-        # NB: the fault plan deliberately does NOT ride Supervision
-        # here — run_supervised installs a supervision plan with the
-        # process-fatal kinds suppressed (this process would survive
-        # its own crash fault).  Worker mode arms the plan
-        # process-level instead: see activate_in_worker_process.
-        supervision = Supervision(
-            max_retries=args.max_retries,
-            cell_timeout=args.cell_timeout,
-            backoff_base=args.retry_backoff,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"sweep: {exc}") from exc
-    _check_cell_timeout(args)
+    # NB: the fault plan deliberately does NOT ride Supervision here —
+    # run_supervised installs a supervision plan with the
+    # process-fatal kinds suppressed (this process would survive its
+    # own crash fault).  Worker mode arms the plan process-level
+    # instead: see activate_in_worker_process.
+    supervision = replace(args.supervision, fault_plan=None)
     if args.inject_faults is not None:
         activate_in_worker_process(args.inject_faults)
     try:
-        transport = HttpTransport(args.worker_url)
+        transport = HttpTransport(args.worker)
     except ValueError as exc:
         raise SystemExit(f"sweep: {exc}") from exc
     worker = SweepWorker(
         transport,
-        runner=_sweep_runner(args),
+        runner=args.runner,
         soc=DEFAULT_SOC,
         supervision=supervision,
     )
@@ -930,7 +795,7 @@ def _run_sweep_worker(args) -> Tuple[str, int]:
     ), EXIT_OK
 
 
-def _run_merge(args) -> str:
+def _run_merge(args) -> Tuple[str, int]:
     """The ``merge`` subcommand: fold shard partials, print the same
     per-scenario summary a one-host sweep prints, optionally write
     the byte-identical export files."""
@@ -939,8 +804,6 @@ def _run_merge(args) -> str:
     from repro.experiments.sharding import merge_partials, partial_from_json
     from repro.reporting import per_scenario_summary
 
-    if args.formats is not None and args.out is None:
-        raise SystemExit("merge: --format requires --out DIR")
     files = []
     for raw in args.paths:
         path = Path(raw)
@@ -994,7 +857,7 @@ def _run_merge(args) -> str:
     if args.out is not None:
         written = _write_sweep_exports(
             matrix, acc.specs, args.out,
-            args.formats or _EXPORT_FORMATS,
+            args.format or _EXPORT_FORMATS,
             policies=acc.policies,
             clean=args.force,
         )
@@ -1002,7 +865,135 @@ def _run_merge(args) -> str:
             f"merge: wrote {len(written)} file(s) to {args.out}",
             file=sys.stderr,
         )
-    return per_scenario_summary(matrix)
+    return per_scenario_summary(matrix), EXIT_OK
+
+
+class _Mode(NamedTuple):
+    """A ``sweep``/``merge`` mode: its runner, every flag the runner
+    reads, and how a refusal names the mode and says why."""
+
+    runner: Callable[[argparse.Namespace], Tuple[str, int]]
+    flags: Tuple[str, ...]
+    label: str
+    why: str
+
+
+_SPEC = ("--scenarios", "--tasks", "--seeds", "--cadence")
+_RUN = ("--workers", "--max-retries", "--cell-timeout", "--retry-backoff",
+        "--inject-faults")
+_SERVE = ("--host", "--port", "--lease-ttl", "--lease-cost")
+_EXPORT = ("--format", "--force", "--decisions")
+#: Flags read only with ``--out``, in the modes that read ``--out``.
+_WITH_OUT = ("--format", "--force", "--shard", "--serve")
+_SERVE_ONLY = "only --serve reads it"
+
+#: The one table of ``sweep``/``merge`` flags (README prints it):
+#: :func:`_check_flags` refuses any flag outside its mode's entry.
+_MODES = {
+    "list": _Mode(_run_sweep_list, ("--list",), "--list",
+                  "it only prints the scenario registry"),
+    "local": _Mode(_run_sweep_local, ("--out",) + _SPEC + _RUN + _EXPORT,
+                   "a local sweep", _SERVE_ONLY),
+    "shard": _Mode(_run_sweep_shard,
+                   ("--shard", "--out", "--force") + _SPEC + _RUN, "--shard",
+                   "a shard writes one JSON partial carrying every "
+                   "cell's counters; merge the shards to export them"),
+    "serve": _Mode(_run_sweep_serve,
+                   ("--serve", "--out") + _SPEC + _SERVE + _EXPORT, "--serve",
+                   "a coordinator leases its cells to 'sweep --worker' "
+                   "processes, which run them"),
+    "resume": _Mode(_run_sweep_resume, ("--resume",) + _RUN + _EXPORT,
+                    "--resume", "the sweep's manifest already pins the "
+                    "scenarios and overrides, and DIR gets the exports"),
+    "resume+serve": _Mode(_run_sweep_serve,
+                          ("--resume", "--serve") + _SERVE + _EXPORT,
+                          "--resume --serve", "DIR pins the sweep and gets "
+                          "its exports; 'sweep --worker' runs its cells"),
+    "worker": _Mode(_run_sweep_worker, ("--worker",) + _RUN, "--worker",
+                    "the coordinator owns the manifest, the overrides, "
+                    "the leases and the exports"),
+    "merge": _Mode(_run_merge, ("--out", "--format", "--force"), "merge", ""),
+}
+
+#: Defaults of the ``sweep``/``merge`` flags.  The parser leaves an
+#: absent flag ``None``, so a given one is detectable;
+#: :func:`_check_flags` fills these in after its check.
+_DEFAULTS = {
+    "workers": 1, "host": "127.0.0.1", "port": 0, "lease_ttl": 30.0,
+    "max_retries": 2, "retry_backoff": 0.5,
+    "decisions": False, "force": False, "list": False, "serve": False,
+}
+
+
+def _mode_of(args) -> str:
+    """The ``_MODES`` key an invocation selects."""
+    if args.command == "merge":
+        return "merge"
+    if args.list:
+        return "list"
+    if args.worker is not None:
+        return "worker"
+    if args.resume is not None:
+        return "resume+serve" if args.serve else "resume"
+    if args.serve:
+        return "serve"
+    return "local" if args.shard is None else "shard"
+
+
+def _check_flags(args, mode: str) -> None:
+    """Refuse, in one line, a flag ``mode`` does not read or a value
+    that cannot work; fill in the defaults; and build the cell-running
+    modes' ``ParallelRunner`` and ``Supervision`` as ``args.runner``
+    and ``args.supervision``."""
+    import math
+
+    from repro.experiments.parallel import ParallelRunner, Supervision
+
+    spec, prog = _MODES[mode], args.command
+    given = [
+        "--" + dest.replace("_", "-")
+        for dest, value in vars(args).items()
+        if value is not None and dest not in ("command", "paths")
+    ]
+    for flag in given:
+        if flag not in spec.flags:
+            why = _SERVE_ONLY if flag in _SERVE else spec.why
+            raise SystemExit(
+                f"{prog}: {flag} has no effect with {spec.label} ({why})"
+            )
+        if flag in _WITH_OUT and "--out" in spec.flags \
+                and "--out" not in given:
+            raise SystemExit(f"{prog}: {flag} requires --out DIR")
+    for dest, value in _DEFAULTS.items():
+        if getattr(args, dest, value) is None:
+            setattr(args, dest, value)
+    if "--workers" in given and args.workers < 0:
+        raise SystemExit("sweep: --workers must be >= 0 (0 = one per CPU)")
+    if "--lease-ttl" in given and not 0 < args.lease_ttl < math.inf:
+        raise SystemExit("sweep: --lease-ttl must be positive and finite")
+    if "--lease-cost" in given and args.lease_cost < 1:
+        raise SystemExit("sweep: --lease-cost must be >= 1")
+    if "--port" in given and not 0 <= args.port <= 65535:
+        raise SystemExit("sweep: --port must be in 0..65535")
+    if "--max-retries" not in spec.flags:
+        return
+    # The worker count rides on the runner, so the local, shard,
+    # resume and coordinator-worker paths pick it up identically.
+    args.runner = ParallelRunner(workers=args.workers or None)
+    try:
+        args.supervision = Supervision(
+            max_retries=args.max_retries,
+            cell_timeout=args.cell_timeout,
+            backoff_base=args.retry_backoff,
+            fault_plan=args.inject_faults,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"sweep: {exc}") from exc
+    if args.cell_timeout is not None and args.runner.workers == 1:
+        raise SystemExit(
+            "sweep: --cell-timeout needs --workers >= 2 (a serial "
+            "cell cannot be interrupted)"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1050,7 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_sweep.add_argument(
-        "--scenarios", type=_parse_names, default=(),
+        "--scenarios", type=_parse_names,
         metavar="NAME[,NAME...]",
         help="comma-separated registry names and/or glob patterns "
              "resolved against the registry, e.g. bursty-*,"
@@ -1065,13 +1056,13 @@ def build_parser() -> argparse.ArgumentParser:
              "decision-point axis",
     )
     p_sweep.add_argument(
-        "--decisions", action="store_true",
+        "--decisions", action="store_true", default=None,
         help="print per-cell decision/epoch telemetry (plans "
              "emitted/applied/no-op, epoch-cache reuse ratio) to "
              "stderr",
     )
     p_sweep.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=int,
         help="worker processes for the matrix cells "
              "(1 = serial, 0 = one per CPU)",
     )
@@ -1084,7 +1075,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override every scenario's seeds (comma-separated)",
     )
     p_sweep.add_argument(
-        "--list", action="store_true", dest="list_scenarios",
+        "--list", action="store_true", default=None,
         help="list registered scenarios and exit",
     )
     p_sweep.add_argument(
@@ -1093,8 +1084,7 @@ def build_parser() -> argparse.ArgumentParser:
              "into DIR",
     )
     p_sweep.add_argument(
-        "--format", type=_parse_formats, default=None,
-        dest="formats", metavar="FMT[,FMT...]",
+        "--format", type=_parse_formats, metavar="FMT[,FMT...]",
         help="export formats for --out: json,csv (default: both); "
              "requires --out",
     )
@@ -1106,7 +1096,7 @@ def build_parser() -> argparse.ArgumentParser:
              "'merge' command",
     )
     p_sweep.add_argument(
-        "--force", action="store_true",
+        "--force", action="store_true", default=None,
         help="replace the prior export artifacts in --out DIR (the "
              "files its manifest.json names) instead of refusing",
     )
@@ -1120,7 +1110,7 @@ def build_parser() -> argparse.ArgumentParser:
              "overrides",
     )
     p_sweep.add_argument(
-        "--serve", action="store_true",
+        "--serve", action="store_true", default=None,
         help="serve this sweep's cells to 'sweep --worker URL' "
              "processes over HTTP instead of executing locally; "
              "requires --out DIR (receives the lease journal, "
@@ -1128,23 +1118,23 @@ def build_parser() -> argparse.ArgumentParser:
              "--resume DIR to re-serve only the missing cells",
     )
     p_sweep.add_argument(
-        "--worker", default=None, dest="worker_url", metavar="URL",
+        "--worker", metavar="URL",
         help="run as a worker draining the coordinator at URL "
              "(printed by sweep --serve and written to its "
              "DIR/coordinator.json); exits 0 once the sweep is "
              "drained",
     )
     p_sweep.add_argument(
-        "--host", default="127.0.0.1", metavar="ADDR",
+        "--host", metavar="ADDR",
         help="bind address for --serve (default 127.0.0.1)",
     )
     p_sweep.add_argument(
-        "--port", type=int, default=0, metavar="PORT",
+        "--port", type=int, metavar="PORT",
         help="bind port for --serve (default 0 = ephemeral; the "
              "bound port is printed and written to coordinator.json)",
     )
     p_sweep.add_argument(
-        "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
+        "--lease-ttl", type=float, metavar="SECONDS",
         help="--serve: seconds a lease survives between worker "
              "heartbeats before its cells are re-leased to other "
              "workers (default 30)",
@@ -1156,7 +1146,7 @@ def build_parser() -> argparse.ArgumentParser:
              "batches, LPT-balanced)",
     )
     p_sweep.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
+        "--max-retries", type=int, metavar="N",
         help="retry attempts per cell before quarantining it "
              "(default 2; 0 = no retries)",
     )
@@ -1167,7 +1157,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: none; needs --workers >= 2)",
     )
     p_sweep.add_argument(
-        "--retry-backoff", type=float, default=0.5, metavar="SECONDS",
+        "--retry-backoff", type=float, metavar="SECONDS",
         help="base of the exponential retry backoff "
              "(delay = SECONDS * 2^attempt; default 0.5)",
     )
@@ -1205,13 +1195,12 @@ def build_parser() -> argparse.ArgumentParser:
              "manifest.json) into DIR",
     )
     p_merge.add_argument(
-        "--format", type=_parse_formats, default=None,
-        dest="formats", metavar="FMT[,FMT...]",
+        "--format", type=_parse_formats, metavar="FMT[,FMT...]",
         help="export formats for --out: json,csv (default: both); "
              "requires --out",
     )
     p_merge.add_argument(
-        "--force", action="store_true",
+        "--force", action="store_true", default=None,
         help="replace the prior export artifacts in --out DIR (the "
              "files its manifest.json names) instead of refusing",
     )
@@ -1273,11 +1262,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(format_validation(run_validation()))
     elif args.command == "models":
         print(_format_models())
-    elif args.command == "sweep":
-        text, exit_code = _run_sweep(args)
+    elif args.command in ("sweep", "merge"):
+        # Exit codes per the module docstring: 0 complete, 3 degraded,
+        # 1 (a SystemExit message) hard error.
+        mode = _mode_of(args)
+        _check_flags(args, mode)
+        text, exit_code = _MODES[mode].runner(args)
         print(text)
-    elif args.command == "merge":
-        print(_run_merge(args))
     elif args.command == "sweeps":
         from repro.experiments.sweeps import (
             format_sweep,

@@ -860,3 +860,171 @@ class TestMergeInputHardening:
         )
         with pytest.raises(SystemExit, match="merge: "):
             main(["merge", str(shards)])
+
+
+def _subparser(name):
+    """The ``sweep`` or ``merge`` parser inside :func:`build_parser`."""
+    import argparse
+
+    sub = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return sub.choices[name]
+
+
+def _options(parser):
+    """``(flag, takes_value)`` for every option of ``parser``."""
+    import argparse
+
+    return [
+        (action.option_strings[0], action.nargs != 0)
+        for action in parser._actions
+        if action.option_strings
+        and not isinstance(action, argparse._HelpAction)
+    ]
+
+
+class TestFlagTable:
+    """One table (``cli._MODES``) says which flags each ``sweep`` and
+    ``merge`` mode reads: every (mode, flag) pair either reaches the
+    mode's runner or exits 1 with one line naming the flag."""
+
+    #: A valid value for every flag that takes one.
+    VALUES = {
+        "--scenarios": "ref-a-qos-h", "--cadence": "block-boundary",
+        "--workers": "2", "--tasks": "4", "--seeds": "1",
+        "--out": "{d}/out", "--format": "json", "--shard": "1/2",
+        "--resume": "{d}/run", "--worker": "http://127.0.0.1:1",
+        "--host": "127.0.0.1", "--port": "0", "--lease-ttl": "5",
+        "--lease-cost": "3", "--max-retries": "1", "--cell-timeout": "5",
+        "--retry-backoff": "0.1", "--inject-faults": "transient:cells=1",
+    }
+
+    #: One invocation per mode (the cell-running modes pass
+    #: ``--workers 2`` so that ``--cell-timeout`` can take effect).
+    BASES = {
+        "list": ["sweep", "--list"],
+        "local": ["sweep", "--scenarios", "ref-a-qos-h", "--workers", "2"],
+        "shard": ["sweep", "--scenarios", "ref-a-qos-h", "--workers", "2",
+                  "--shard", "1/2", "--out", "{d}/out"],
+        "serve": ["sweep", "--scenarios", "ref-a-qos-h", "--serve",
+                  "--out", "{d}/out"],
+        "resume": ["sweep", "--resume", "{d}/run", "--workers", "2"],
+        "resume+serve": ["sweep", "--resume", "{d}/run", "--serve"],
+        "worker": ["sweep", "--worker", "http://127.0.0.1:1",
+                   "--workers", "2"],
+        "merge": ["merge", "{d}"],
+    }
+
+    @pytest.fixture()
+    def reached(self, monkeypatch):
+        """Stub every mode's runner; record the modes that ran."""
+        from repro import cli
+
+        modes = []
+        for mode, spec in cli._MODES.items():
+            def runner(args, mode=mode):
+                modes.append(mode)
+                return "", 0
+
+            monkeypatch.setitem(cli._MODES, mode, spec._replace(runner=runner))
+        return modes
+
+    def test_every_parser_flag_has_a_table_entry(self):
+        from repro import cli
+
+        in_table = {f for spec in cli._MODES.values() for f in spec.flags}
+        for name in ("sweep", "merge"):
+            for flag, takes_value in _options(_subparser(name)):
+                assert flag in in_table, f"{name} {flag} is in no mode"
+                assert not takes_value or flag in self.VALUES, flag
+
+    def test_every_mode_flag_pair(self, tmp_path, reached):
+        from repro import cli
+
+        for mode, base in self.BASES.items():
+            base = [arg.format(d=tmp_path) for arg in base]
+            parser = _subparser(base[0])
+            assert cli._mode_of(build_parser().parse_args(base)) == mode
+            for flag, takes_value in _options(parser):
+                argv = base + [flag]
+                if takes_value:
+                    argv.append(self.VALUES[flag].format(d=tmp_path))
+                pair = f"{mode} + {flag}"
+                selected = cli._mode_of(build_parser().parse_args(argv))
+                del reached[:]
+                try:
+                    assert main(argv) == 0, pair
+                except SystemExit as exc:
+                    message = exc.code
+                    # A string SystemExit prints it and exits 1.
+                    assert isinstance(message, str), pair
+                    assert "\n" not in message, pair
+                    assert message.startswith(f"{argv[0]}: "), pair
+                    assert not reached, pair
+                else:
+                    assert reached == [selected], pair
+                    assert flag in cli._MODES[selected].flags, pair
+                if selected != mode:
+                    continue  # the flag picks another mode
+                spec = cli._MODES[mode]
+                if flag not in spec.flags:
+                    assert not reached, pair
+                    assert f"{flag} has no effect with {spec.label} (" \
+                        in message, pair
+                elif flag in cli._WITH_OUT and "--out" in spec.flags \
+                        and "--out" not in argv:
+                    assert not reached, pair
+                    assert message.endswith(f"{flag} requires --out DIR")
+                else:
+                    assert reached == [mode], pair
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--scenarios", "ref-a-qos-h", "--tasks", "4",
+         "--seeds", "1"] + extra
+        for extra in (["--lease-ttl", "5"], ["--lease-cost", "3"],
+                      ["--host", "0.0.0.0"], ["--port", "9999"],
+                      ["--force"])
+    ] + [
+        ["sweep", "--list"] + extra
+        for extra in (["--tasks", "4"], ["--workers", "4"],
+                      ["--cadence", "block-boundary"])
+    ] + [
+        ["sweep", "--scenarios", "ref-a-qos-h", "--shard", "1/2",
+         "--out", "D", "--lease-ttl", "3"],
+        ["sweep", "--resume", "D", "--lease-ttl", "4"],
+        ["merge", "D", "--force"],
+        ["sweep", "--resume", "D", "--out", "E"],
+        ["sweep", "--worker", "http://127.0.0.1:1", "--decisions"],
+        ["sweep", "--scenarios", "ref-a-qos-h", "--serve", "--out", "D",
+         "--workers", "2"],
+    ])
+    def test_once_ignored_flags_exit_1(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert argv[-1 if argv[-1].startswith("--") else -2] in message
+        assert not (tmp_path / "D").exists()
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_out_of_range_exits_1_before_the_journal(
+        self, port, tmp_path
+    ):
+        import os
+        import subprocess
+        import sys
+
+        out = tmp_path / "D"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "sweep", "--scenarios",
+             "ref-a-qos-h", "--tasks", "4", "--seeds", "1", "--serve",
+             "--out", str(out), f"--port={port}"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "sweep: --port must be in 0..65535\n"
+        assert not out.exists()

@@ -102,7 +102,10 @@ def _qos_variants(num_tasks=12, seeds=(1, 2)):
 
 @pytest.fixture()
 def simulations(monkeypatch):
-    """Count the engine runs cells make."""
+    """Count the engine runs cells make.  The sanitizer is pinned off:
+    under ``REPRO_CHECK=1`` it re-simulates every follower, which would
+    count as runs the sweep itself does not make."""
+    monkeypatch.setattr(sanitizer, "enabled", False)
     calls = []
 
     def counting(*args, **kwargs):
