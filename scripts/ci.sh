@@ -113,22 +113,6 @@ REPRO_CHECK=1 python -m repro.cli sweep \
 diff -r "$EXPORT_TMP/sanitized" "$EXPORT_TMP/serial"
 echo "sanitized run byte-identical"
 
-echo "== every-event cadence identity (explicit vs default, byte-exact) =="
-# ISSUE acceptance gate: the declarative plan seam under its default
-# (every-event) cadence must stay bit-identical to the pinned
-# sweep-export goldens.  The pytest golden suite pins the bytes
-# themselves (tests/test_golden.py, tests/goldens/sweep_exports.json);
-# this run additionally proves that spelling the default cadence out
-# (--cadence every-event) writes the very same JSON/CSV/manifest
-# bytes as the default path end to end from the shell.
-python -m repro.cli sweep \
-    --scenarios bursty-mixed,diurnal-light \
-    --tasks 16 --seeds 1,2 --workers 1 \
-    --cadence every-event \
-    --out "$EXPORT_TMP/everyevent" --format json,csv
-diff -r "$EXPORT_TMP/everyevent" "$EXPORT_TMP/serial"
-echo "every-event cadence byte-identical"
-
 echo "== shard/merge identity (2 shards -> merge vs unsharded, byte-exact) =="
 # ISSUE acceptance gate: running the same sweep as two shard partials
 # and merging them must write byte-identical JSON/CSV/manifest

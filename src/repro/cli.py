@@ -10,7 +10,6 @@ Usage::
     python -m repro.cli sweep --list
     python -m repro.cli sweep --scenarios bursty-mixed,diurnal-light --workers 2
     python -m repro.cli sweep --scenarios 'bursty-*,ref-*-qos-h' --decisions
-    python -m repro.cli sweep --scenarios bursty-mixed --cadence block-boundary
     python -m repro.cli sweep --scenarios bursty-mixed --out results/ --format json,csv
     python -m repro.cli sweep --scenarios bursty-mixed --shard 1/2 --out shards/
     python -m repro.cli sweep --scenarios bursty-mixed --out r/ --max-retries 3 --cell-timeout 600
@@ -135,17 +134,6 @@ def _expand_scenario_patterns(names) -> List[str]:
             f"registered scenarios (see sweep --list)"
         )
     return list(dict.fromkeys(out))
-
-
-def _parse_cadence(text: str):
-    """Parse ``--cadence`` into a validated cadence key (clean
-    argparse errors for unknown modes or malformed intervals)."""
-    from repro.sim.plan import DecisionCadence
-
-    try:
-        return DecisionCadence.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 #: Supported sweep export format names.
@@ -408,7 +396,9 @@ def _supervised_sweep(specs, args, out=None, manifest=None, acc=None):
         if manifest is None:
             manifest = cell_manifest(specs)
         out.mkdir(parents=True, exist_ok=True)
-        if args.force:
+        if args.force and acc is None:
+            # Only a fresh sweep abandons the journal; a resume
+            # appends to the one it was loaded from.
             _remove_journal(out)
         try:
             journal = CellJournal.open(out, manifest, DEFAULT_SOC)
@@ -480,8 +470,8 @@ def _run_sweep_list(args) -> Tuple[str, int]:
 
 def _sweep_specs(args) -> list:
     """The scenarios a fresh sweep runs: ``--scenarios`` expanded
-    against the registry, with the ``--tasks``/``--seeds``/
-    ``--cadence`` overrides applied and the labels checked unique."""
+    against the registry, with the ``--tasks``/``--seeds`` overrides
+    applied and the labels checked unique."""
     from dataclasses import replace
 
     from repro.experiments.runner import check_unique_labels
@@ -497,9 +487,6 @@ def _sweep_specs(args) -> list:
         overrides["num_tasks"] = args.tasks
     if args.seeds is not None:
         overrides["seeds"] = args.seeds
-    if args.cadence is not None:
-        overrides["decision_cadence"] = args.cadence.mode
-        overrides["decision_interval"] = args.cadence.interval
     specs = []
     for name in _expand_scenario_patterns(args.scenarios):
         try:
@@ -878,7 +865,7 @@ class _Mode(NamedTuple):
     why: str
 
 
-_SPEC = ("--scenarios", "--tasks", "--seeds", "--cadence")
+_SPEC = ("--scenarios", "--tasks", "--seeds")
 _RUN = ("--workers", "--max-retries", "--cell-timeout", "--retry-backoff",
         "--inject-faults")
 _SERVE = ("--host", "--port", "--lease-ttl", "--lease-cost")
@@ -1046,14 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated registry names and/or glob patterns "
              "resolved against the registry, e.g. bursty-*,"
              "ref-*-qos-h (see --list)",
-    )
-    p_sweep.add_argument(
-        "--cadence", type=_parse_cadence, default=None,
-        metavar="MODE",
-        help="override every scenario's decision cadence: "
-             "every-event (default), block-boundary, or "
-             "interval:CYCLES (e.g. interval:5e6) — the regulated "
-             "decision-point axis",
     )
     p_sweep.add_argument(
         "--decisions", action="store_true", default=None,

@@ -210,7 +210,9 @@ class SweepWorker:
 
     def _execute(self, lease: dict, heartbeats: bool = True) -> dict:
         """Execute one granted lease end-to-end; returns an outcome
-        record (``status`` is ``submitted`` or ``refused``)."""
+        record (``status`` is ``submitted`` or ``refused``;
+        ``drained`` is the submit reply's flag: this submit settled
+        the sweep's last cell)."""
         indices = tuple(lease["cell_indices"])
         ttl = lease.get("ttl")
         beat: Optional[_HeartbeatThread] = None
@@ -273,6 +275,7 @@ class SweepWorker:
                 "cells": 0,
                 "failures": 0,
                 "seconds": seconds,
+                "drained": False,
             }
         return {
             "status": "submitted",
@@ -280,6 +283,7 @@ class SweepWorker:
             "cells": reply.get("accepted", len(acc)),
             "failures": reply.get("quarantined", len(acc.failures())),
             "seconds": seconds,
+            "drained": bool(reply.get("drained")),
         }
 
     def step(self, heartbeats: bool = False) -> Optional[dict]:
@@ -299,9 +303,11 @@ class SweepWorker:
         """Drain the coordinator; returns a summary dict.
 
         Loops lease → execute → submit until the coordinator reports
-        ``drained``.  When nothing is unleased but other workers
-        still hold live leases, polls — their work may yet expire
-        and come back to steal.
+        ``drained``, in a submit reply or a status document; a drained
+        coordinator is shutting down, so the worker asks it nothing
+        more.  When nothing is unleased but other workers still hold
+        live leases, polls — their work may yet expire and come back
+        to steal.
         """
         self._bootstrap()
         summary = {
@@ -328,4 +334,6 @@ class SweepWorker:
             else:
                 summary["cells"] += outcome["cells"]
                 summary["failures"] += outcome["failures"]
+            if outcome["drained"]:
+                break
         return summary

@@ -51,6 +51,8 @@ __all__ = [
 #: deadline-blind run (see :func:`repro.experiments.runner.
 #: run_cell_detail`) shares that run and reports its counters, which
 #: are exactly what the cell's own simulation would report.
+#: ``decisions`` equals ``events`` (the engine consults its policy at
+#: every event); it stays for the readers of partials and telemetry.
 DECISION_COUNTER_FIELDS = (
     "events",
     "block_time_recomputes",
@@ -88,9 +90,9 @@ class CellResult:
             simulation, which a follower cell shares with its lead
             (see :func:`repro.experiments.runner.run_cell_detail`).
         block_time_recomputes / block_time_reuses: Full block-time
-            solves vs allocation-epoch cache hits — the counters the
-            decision-cadence sweep axis is judged by.
-        decisions: Times the policy was consulted for a plan.
+            solves vs allocation-epoch cache hits.
+        decisions: Times the policy was consulted for a plan (the
+            engine consults it at every event: equals ``events``).
         plans_applied / plans_noop: Plans that did / did not mutate
             engine state.
         plan_actions: Total mutations the controller applied.

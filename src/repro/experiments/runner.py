@@ -29,7 +29,6 @@ from repro.scenarios import (
 )
 from repro.sim.engine import SimResult, run_simulation
 from repro.sim.job import Task
-from repro.sim.plan import DecisionCadence
 from repro.sim.policy import Policy
 from repro.sim.qos import QosModel
 from repro.sim.workload import WorkloadGenerator
@@ -162,12 +161,9 @@ _SHARED_RESULT_FIELDS = tuple(
 )
 
 
-def _timeline_key(
-    policy_name: str, cadence: DecisionCadence, tasks: Sequence[Task]
-) -> tuple:
+def _timeline_key(policy_name: str, tasks: Sequence[Task]) -> tuple:
     return (
         policy_name,
-        cadence,
         tuple((id(t.cost), _TIMELINE_FIELDS(t)) for t in tasks),
     )
 
@@ -197,19 +193,17 @@ def run_cell_detail(
     the executor calls it for every cell, in-process or in a pool
     worker, which is what makes every worker count bit-identical.  The
     cell is a pure function of its arguments: the workload generator
-    reseeds from ``seed``, the engine is exactly deterministic, and
-    the scenario's :meth:`~repro.scenarios.ScenarioSpec.cadence`
-    regulates when the policy is consulted.  The ``SimResult``
-    carries the engine/decision telemetry (events, epoch-cache
-    reuse, plans emitted/applied/no-op) the executor threads into
-    each :class:`~repro.experiments.results.CellResult`.
+    reseeds from ``seed`` and the engine is exactly deterministic.
+    The ``SimResult`` carries the engine/decision telemetry (events,
+    epoch-cache reuse, plans emitted/applied/no-op) the executor
+    threads into each :class:`~repro.experiments.results.CellResult`.
 
     ``timelines`` is one sweep's store of deadline-blind runs.  When
     the policy does not read deadlines
     (:attr:`~repro.sim.policy.Policy.reads_deadlines` is False), the
     first cell to simulate a timeline -- the *lead* -- stores its run
-    under the policy name, the cadence and every generated task field
-    but ``qos_target_cycles``.  A later cell with the same key -- a
+    under the policy name and every generated task field but
+    ``qos_target_cycles``.  A later cell with the same key -- a
     *follower*, e.g. the same workload set and seed at another QoS
     level -- generates its tasks as usual, then takes the lead's run
     with its own SLA targets instead of simulating: the result and
@@ -228,22 +222,19 @@ def run_cell_detail(
     gen = WorkloadGenerator(soc, networks, mem, qos)
     tasks = gen.generate(spec.workload_config(seed))
     policy = factory()
-    cadence = spec.cadence()
     store = None if policy.reads_deadlines else timelines
     lead = None
     if store is not None:
-        key = _timeline_key(policy_name, cadence, tasks)
+        key = _timeline_key(policy_name, tasks)
         lead = store.get(key)
     if lead is None:
-        result = run_simulation(soc, tasks, policy, mem=mem, cadence=cadence)
+        result = run_simulation(soc, tasks, policy, mem=mem)
         if store is not None:
             store[key] = (tasks, result)
     else:
         result = _follow(lead[1], tasks)
         if sanitizer.enabled:
-            fresh = run_simulation(
-                soc, tasks, policy, mem=mem, cadence=cadence
-            )
+            fresh = run_simulation(soc, tasks, policy, mem=mem)
             for name in _SHARED_RESULT_FIELDS:
                 sanitizer.require(
                     getattr(fresh, name) == getattr(result, name),

@@ -95,8 +95,8 @@ def decision_summary(cells) -> str:
     policy) pair are summed.  Columns: policy consultations
     (``decisions``), plans that mutated state vs no-ops, total
     controller actions, and the allocation-epoch cache reuse ratio
-    (``reuses / recomputes``) — the number the decision-cadence sweep
-    axis is judged by.
+    (``reuses / recomputes``).  The engine consults its policy at
+    every event, so ``decisions`` counts events.
     """
     cells = list(cells)
     if not cells:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.models.graph import Network
-from repro.sim.plan import DecisionCadence
 from repro.sim.qos import QosLevel
 from repro.sim.workload import WorkloadConfig, normalize_model_mix
 
@@ -49,15 +48,8 @@ class ScenarioSpec:
         trace_text: Scenario JSON replayed by the ``"trace"`` process.
         model_mix: Weighted ``((model, weight), ...)`` pool override.
         priority_weights: 12-entry priority table override.
-        decision_cadence: When the engine consults its policy for an
-            allocation plan (see
-            :class:`repro.sim.plan.DecisionCadence`): ``"every-event"``
-            (default — the historical behaviour, pinned by the
-            goldens), ``"block-boundary"`` or ``"interval"``.
-            A sweep axis: the same scenario can be evaluated under
-            different regulation regimes.
-        decision_interval: Regulation period in cycles; required
-            (positive) when ``decision_cadence == "interval"``.
+        decision_cadence: When the engine consults its policy; only
+            ``"every-event"``, the engine's one schedule, is legal.
     """
 
     workload_set: str = "C"
@@ -77,12 +69,13 @@ class ScenarioSpec:
     model_mix: Optional[Tuple[Tuple[str, float], ...]] = None
     priority_weights: Optional[Tuple[float, ...]] = None
     decision_cadence: str = "every-event"
-    decision_interval: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # Fail fast on bad cadence knobs (unknown mode, missing or
-        # spurious interval) — DecisionCadence owns the validation.
-        self.cadence()
+        if self.decision_cadence != "every-event":
+            raise ValueError(
+                f"decision_cadence {self.decision_cadence!r} is not "
+                f"supported: only 'every-event' is"
+            )
         if not self.seeds:
             raise ValueError("need at least one seed")
         object.__setattr__(self, "seeds", tuple(self.seeds))
@@ -125,15 +118,6 @@ class ScenarioSpec:
             return self.name
         return f"Workload-{self.workload_set}/{self.qos_level.value}"
 
-    def cadence(self) -> DecisionCadence:
-        """The scenario's decision cadence as an engine value object."""
-        if self.decision_interval is not None:
-            return DecisionCadence(
-                mode=self.decision_cadence,
-                interval=float(self.decision_interval),
-            )
-        return DecisionCadence(mode=self.decision_cadence)
-
     def workload_config(self, seed: int) -> WorkloadConfig:
         """The generator configuration of this scenario for one seed.
 
@@ -155,19 +139,15 @@ class ScenarioSpec:
 
         Every field is a primitive, a list of primitives, or the QoS
         level's string value — the serialisation seam the sweep-export
-        files and the cell manifest use.  The decision-cadence fields
-        are omitted at their defaults, so specs predating the cadence
-        axis serialise byte-identically (the sweep-export goldens pin
-        exactly those bytes) and old exports round-trip through
-        :meth:`from_dict` unchanged.
+        files and the cell manifest use.  ``decision_cadence`` has one
+        legal value and is omitted, so the sweep-export goldens pin
+        the same bytes as before the field existed.
         """
         out = {}
         for f in dataclasses.fields(self):
+            if f.name == "decision_cadence":
+                continue
             value = getattr(self, f.name)
-            if f.name == "decision_cadence" and value == "every-event":
-                continue
-            if f.name == "decision_interval" and value is None:
-                continue
             if isinstance(value, QosLevel):
                 value = value.value
             elif isinstance(value, tuple):

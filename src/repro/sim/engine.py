@@ -37,13 +37,13 @@ sweep.
 Decisions
 ---------
 
-Policies are consulted at decision points gated by a
-:class:`~repro.sim.plan.DecisionCadence` (every event by default;
-block boundaries or a fixed cycle interval when regulated) and return
+The policy is consulted at every event and returns
 :class:`~repro.sim.plan.AllocationPlan`\\ s that the engine's
 :class:`~repro.sim.plan.AllocationController` applies atomically — an
 applied plan bumps the allocation epoch, a no-op plan not at all, and
-reconfiguration costs are charged centrally by the controller.
+reconfiguration costs are charged centrally by the controller.  A
+policy that regulates only at layer-block boundaries gates itself
+on :attr:`Simulator.blocks_retired` (MoCA's round does).
 
 The single-step oracle in :mod:`repro.sim.reference` re-derives every
 block time from Algorithm 1 predictions and the validated arbiter; the
@@ -63,12 +63,7 @@ from repro.config import SoCConfig
 from repro.memory.arbiter import _REL1, waterfill_grants
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.job import Job, JobPhase, Task, TaskResult, results_from_jobs
-from repro.sim.plan import (
-    EMPTY_PLAN,
-    AllocationController,
-    DecisionCadence,
-    EVERY_EVENT,
-)
+from repro.sim.plan import EMPTY_PLAN, AllocationController
 from repro.sim.policy import Policy
 from repro.sim.trace import Trace, TraceEvent
 
@@ -100,9 +95,9 @@ class SimResult:
             the run actually performed.
         block_time_reuses: Events served by the current epoch's
             solve instead.
-        decisions: Times the policy was consulted for a plan (under
-            the default every-event cadence this equals ``events``;
-            regulated cadences consult less often).
+        decisions: Times the policy was consulted for a plan; the
+            engine consults it at every event, so this equals
+            ``events``.
         plans_applied: Plans that performed at least one mutation.
         plans_noop: Plans that performed none (empty or all no-op) —
             these leave the allocation epoch untouched.
@@ -159,7 +154,6 @@ class Simulator:
         mem: Optional[MemoryHierarchy] = None,
         trace: bool = False,
         max_events: int = 20_000_000,
-        cadence: Optional[DecisionCadence] = None,
     ) -> None:
         if not tasks:
             raise SimulationError("no tasks to simulate")
@@ -213,17 +207,10 @@ class Simulator:
         self.block_time_recomputes = 0
         self.block_time_reuses = 0
         # Declarative decision machinery (see repro.sim.plan): the
-        # controller applies AllocationPlans; the cadence gates when
-        # the policy is consulted.
-        self.cadence = cadence if cadence is not None else EVERY_EVENT
-        # The default cadence consults the policy unconditionally;
-        # resolved to a flag so the hot loop skips should_decide.
-        self._cadence_every = self.cadence.mode == "every-event"
+        # controller applies the AllocationPlan the policy returns at
+        # every event.
         self.controller = AllocationController(self)
-        self.decisions = 0
         self._blocks_retired = 0
-        self._decided_boundaries = -1  # _blocks_retired at the last decision
-        self._last_decision_at: Optional[float] = None
         # Epoch batching: inside a controller batch any number of
         # mutations coalesce to a single epoch bump.
         self._epoch_batch_depth = 0
@@ -262,13 +249,6 @@ class Simulator:
         block retirements move it, so an unchanged value means no
         running job has entered a new block."""
         return self._blocks_retired
-
-    def note_decision(self) -> None:
-        """Record a policy consultation at ``now`` (what the
-        block-boundary and interval cadences gate on).  Both the
-        engine loop and the reference loop call this."""
-        self._decided_boundaries = self._blocks_retired
-        self._last_decision_at = self.now
 
     def retire_block(self, job: Job) -> None:
         """Retire ``job``'s current block at ``now``; its last block
@@ -423,7 +403,7 @@ class Simulator:
             events=self.events,
             block_time_recomputes=self.block_time_recomputes,
             block_time_reuses=self.block_time_reuses,
-            decisions=self.decisions,
+            decisions=self.events,
             plans_applied=self.controller.plans_applied,
             plans_noop=self.controller.plans_noop,
             plan_actions=self.controller.actions_applied,
@@ -462,7 +442,6 @@ class Simulator:
             from repro.sim import reference
         fused = None if san_on else policy.kernel_decide_apply
         decide = policy.decide
-        cadence_every = self._cadence_every
         controller = self.controller
         apply_plan = controller.apply
         solve = self._solve_epoch
@@ -478,7 +457,6 @@ class Simulator:
         events = self.events
         recomputes = self.block_time_recomputes
         reuses = self.block_time_reuses
-        decisions = self.decisions
         noops = 0
         checks = self._solve_checks
         solved_epoch = -1
@@ -506,18 +484,14 @@ class Simulator:
                 if next_arrival <= now + eps:
                     dispatch()
                     next_arrival = self.next_arrival
-                if cadence_every or self.should_decide():
-                    decisions += 1
-                    if not cadence_every:
-                        self.note_decision()
-                    if fused is not None:
-                        fused(self)
+                if fused is not None:
+                    fused(self)
+                else:
+                    plan = decide(self)
+                    if plan is EMPTY_PLAN:
+                        noops += 1
                     else:
-                        plan = decide(self)
-                        if plan is EMPTY_PLAN:
-                            noops += 1
-                        else:
-                            apply_plan(plan)
+                        apply_plan(plan)
                 vstate = self._validated_state
                 if (
                     vstate[0] != self._tiles_held
@@ -602,7 +576,6 @@ class Simulator:
             self.events = events
             self.block_time_recomputes = recomputes
             self.block_time_reuses = reuses
-            self.decisions = decisions
             if san_on:
                 self._solve_checks = checks
             controller.plans_noop += noops
@@ -703,26 +676,6 @@ class Simulator:
                     best = c
         return act, stl, best
 
-    def should_decide(self) -> bool:
-        """Whether the cadence grants the policy this event.
-
-        Every cadence decides while nothing is running — a ready
-        queue with the whole SoC idle must never wait on a regulation
-        boundary that can no longer arrive.
-        """
-        mode = self.cadence.mode
-        if mode == "every-event":
-            return True
-        if not self.running:
-            return True
-        if mode == "block-boundary":
-            return self._blocks_retired != self._decided_boundaries
-        # "interval"
-        return (
-            self._last_decision_at is None
-            or self.now - self._last_decision_at >= self.cadence.interval
-        )
-
     def dispatch_arrivals(self) -> None:
         """Move pending tasks whose dispatch time has come to READY.
 
@@ -780,10 +733,8 @@ def run_simulation(
     policy: Policy,
     mem: Optional[MemoryHierarchy] = None,
     trace: bool = False,
-    cadence: Optional[DecisionCadence] = None,
 ) -> SimResult:
     """Convenience wrapper: reset the policy, build and run a simulator."""
     policy.reset()
-    sim = Simulator(soc, tasks, policy, mem=mem, trace=trace,
-                    cadence=cadence)
+    sim = Simulator(soc, tasks, policy, mem=mem, trace=trace)
     return sim.run()

@@ -16,18 +16,14 @@ mutate engine state; this module is the seam between them:
   simulation instant), and bumps the
   allocation epoch **once per applied plan** instead of once per
   mutation.
-- :class:`DecisionCadence` makes the decision *schedule* explicit and
-  configurable: every event (the default), block boundaries only, or
-  a fixed cycle interval.
 
 Policies implement :meth:`repro.sim.policy.Policy.decide` and never
-touch engine state; the engine consults the cadence, collects the
-plan, and hands it to the controller.
+touch engine state; the engine consults the policy at every event,
+collects the plan, and hands it to the controller.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -53,104 +49,6 @@ def _simulation_error(message: str) -> Exception:
     from repro.sim.engine import SimulationError
 
     return SimulationError(message)
-
-
-#: Recognised decision-cadence modes (see :class:`DecisionCadence`).
-CADENCE_MODES = ("every-event", "block-boundary", "interval")
-
-
-@dataclass(frozen=True)
-class DecisionCadence:
-    """When the engine consults its policy for a new plan.
-
-    Attributes:
-        mode: One of :data:`CADENCE_MODES`:
-
-            - ``"every-event"`` — consult at every simulation event
-              (dispatch, block completion, stall expiry).  The
-              default; pinned by the golden suite.
-            - ``"block-boundary"`` — consult only when a layer block
-              retired (or a job finished) since the last decision,
-              the paper's "regulated interval": reconfiguration
-              happens at checkpoints, and events that cannot change
-              the decision inputs reuse the allocation-epoch cache.
-            - ``"interval"`` — consult at most once per ``interval``
-              cycles (evaluated at event granularity; the engine
-              never fabricates events just to make a decision).
-
-        interval: Regulation period in cycles; required (positive)
-            for ``"interval"`` mode, meaningless otherwise.
-
-    Whatever the mode, the engine always consults the policy while
-    **nothing is running** — a cadence that could sit on a non-empty
-    ready queue forever would deadlock admission, not regulate it.
-    """
-
-    mode: str = "every-event"
-    interval: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in CADENCE_MODES:
-            raise ValueError(
-                f"unknown cadence mode {self.mode!r}; "
-                f"choose from {', '.join(CADENCE_MODES)}"
-            )
-        if self.mode == "interval":
-            # not (x > 0) also rejects NaN; isfinite rejects inf —
-            # either would silently disable decisions while jobs run.
-            if (
-                self.interval is None
-                or not (self.interval > 0)
-                or not math.isfinite(self.interval)
-            ):
-                raise ValueError(
-                    "interval cadence needs a positive, finite "
-                    "interval (cycles)"
-                )
-        elif self.interval is not None:
-            raise ValueError(
-                f"cadence mode {self.mode!r} takes no interval"
-            )
-
-    @classmethod
-    def parse(cls, text: str) -> "DecisionCadence":
-        """Build a cadence from its CLI spelling.
-
-        ``"every-event"`` / ``"block-boundary"`` name the modes
-        directly; ``"interval:CYCLES"`` (e.g. ``interval:5e6``)
-        carries the period inline.
-        """
-        text = text.strip()
-        if text.startswith("interval:"):
-            raw = text[len("interval:"):]
-            try:
-                return cls(mode="interval", interval=float(raw))
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad interval cadence {text!r}: {exc}"
-                ) from None
-        if text == "interval":
-            raise ValueError(
-                "interval cadence needs a period: use interval:CYCLES "
-                "(e.g. interval:5e6)"
-            )
-        return cls(mode=text)
-
-    @property
-    def key(self) -> str:
-        """Canonical string form (round-trips through :meth:`parse`).
-
-        The interval is rendered with ``repr`` — exact for any float,
-        where ``%g`` would corrupt intervals beyond 6 significant
-        digits on the way back through :meth:`parse`.
-        """
-        if self.mode == "interval":
-            return f"interval:{self.interval!r}"
-        return self.mode
-
-
-#: The default cadence: decide at every simulation event.
-EVERY_EVENT = DecisionCadence()
 
 
 def _pairs(

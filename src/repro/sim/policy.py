@@ -3,9 +3,8 @@
 A *policy* bundles everything above the hardware: the admission
 scheduler, the resource (tile / bandwidth) manager, and the costs its
 reconfigurations incur.  The seam is **declarative**: at every
-decision point (see :class:`repro.sim.plan.DecisionCadence`) the
-engine calls :meth:`Policy.decide`, which inspects engine state
-*without mutating it* and returns an
+simulation event the engine calls :meth:`Policy.decide`, which
+inspects engine state *without mutating it* and returns an
 :class:`~repro.sim.plan.AllocationPlan` — admissions, tile targets,
 bandwidth caps, preemptions.  The engine-side
 :class:`~repro.sim.plan.AllocationController` diffs the plan against

@@ -11,7 +11,7 @@ water-fill.  :func:`run_reference` drives a
 time on that solve, with no epoch reuse and no fused decision hook.
 
 The engine's horizon loop must match both bit for bit: the tests pin
-it over random scenarios, cadences and states, and ``REPRO_CHECK=1``
+it over random scenarios and states, and ``REPRO_CHECK=1``
 spot-checks the engine's epoch solve against :func:`solve_block_times`
 during a run.
 """
@@ -92,10 +92,7 @@ def run_reference(sim: Simulator) -> SimResult:
             )
         if sim.next_arrival <= sim.now + _COMPLETION_EPS:
             sim.dispatch_arrivals()
-        if sim.should_decide():
-            sim.decisions += 1
-            sim.note_decision()
-            sim.controller.apply(sim.policy.decide(sim))
+        sim.controller.apply(sim.policy.decide(sim))
         sim.validate()
         sim.block_time_recomputes += 1
         if not _step(sim, solve_block_times(sim)):

@@ -120,16 +120,17 @@ class TestParserExitBehaviour:
             main(["sweep", "--scenarios", "no-such-scenario"])
         assert str(excinfo.value).startswith("sweep:")
 
-    @pytest.mark.parametrize("cadence", ["sometimes", "interval",
-                                         "interval:zero"])
-    def test_malformed_cadence_exits_cleanly(self, cadence, capsys):
+    def test_removed_cadence_flag_exits_cleanly(self, capsys):
+        # The engine has one decision schedule; --cadence is gone.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
                 ["sweep", "--scenarios", "bursty-mixed",
-                 "--cadence", cadence]
+                 "--cadence", "block-boundary"]
             )
         assert excinfo.value.code == 2
-        assert "sweep: error:" in capsys.readouterr().err
+        assert "unrecognized arguments: --cadence" in (
+            capsys.readouterr().err
+        )
 
     def test_decisions_with_shard_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -188,26 +189,16 @@ class TestScenarioGlobs:
         assert "bursty-mixed" in out and "bursty-rush" in out
 
 
-class TestCadenceCli:
-    def test_cadence_override_with_decisions_table(self, capsys):
+class TestDecisionsCli:
+    def test_decisions_table(self, capsys):
         rc = main(
             ["sweep", "--scenarios", "ref-a-qos-m", "--tasks", "6",
-             "--seeds", "1", "--cadence", "block-boundary",
-             "--decisions"]
+             "--seeds", "1", "--decisions"]
         )
         assert rc == 0
         captured = capsys.readouterr()
         assert "scenario ref-a-qos-m" in captured.out
         assert "decisions" in captured.err  # telemetry table header
-
-    def test_explicit_every_event_matches_default(self, capsys):
-        base = ["sweep", "--scenarios", "ref-a-qos-m", "--tasks", "6",
-                "--seeds", "1"]
-        assert main(base) == 0
-        default_out = capsys.readouterr().out
-        assert main(base + ["--cadence", "every-event"]) == 0
-        explicit_out = capsys.readouterr().out
-        assert explicit_out == default_out
 
 class TestSweepGuards:
     def test_format_without_out_rejected(self):
@@ -684,6 +675,19 @@ class TestSweepResumeCli:
         assert main(self.BASE + ["--out", str(out), "--force"]) == 0
         assert not (out / "cells.jsonl").exists()
 
+    def test_resume_force_keeps_the_journal(self, tmp_path, capsys):
+        """A resumed run that degrades again appends to the journal,
+        ``--force`` or not: the next resume finds every finished
+        cell."""
+        out = tmp_path / "faulted"
+        fault = ["--inject-faults", "transient:cells=1:attempts=all",
+                 "--max-retries", "0", "--retry-backoff", "0"]
+        assert main(self.BASE + ["--out", str(out)] + fault) == 3
+        assert main(["sweep", "--resume", str(out), "--force"] + fault) == 3
+        capsys.readouterr()
+        assert main(["sweep", "--resume", str(out)]) == 0
+        assert "3 of 4 cells checkpointed" in capsys.readouterr().err
+
     def test_resume_foreign_journal_refused(self, tmp_path):
         out = tmp_path / "faulted"
         assert main(self.BASE + [
@@ -862,6 +866,51 @@ class TestMergeInputHardening:
             main(["merge", str(shards)])
 
 
+class TestRemovedCadenceInput:
+    """A manifest or shard partial whose spec names a decision cadence
+    other than ``every-event`` (the engine's only schedule) is refused
+    in one line by ``sweep --resume`` and ``merge``."""
+
+    def _hostile(self, payload):
+        payload["scenarios"][0]["spec"]["decision_cadence"] = (
+            "block-boundary"
+        )
+
+    def _assert_one_line(self, excinfo, prog):
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"{prog}: ")
+        assert "only 'every-event'" in message
+
+    def test_resume_refuses_the_manifest(self, tmp_path):
+        out = tmp_path / "done"
+        assert main(["sweep", "--scenarios", "ref-a-qos-m", "--tasks", "4",
+                     "--seeds", "1", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        self._hostile(manifest)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--resume", str(out)])
+        self._assert_one_line(excinfo, "sweep")
+
+    def test_merge_refuses_the_partial(self, tmp_path):
+        from repro.experiments.sharding import manifest_digest
+
+        shards = tmp_path / "shards"
+        assert main(["sweep", "--scenarios", "ref-a-qos-m", "--tasks", "4",
+                     "--seeds", "1", "--shard", "1/2",
+                     "--out", str(shards)]) == 0
+        path = shards / "partial-1-of-2.json"
+        partial = json.loads(path.read_text())
+        self._hostile(partial["manifest"])
+        # A consistent digest: the refusal must come from the spec.
+        partial["manifest_digest"] = manifest_digest(partial["manifest"])
+        path.write_text(json.dumps(partial))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["merge", str(shards)])
+        self._assert_one_line(excinfo, "merge")
+
+
 def _subparser(name):
     """The ``sweep`` or ``merge`` parser inside :func:`build_parser`."""
     import argparse
@@ -892,8 +941,7 @@ class TestFlagTable:
 
     #: A valid value for every flag that takes one.
     VALUES = {
-        "--scenarios": "ref-a-qos-h", "--cadence": "block-boundary",
-        "--workers": "2", "--tasks": "4", "--seeds": "1",
+        "--scenarios": "ref-a-qos-h", "--workers": "2", "--tasks": "4", "--seeds": "1",
         "--out": "{d}/out", "--format": "json", "--shard": "1/2",
         "--resume": "{d}/run", "--worker": "http://127.0.0.1:1",
         "--host": "127.0.0.1", "--port": "0", "--lease-ttl": "5",
@@ -989,7 +1037,7 @@ class TestFlagTable:
     ] + [
         ["sweep", "--list"] + extra
         for extra in (["--tasks", "4"], ["--workers", "4"],
-                      ["--cadence", "block-boundary"])
+                      ["--seeds", "1"])
     ] + [
         ["sweep", "--scenarios", "ref-a-qos-h", "--shard", "1/2",
          "--out", "D", "--lease-ttl", "3"],

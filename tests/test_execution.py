@@ -244,6 +244,32 @@ class TestCoordinator:
         assert coord.acc.complete and coord.drained
         assert coord.acc.matrix() == serial_matrix
 
+    def test_worker_stops_on_the_draining_submit(self, manifest):
+        """A drained coordinator is shutting down: the worker whose
+        submit settled the last cell asks it for no lease or status
+        after that submit."""
+        coord = Coordinator(manifest, lease_ttl=None)
+        calls = []
+
+        class Counting(InProcessTransport):
+            def lease_request(self, worker_id):
+                calls.append("lease")
+                return super().lease_request(worker_id)
+
+            def sweep_status(self, include_manifest=False):
+                calls.append("status")
+                return super().sweep_status(include_manifest)
+
+            def submit_partial(self, partial):
+                reply = super().submit_partial(partial)
+                calls.append("drained" if reply["drained"] else "submit")
+                return reply
+
+        summary = SweepWorker(Counting(coord), worker_id="w", workers=1).run()
+        assert summary["cells"] == len(manifest["cells"])
+        assert calls.count("drained") == 1
+        assert calls[-1] == "drained", calls
+
     def test_two_workers_split_the_manifest(
         self, manifest, serial_matrix, tiny_cells
     ):

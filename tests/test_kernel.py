@@ -9,8 +9,7 @@ tolerance) to :func:`repro.sim.reference.run_reference`.  These tests
 pin that across:
 
 - random scenarios (workload set, QoS level, load factor, task count
-  all drawn from a seeded RNG) crossed with *all three* decision
-  cadences;
+  all drawn from a seeded RNG);
 - fault-injected supervised sweeps (transient faults + retries), where
   the retried cells must land bit-identical to the reference;
 - the 36-cell reference matrix (nine scenarios x four policies) at
@@ -32,17 +31,9 @@ from repro.experiments.runner import default_policies, run_cell_detail
 from repro.models.zoo import workload_set
 from repro.scenarios import ScenarioSpec
 from repro.sim.engine import Simulator
-from repro.sim.plan import DecisionCadence
 from repro.sim.qos import QosLevel, QosModel
 from repro.sim.reference import run_reference
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
-
-#: Every decision-cadence mode the engine supports.
-CADENCES = (
-    DecisionCadence(),
-    DecisionCadence(mode="block-boundary"),
-    DecisionCadence(mode="interval", interval=5e5),
-)
 
 QOS_LEVELS = (QosLevel.HARD, QosLevel.MEDIUM, QosLevel.LIGHT)
 
@@ -65,37 +56,32 @@ def _random_tasks(soc, mem, seed):
     )
 
 
-def _run(soc, mem, tasks, cadence, reference=False):
+def _run(soc, mem, tasks, reference=False):
     policy = MoCAPolicy()
     policy.reset()
-    sim = Simulator(soc, tasks, policy, mem=mem, cadence=cadence)
+    sim = Simulator(soc, tasks, policy, mem=mem)
     return run_reference(sim) if reference else sim.run()
 
 
-def _reference_run_simulation(soc, tasks, policy, mem=None, trace=False,
-                              cadence=None):
+def _reference_run_simulation(soc, tasks, policy, mem=None, trace=False):
     """Drop-in for :func:`repro.sim.engine.run_simulation` that drives
     the reference loop instead of the engine's."""
     policy.reset()
     return run_reference(
-        Simulator(soc, tasks, policy, mem=mem, trace=trace,
-                  cadence=cadence)
+        Simulator(soc, tasks, policy, mem=mem, trace=trace)
     )
 
 
 class TestKernelBitIdentity:
-    """Random scenarios x all cadences: engine == reference."""
+    """Random scenarios: engine == reference."""
 
-    @pytest.mark.parametrize(
-        "cadence", CADENCES, ids=[c.key for c in CADENCES]
-    )
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(12))
     def test_random_scenarios_identical_across_solvers(
-        self, soc, mem, seed, cadence
+        self, soc, mem, seed
     ):
         tasks = _random_tasks(soc, mem, seed)
-        engine = _run(soc, mem, tasks, cadence)
-        reference = _run(soc, mem, tasks, cadence, reference=True)
+        engine = _run(soc, mem, tasks)
+        reference = _run(soc, mem, tasks, reference=True)
         assert engine.makespan == reference.makespan
         assert tuple(engine.results) == tuple(reference.results)
         assert engine.decisions == reference.decisions
@@ -105,7 +91,7 @@ class TestKernelBitIdentity:
         fused sweeps — otherwise it is just a slower single-step loop
         wearing the default's name."""
         tasks = _random_tasks(soc, mem, seed=0)
-        result = _run(soc, mem, tasks, DecisionCadence())
+        result = _run(soc, mem, tasks)
         assert result.block_time_reuses > 0
         assert result.block_time_recomputes < result.events
 
@@ -214,8 +200,8 @@ class TestKernelSanitizer:
         the same floats as an unchecked one."""
         tasks = _random_tasks(soc, mem, seed=2)
         monkeypatch.setattr(sanitizer, "enabled", False)
-        plain = _run(soc, mem, tasks, DecisionCadence())
+        plain = _run(soc, mem, tasks)
         monkeypatch.setattr(sanitizer, "enabled", True)
-        checked = _run(soc, mem, tasks, DecisionCadence())
+        checked = _run(soc, mem, tasks)
         assert checked.makespan == plain.makespan
         assert tuple(checked.results) == tuple(plain.results)

@@ -1,7 +1,6 @@
-"""Tests for repro.sim.plan: AllocationPlan, AllocationController,
-DecisionCadence — the declarative policy↔engine seam."""
-
-from dataclasses import replace
+"""Tests for repro.sim.plan: AllocationPlan, AllocationController
+and the engine's one decision schedule — the declarative
+policy↔engine seam."""
 
 import pytest
 
@@ -13,12 +12,7 @@ from repro.experiments.runner import (
 )
 from repro.sim.engine import SimulationError, Simulator, run_simulation
 from repro.sim.job import JobPhase
-from repro.sim.plan import (
-    CADENCE_MODES,
-    EMPTY_PLAN,
-    AllocationPlan,
-    DecisionCadence,
-)
+from repro.sim.plan import EMPTY_PLAN, AllocationPlan
 from repro.sim.policy import (
     COMPUTE_RECONFIG_CYCLES,
     MEMORY_RECONFIG_CYCLES,
@@ -303,105 +297,56 @@ class TestSameInstantDoubleChargeRegression:
 
 
 class TestDecisionCadence:
-    def test_modes_validate(self):
-        for mode in CADENCE_MODES:
-            if mode == "interval":
-                DecisionCadence(mode=mode, interval=1e6)
-            else:
-                DecisionCadence(mode=mode)
-        with pytest.raises(ValueError, match="unknown cadence"):
-            DecisionCadence(mode="sometimes")
-        with pytest.raises(ValueError, match="positive"):
-            DecisionCadence(mode="interval")
-        with pytest.raises(ValueError, match="no interval"):
-            DecisionCadence(mode="every-event", interval=5.0)
-        # NaN/inf would silently disable decisions while jobs run.
-        for bad in (float("nan"), float("inf"), 0.0, -1.0):
-            with pytest.raises(ValueError):
-                DecisionCadence(mode="interval", interval=bad)
-        with pytest.raises(ValueError):
-            DecisionCadence.parse("interval:nan")
-        with pytest.raises(ValueError):
-            DecisionCadence.parse("interval:inf")
-
-    def test_parse_round_trips(self):
-        for text in ("every-event", "block-boundary", "interval:5e6"):
-            cad = DecisionCadence.parse(text)
-            assert DecisionCadence.parse(cad.key) == cad
-        # key must be exact for any float, not just 6 significant
-        # digits (%g would turn 1234567.0 into 1.23457e+06).
-        precise = DecisionCadence(mode="interval", interval=1234567.0)
-        assert DecisionCadence.parse(precise.key) == precise
-        with pytest.raises(ValueError):
-            DecisionCadence.parse("interval")
-        with pytest.raises(ValueError):
-            DecisionCadence.parse("interval:zero")
+    """The engine consults its policy at every event; no other
+    schedule exists."""
 
     def test_every_event_is_bit_identical(self, soc, mem, task_factory):
+        # The engine loop and the single-step reference loop both
+        # consult the policy once per event.
+        from repro.sim.reference import run_reference
+
         tasks = [
             task_factory(task_id=f"t{i}", network=n, dispatch=i * 1e5)
             for i, n in enumerate(("kws", "alexnet", "squeezenet"))
         ]
-        base = run_simulation(soc, tasks, _PlannedPairs(), mem=mem)
-        explicit = run_simulation(
-            soc, tasks, _PlannedPairs(), mem=mem,
-            cadence=DecisionCadence.parse("every-event"),
+        engine = run_simulation(soc, tasks, _PlannedPairs(), mem=mem)
+        reference = run_reference(
+            Simulator(soc, tasks, _PlannedPairs(), mem=mem)
         )
-        assert tuple(base.results) == tuple(explicit.results)
-        assert base.decisions == base.events
-
-    def test_regulated_cadences_decide_less_and_still_finish(
-        self, soc, mem, task_factory
-    ):
-        tasks = [
-            task_factory(task_id=f"t{i}", network="kws",
-                         dispatch=i * 1e4)
-            for i in range(6)
-        ]
-        every = run_simulation(soc, tasks, _PlannedPairs(), mem=mem)
-        for key in ("block-boundary", "interval:1e6"):
-            regulated = run_simulation(
-                soc, tasks, _PlannedPairs(), mem=mem,
-                cadence=DecisionCadence.parse(key),
-            )
-            assert len(regulated.results) == len(tasks)
-            assert regulated.decisions < every.decisions
+        assert tuple(engine.results) == tuple(reference.results)
+        assert engine.decisions == engine.events
+        assert reference.decisions == reference.events
 
     def test_idle_system_always_decides(self, soc, mem, task_factory):
-        # A lone task arriving into an idle SoC must be admitted even
-        # under regulated cadences (no block boundary will ever come).
+        # A lone task arriving into an idle SoC is admitted.
         task = task_factory(task_id="t0", dispatch=12345.0)
-        for key in ("block-boundary", "interval:1e9"):
-            result = run_simulation(
-                soc, [task], _PlannedPairs(), mem=mem,
-                cadence=DecisionCadence.parse(key),
-            )
-            assert result.results[0].finished_at > 0
-
-    def test_spec_cadence_round_trip(self):
-        from repro.scenarios import ScenarioSpec
-
-        spec = ScenarioSpec(
-            workload_set="A", num_tasks=8, seeds=(1,),
-            decision_cadence="interval", decision_interval=2e6,
-        )
-        assert spec.cadence() == DecisionCadence("interval", 2e6)
-        payload = spec.to_dict()
-        assert payload["decision_cadence"] == "interval"
-        assert ScenarioSpec.from_dict(payload) == spec
-        # Defaults are omitted so pre-cadence exports stay pinned.
-        default = ScenarioSpec(workload_set="A", num_tasks=8, seeds=(1,))
-        assert "decision_cadence" not in default.to_dict()
-        assert "decision_interval" not in default.to_dict()
-        assert ScenarioSpec.from_dict(default.to_dict()) == default
+        result = run_simulation(soc, [task], _PlannedPairs(), mem=mem)
+        assert result.results[0].finished_at > 0
+        assert result.decisions == result.events
 
     def test_spec_rejects_bad_cadence(self):
         from repro.scenarios import ScenarioSpec
 
-        with pytest.raises(ValueError, match="cadence"):
-            ScenarioSpec(decision_cadence="sometimes")
-        with pytest.raises(ValueError, match="interval"):
-            ScenarioSpec(decision_cadence="interval")
+        for mode in ("block-boundary", "interval", "sometimes"):
+            with pytest.raises(ValueError) as excinfo:
+                ScenarioSpec(decision_cadence=mode)
+            message = str(excinfo.value)
+            assert "\n" not in message and "only 'every-event'" in message
+        payload = ScenarioSpec(
+            workload_set="A", num_tasks=8, seeds=(1,)
+        ).to_dict()
+        for extra in ({"decision_cadence": "block-boundary"},
+                      {"decision_interval": 2e6}):
+            with pytest.raises(ValueError) as excinfo:
+                ScenarioSpec.from_dict({**payload, **extra})
+            assert "\n" not in str(excinfo.value)
+        # The one legal value round-trips and is never serialised, so
+        # exports keep their bytes.
+        spec = ScenarioSpec.from_dict(
+            {**payload, "decision_cadence": "every-event"}
+        )
+        assert "decision_cadence" not in spec.to_dict()
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestPolicyBridge:
@@ -553,12 +498,11 @@ class TestTrustedPlans:
         assert job.tiles == 2 and job.bw_cap == 4.0
 
 
-def _matrix_counters(cadence="every-event", seeds=(1, 2)):
-    """Decision counters of every reference-matrix cell at 16 tasks,
-    keyed by (scenario, policy, seed)."""
+def _matrix_counters():
+    """Decision counters of every reference-matrix cell at 16 tasks
+    and seeds 1, 2, keyed by (scenario, policy, seed)."""
     counters = {}
-    for spec in standard_matrix(num_tasks=16, seeds=seeds):
-        spec = replace(spec, decision_cadence=cadence)
+    for spec in standard_matrix(num_tasks=16, seeds=(1, 2)):
         for name, factory in default_policies().items():
             for seed in spec.seeds:
                 _, result = run_cell_detail(spec, name, factory, seed)
@@ -587,13 +531,5 @@ class TestDecisionCounters:
             assert c["plans_applied"] + c["plans_noop"] == (
                 c["decisions"]
             ), cell
+            assert c["decisions"] == c["events"], cell
             assert c == runs[True][cell], cell
-
-    def test_block_boundary_reuses_epochs_more_than_every_event(self):
-        def reuse_ratio(cadence):
-            cells = _matrix_counters(cadence, seeds=(1,)).values()
-            reuses = sum(c["block_time_reuses"] for c in cells)
-            recomputes = sum(c["block_time_recomputes"] for c in cells)
-            return reuses / max(recomputes, 1)
-
-        assert reuse_ratio("block-boundary") > reuse_ratio("every-event")

@@ -20,15 +20,8 @@ from repro.experiments.parallel import ParallelRunner, Supervision
 from repro.experiments.runner import default_policies, run_cell_detail
 from repro.scenarios import get_scenario
 from repro.sim.engine import SimResult, Simulator, run_simulation
-from repro.sim.plan import DecisionCadence
 
 from test_scenario_properties import generate_tasks, random_spec
-
-CADENCES = (
-    DecisionCadence(mode="every-event"),
-    DecisionCadence(mode="block-boundary"),
-    DecisionCadence(mode="interval", interval=5e5),
-)
 
 #: Everything a run reports except the per-task SLA targets.
 _COUNTERS = tuple(
@@ -37,11 +30,11 @@ _COUNTERS = tuple(
 )
 
 
-def _timeline(soc, tasks, policy, mem, cadence):
+def _timeline(soc, tasks, policy, mem):
     """A run's per-task schedule and its counters, SLA targets aside,
     and the process-global cache probes the run itself made."""
     policy.reset()
-    sim = Simulator(soc, tasks, policy, mem=mem, cadence=cadence)
+    sim = Simulator(soc, tasks, policy, mem=mem)
     with track_cache_deltas() as probes:
         result = sim.run()
     return (
@@ -69,24 +62,23 @@ class TestDeadlineDeclarations:
         }
         assert blind == {"static", "prema"}
         changed = set()
-        for case in range(8):
+        for case in range(24):
             spec = random_spec(case)
             tasks, mem = generate_tasks(spec, spec.seeds[0])
             scrambled = _scrambled(tasks, random.Random(case))
-            for cadence in CADENCES:
-                for name, factory in policies.items():
-                    (own, probes), (other, _) = (
-                        _timeline(soc, t, factory(), mem, cadence)
-                        for t in (tasks, scrambled)
-                    )
-                    if name in blind:
-                        assert own == other, (case, cadence, name)
-                        # A follower reports only its generation's
-                        # cache probes, which is exact only if the
-                        # run it skips would have made none.
-                        assert not any(probes.values())
-                    elif own != other:
-                        changed.add(name)
+            for name, factory in policies.items():
+                (own, probes), (other, _) = (
+                    _timeline(soc, t, factory(), mem)
+                    for t in (tasks, scrambled)
+                )
+                if name in blind:
+                    assert own == other, (case, name)
+                    # A follower reports only its generation's cache
+                    # probes, which is exact only if the run it skips
+                    # would have made none.
+                    assert not any(probes.values())
+                elif own != other:
+                    changed.add(name)
         # A wrong False on either deadline-reading policy would let a
         # sweep share timelines that differ.
         assert changed == set(policies) - blind
