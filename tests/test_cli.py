@@ -120,16 +120,20 @@ class TestParserExitBehaviour:
             main(["sweep", "--scenarios", "no-such-scenario"])
         assert str(excinfo.value).startswith("sweep:")
 
-    def test_removed_cadence_flag_exits_cleanly(self, capsys):
-        # The engine has one decision schedule; --cadence is gone.
+    @pytest.mark.parametrize("cadence", ["sometimes", "interval",
+                                         "interval:zero"])
+    def test_malformed_cadence_exits_cleanly(self, cadence, capsys):
+        # The engine has one decision schedule; --cadence is gone, so
+        # any value of it is refused by the parser.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
                 ["sweep", "--scenarios", "bursty-mixed",
-                 "--cadence", "block-boundary"]
+                 "--cadence", cadence]
             )
         assert excinfo.value.code == 2
-        assert "unrecognized arguments: --cadence" in (
-            capsys.readouterr().err
+        assert (
+            f"repro: error: unrecognized arguments: --cadence {cadence}"
+            in capsys.readouterr().err
         )
 
     def test_decisions_with_shard_rejected(self, tmp_path):

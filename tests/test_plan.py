@@ -340,12 +340,21 @@ class TestDecisionCadence:
             with pytest.raises(ValueError) as excinfo:
                 ScenarioSpec.from_dict({**payload, **extra})
             assert "\n" not in str(excinfo.value)
+
+    def test_spec_cadence_round_trip(self):
+        from repro.scenarios import ScenarioSpec
+
         # The one legal value round-trips and is never serialised, so
         # exports keep their bytes.
+        payload = ScenarioSpec(
+            workload_set="A", num_tasks=8, seeds=(1,)
+        ).to_dict()
         spec = ScenarioSpec.from_dict(
             {**payload, "decision_cadence": "every-event"}
         )
+        assert spec.decision_cadence == "every-event"
         assert "decision_cadence" not in spec.to_dict()
+        assert "decision_interval" not in spec.to_dict()
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
 
