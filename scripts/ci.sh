@@ -102,7 +102,7 @@ echo "exports byte-identical"
 
 echo "== sanitized run (REPRO_CHECK=1, byte-exact vs unchecked) =="
 # The runtime invariant sanitizer (engine-vs-reference block-time
-# spot checks, trusted-plan re-validation, ledger state-machine
+# spot checks, the isolated-latency floor, ledger state-machine
 # checks) must be a pure observer: the same sweep under
 # REPRO_CHECK=1 must write byte-identical artifacts to the unchecked
 # serial reference.

@@ -113,9 +113,7 @@ class PlanariaPolicy(Policy):
                     free -= grant - job.tiles
         if not admissions and not shrinks and not grows:
             return EMPTY_PLAN
-        # Built from live ready/running jobs with unique ids by
-        # construction: the trusted constructor skips re-validation.
-        return AllocationPlan.trusted(
+        return AllocationPlan(
             admissions=tuple(admissions),
             tiles=tuple(shrinks + grows),
         )

@@ -91,9 +91,7 @@ class PremaPolicy(Policy):
                 > self.preemption_threshold
                 * max(self.tokens(runner, sim.now), 1e-12)
             ):
-                # Built from live ready/running jobs: the trusted
-                # constructor skips redundant re-validation.
-                return AllocationPlan.trusted(
+                return AllocationPlan(
                     preemptions=(runner.job_id,),
                     admissions=((challenger.job_id, sim.soc.num_tiles),),
                     stalls=(
@@ -109,7 +107,7 @@ class PremaPolicy(Policy):
             # A job resuming after a preemption pays the restore half
             # of the checkpoint overhead on re-admission.
             stalls = ((nxt.job_id, self.preemption_overhead),)
-        return AllocationPlan.trusted(
+        return AllocationPlan(
             admissions=((nxt.job_id, sim.soc.num_tiles),), stalls=stalls
         )
 

@@ -50,8 +50,7 @@ class StaticPartitionPolicy(Policy):
             free -= self.tiles_per_slot
         if not admissions:
             return EMPTY_PLAN
-        # Built from live ready jobs: trusted skips re-validation.
-        return AllocationPlan.trusted(admissions=tuple(admissions))
+        return AllocationPlan(admissions=tuple(admissions))
 
     def reset(self) -> None:
         """Stateless policy; nothing to clear."""

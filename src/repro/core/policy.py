@@ -154,9 +154,7 @@ class MoCAPolicy(Policy):
         admissions, caps, tiles = self._round(sim)
         if not admissions and not caps and not tiles:
             return EMPTY_PLAN
-        # Built from live ready/running jobs with unique ids by
-        # construction: the trusted constructor skips re-validation.
-        return AllocationPlan.trusted(
+        return AllocationPlan(
             admissions=admissions, tiles=tiles, bw_caps=caps
         )
 
@@ -169,12 +167,12 @@ class MoCAPolicy(Policy):
         caps-only (and empty) rounds go through
         :meth:`~repro.sim.plan.AllocationController.apply_caps`
         without a plan object.  Never called under ``REPRO_CHECK=1``
-        (the engine drops to decide()/apply so the sanitizer
-        re-validates every trusted plan).
+        (the engine drops to decide()/apply, so every round goes
+        through the validating plan constructor).
         """
         admissions, caps, tiles = self._round(sim)
         if admissions or tiles:
-            sim.controller.apply(AllocationPlan.trusted(
+            sim.controller.apply(AllocationPlan(
                 admissions=admissions, tiles=tiles, bw_caps=caps
             ))
         else:

@@ -14,9 +14,9 @@ rather than to generic style:
   detector: shared-attribute writes and guarded-state access must be
   dominated by ``with self._lock``.
 - **P-rules (value-object purity)** — frozen dataclasses are only
-  mutated (``object.__setattr__``) inside their own modules, and the
-  validation-skipping :meth:`AllocationPlan.trusted` constructor is
-  only invoked from the allowlisted trust boundary.
+  mutated (``object.__setattr__``) by their own ``__post_init__``,
+  and the policy, runtime and simulator layers read no other
+  module's private state.
 
 Entry points: :func:`lint_paths` (the ``scripts/lint_repro.py`` CLI
 driver), :func:`lint_source` (fixture tests).  See

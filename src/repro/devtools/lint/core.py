@@ -85,10 +85,7 @@ RULES: Dict[str, str] = {
     "R202": "public method of a thread-shared class touches guarded "
             "state outside its lock",
     "R203": "lock-requiring private helper called outside the lock",
-    "P301": "object.__setattr__ on a non-self receiver outside the "
-            "value object's own module",
-    "P302": "AllocationPlan.trusted() invoked outside the allowlisted "
-            "trust boundary",
+    "P301": "object.__setattr__ on a non-self receiver",
     "P303": "private attribute of another module's object read or "
             "written in a core/ or baselines/ module",
 }
@@ -149,22 +146,6 @@ class LintConfig:
     )
     #: Modules allowed to use builtin hash() (none in src today).
     hash_allow: Tuple[str, ...] = ("scripts/",)
-    #: Modules allowed to call object.__setattr__ on a receiver other
-    #: than ``self`` — exactly the frozen value objects' own modules
-    #: (AllocationPlan.trusted builds instances via object.__new__).
-    setattr_allow: Tuple[str, ...] = (
-        "src/repro/sim/plan.py",
-    )
-    #: The AllocationPlan.trusted() trust boundary (the PR 7
-    #: validation-skipping constructor): only these modules may call
-    #: it.  Everyone else goes through the validating constructor.
-    trusted_allow: Tuple[str, ...] = (
-        "src/repro/sim/plan.py",
-        "src/repro/core/policy.py",
-        "src/repro/baselines/planaria.py",
-        "src/repro/baselines/prema.py",
-        "src/repro/baselines/static_partition.py",
-    )
     #: When set, only emit these rules (the --select knob).
     select: Optional[frozenset] = None
 

@@ -1,26 +1,16 @@
-"""P-rules: value-object purity and the trusted-plan boundary.
+"""P-rules: value-object purity and private-state boundaries.
 
 The sweep pipeline's correctness story leans on frozen value objects
 (:class:`AllocationPlan`, :class:`ScenarioSpec`, :class:`CellResult`,
 ...) being *actually* immutable once they leave their module: they
 are hashed into manifests, pickled across processes and compared
 against goldens.  Python's only escape hatch, ``object.__setattr__``,
-is legitimate exactly twice — a frozen dataclass normalising its own
-fields in ``__post_init__`` (receiver ``self``), and a value object's
-own module building instances around the constructor (the
-``AllocationPlan.trusted`` pattern).  Everything else is a mutation
-of somebody else's sealed value:
+is legitimate exactly once — a frozen dataclass normalising its own
+fields in ``__post_init__`` (receiver ``self``).  Everything else is
+a mutation of somebody else's sealed value:
 
 - **P301** — ``object.__setattr__`` (or a local alias of it) with a
-  receiver other than ``self``, outside the allowlisted value-object
-  modules.
-- **P302** — a call to ``AllocationPlan.trusted(...)`` outside the
-  allowlisted trust boundary (the built-in policies and the plan
-  module itself).  ``trusted`` skips the validating constructor, so
-  its callers carry proof obligations the validator never re-checks —
-  the PR 7 contract, previously enforced by convention only.  New
-  call sites must either go through ``AllocationPlan(...)`` or be
-  added to the allowlist with review.
+  receiver other than ``self``/``cls``, in any module.
 - **P303** — in ``core/``, ``baselines/`` and ``sim/`` modules,
   ``x._name`` with a receiver other than ``self``/``cls`` where
   ``_name`` is not an attribute the same module defines (assigned on
@@ -112,12 +102,6 @@ class _PurityVisitor(ast.NodeVisitor):
         self.rel = rel
         self.config = config
         self.findings: List[Finding] = []
-        self._setattr_ok = config.path_allowed(
-            rel, config.setattr_allow
-        )
-        self._trusted_ok = config.path_allowed(
-            rel, config.trusted_allow
-        )
         #: local names bound to object.__setattr__ (the
         #: ``st = object.__setattr__`` idiom).
         self._setattr_aliases: Set[str] = set()
@@ -140,12 +124,9 @@ class _PurityVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        if not self._setattr_ok and (
-            _is_object_setattr(node.func)
-            or (
-                isinstance(node.func, ast.Name)
-                and node.func.id in self._setattr_aliases
-            )
+        if _is_object_setattr(node.func) or (
+            isinstance(node.func, ast.Name)
+            and node.func.id in self._setattr_aliases
         ):
             receiver = node.args[0] if node.args else None
             if not (
@@ -155,22 +136,10 @@ class _PurityVisitor(ast.NodeVisitor):
                 self._emit(
                     "P301", node,
                     "object.__setattr__ on a non-self receiver "
-                    "mutates a frozen value object from outside its "
-                    "module; move the mutation into the value "
-                    "object's own module (or allowlist it)",
+                    "mutates a frozen value object from outside; "
+                    "normalise fields in the object's own "
+                    "__post_init__ or build a new value",
                 )
-        if not self._trusted_ok and (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "trusted"
-            and self._resolves_to_allocation_plan(node.func.value)
-        ):
-            self._emit(
-                "P302", node,
-                "AllocationPlan.trusted() skips validation and is "
-                "restricted to the plan trust boundary; use "
-                "AllocationPlan(...) or extend "
-                "LintConfig.trusted_allow with review",
-            )
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -190,11 +159,3 @@ class _PurityVisitor(ast.NodeVisitor):
                 f"object; read it through a public read-only view",
             )
         self.generic_visit(node)
-
-    @staticmethod
-    def _resolves_to_allocation_plan(node: ast.AST) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id == "AllocationPlan"
-        if isinstance(node, ast.Attribute):
-            return node.attr == "AllocationPlan"
-        return False

@@ -193,14 +193,24 @@ def failure_to_dict(failure: CellFailure) -> dict:
     }
 
 
+def _int_field(payload: dict, name: str) -> int:
+    """``payload[name]``, refused with ``ValueError`` unless it is an
+    int (a bool is not): cell indices and seeds are sorted and used
+    as list indices downstream."""
+    value = payload[name]
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def failure_from_dict(payload: dict) -> CellFailure:
     """Rebuild a :class:`CellFailure` from :func:`failure_to_dict`."""
     return CellFailure(
-        index=payload["index"],
-        spec_index=payload["spec_index"],
+        index=_int_field(payload, "index"),
+        spec_index=_int_field(payload, "spec_index"),
         label=payload["label"],
         policy=payload["policy"],
-        seed=payload["seed"],
+        seed=_int_field(payload, "seed"),
         kind=payload["kind"],
         attempts=payload["attempts"],
         message=payload["message"],
@@ -436,11 +446,11 @@ def cell_to_dict(cell: CellResult) -> dict:
 def cell_from_dict(payload: dict) -> CellResult:
     """Rebuild a :class:`CellResult` from :func:`cell_to_dict`."""
     return CellResult(
-        index=payload["index"],
-        spec_index=payload["spec_index"],
+        index=_int_field(payload, "index"),
+        spec_index=_int_field(payload, "spec_index"),
         label=payload["label"],
         policy=payload["policy"],
-        seed=payload["seed"],
+        seed=_int_field(payload, "seed"),
         summary=MetricsSummary.from_dict(payload["summary"]),
         seconds=payload["seconds"],
         worker_pid=payload.get("worker_pid", 0),

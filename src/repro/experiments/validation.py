@@ -79,6 +79,11 @@ def run_validation(
     for name in model_names():
         network = build_model(name)
         cost = build_network_cost(network, soc, mem)
+        # Alone on the whole SoC: the floor any tile count runs above.
+        isolated = cost.total_prediction(
+            soc.num_tiles, mem.dram_bandwidth, mem.l2_bandwidth,
+            soc.overlap_f,
+        )
         for tiles in tile_counts:
             predicted, _ = estimate_network(
                 network, soc, mem, num_tiles=tiles
@@ -90,7 +95,7 @@ def run_validation(
                 dispatch_cycle=0.0,
                 priority=5,
                 qos_target_cycles=1e18,
-                isolated_cycles=predicted,
+                isolated_cycles=isolated,
             )
             result = run_simulation(
                 soc, [task], _FixedTilesPolicy(tiles), mem=mem

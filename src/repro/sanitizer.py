@@ -5,10 +5,10 @@ source: no unseeded RNGs, no unordered iteration feeding ordered
 output, lock coverage over the thread-shared execution layer, frozen
 value objects only mutated inside their own modules.  What it cannot
 prove — that the engine's epoch solve really computes the reference
-oracle's floats, that a *trusted* plan really satisfies the
-validation it was allowed to skip, that the work ledger's state
-machine stays coherent across a lease/expire/steal interleaving —
-this module cross-checks at runtime, behind one switch.
+oracle's floats, that no task finishes faster than it would alone,
+that the work ledger's state machine stays coherent across a
+lease/expire/steal interleaving — this module cross-checks at
+runtime, behind one switch.
 
 Set ``REPRO_CHECK=1`` in the environment (or call :func:`enable`) and
 the guarded hot paths turn on their asserts:
@@ -17,12 +17,12 @@ the guarded hot paths turn on their asserts:
   its epoch block-time solve against
   :func:`repro.sim.reference.solve_block_times` (first epoch, then
   every 64th — the bit-identical contract, sampled), and bypasses
-  policies' fused decision hooks so every plan reaches the
-  controller.
-- :class:`repro.sim.plan.AllocationController` re-validates every
-  trusted :class:`~repro.sim.plan.AllocationPlan` through the public
-  constructor and the validated resolve before applying it — the
-  checks :meth:`AllocationPlan.trusted` exists to skip.
+  policies' fused decision hooks so every decision round builds an
+  :class:`~repro.sim.plan.AllocationPlan` through its validating
+  constructor and reaches the controller.
+- :meth:`repro.sim.engine.Simulator.result` checks every finished
+  task's latency against its isolated latency
+  (:func:`check_isolated_floor`).
 - :class:`repro.experiments.execution.leases.WorkLedger` re-verifies
   its full state-machine invariant set after every mutating op.
 
@@ -109,3 +109,23 @@ def check_block_times(fast: dict, reference: dict, now: float) -> None:
                 f"engine={fast[jid]!r} reference={reference[jid]!r}"
             )
     raise SanitizerError(f"block-time divergence at t={now}")
+
+
+def check_isolated_floor(results) -> None:
+    """Assert no finished task beat its isolated latency.
+
+    ``results`` are the run's :class:`~repro.sim.job.TaskResult`
+    records.  A task's isolated latency is its run time alone on the
+    whole SoC, so a multi-tenant latency below it means the engine
+    granted more compute or bandwidth than the hardware has.  The
+    1e-9 relative slack covers float rounding in the fluid solve (the
+    worst ratio measured over both benchmark workloads is
+    1 - 2.6e-14).
+    """
+    for r in results:
+        if r.latency < r.isolated_cycles * (1.0 - 1e-9):
+            raise SanitizerError(
+                f"task {r.task_id!r} finished in {r.latency!r} "
+                f"cycles, below its isolated latency "
+                f"{r.isolated_cycles!r}"
+            )

@@ -211,10 +211,6 @@ class Simulator:
         # every event.
         self.controller = AllocationController(self)
         self._blocks_retired = 0
-        # Epoch batching: inside a controller batch any number of
-        # mutations coalesce to a single epoch bump.
-        self._epoch_batch_depth = 0
-        self._epoch_batch_dirty = False
 
     # ------------------------------------------------------------------
     # Policy-facing API
@@ -357,31 +353,12 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def bump_epoch(self) -> None:
-        """Invalidate the epoch solve (deferred inside a batch).  Every
-        allocation mutation calls this once; the
-        :class:`~repro.sim.plan.AllocationController` calls it for the
-        cap changes it writes itself."""
-        if self._epoch_batch_depth:
-            self._epoch_batch_dirty = True
-        else:
-            self._alloc_epoch += 1
-
-    def begin_allocation_batch(self) -> None:
-        """Enter a deferred-epoch batch: every mutation until the
-        matching :meth:`end_allocation_batch` coalesces into one
-        epoch bump (none at all if nothing mutated).  The
-        :class:`~repro.sim.plan.AllocationController` brackets each
-        applied plan with this pair.  Re-entrant: nested batches defer
-        to the outermost one."""
-        self._epoch_batch_depth += 1
-
-    def end_allocation_batch(self) -> None:
-        """Leave a deferred-epoch batch; the outermost exit performs
-        the single coalesced epoch bump if anything mutated."""
-        self._epoch_batch_depth -= 1
-        if self._epoch_batch_depth == 0 and self._epoch_batch_dirty:
-            self._epoch_batch_dirty = False
-            self._alloc_epoch += 1
+        """Invalidate the epoch solve.  Every allocation mutation calls
+        this; the :class:`~repro.sim.plan.AllocationController` calls
+        it for the cap changes it writes itself.  The engine loop
+        compares the epoch once per event, so any number of bumps
+        between two solves costs one re-solve."""
+        self._alloc_epoch += 1
 
     # ------------------------------------------------------------------
     # Engine core
@@ -393,11 +370,18 @@ class Simulator:
         return self.result()
 
     def result(self) -> SimResult:
-        """Package a finished run (shared with the reference loop)."""
+        """Package a finished run (shared with the reference loop).
+
+        Under ``REPRO_CHECK=1`` every task's latency is checked
+        against its isolated latency (no co-runner can make a task
+        faster than running alone)."""
         makespan = max((j.finished_at or 0.0) for j in self.finished)
+        results = results_from_jobs(self.finished)
+        if sanitizer.enabled:
+            sanitizer.check_isolated_floor(results)
         return SimResult(
             policy_name=self.policy.name,
-            results=results_from_jobs(self.finished),
+            results=results,
             makespan=makespan,
             trace=self.trace,
             events=self.events,
@@ -431,10 +415,10 @@ class Simulator:
         accrual and retirement order are verbatim — so results and
         makespans are bit-identical to it (property-pinned in
         tests/test_kernel.py; goldens unchanged).  Under
-        ``REPRO_CHECK=1`` the fused hook is bypassed (every plan
-        passes the sanitizer's trusted re-validation) and the epoch
-        solve is spot-checked against the reference solve on the
-        first epoch and every 64th.
+        ``REPRO_CHECK=1`` the fused hook is bypassed (every decision
+        round then goes through the validating plan constructor) and
+        the epoch solve is spot-checked against the reference solve
+        on the first epoch and every 64th.
         """
         policy = self.policy
         san_on = sanitizer.enabled

@@ -11,11 +11,10 @@ mutate engine state; this module is the seam between them:
   application's throttle configuration to a whole-SoC decision.
 - :class:`AllocationController` is the engine-side applicator: it
   diffs a plan against live simulator state, applies the differences
-  atomically in a canonical order, charges compute/memory
-  reconfiguration costs *centrally* (saturating within one
-  simulation instant), and bumps the
-  allocation epoch **once per applied plan** instead of once per
-  mutation.
+  in a canonical order, and charges compute/memory reconfiguration
+  costs *centrally* (saturating within one simulation instant).  The
+  engine re-solves block times at most once per event, so however
+  many mutations a plan applies, it costs one re-solve.
 
 Policies implement :meth:`repro.sim.policy.Policy.decide` and never
 touch engine state; the engine consults the policy at every event,
@@ -34,7 +33,6 @@ from typing import (
     Tuple,
 )
 
-import repro.sanitizer as sanitizer
 from repro.sim.job import JobPhase
 from repro.sim.trace import TraceEvent
 
@@ -116,11 +114,6 @@ class AllocationPlan:
     bw_caps: Tuple[Tuple[str, Optional[float]], ...] = ()
     stalls: Tuple[Tuple[str, float], ...] = ()
 
-    # Not a dataclass field (unannotated): equality/repr/pickling of
-    # plans is unaffected.  Instances built through :meth:`trusted`
-    # shadow it with True.
-    _trusted = False
-
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "preemptions", tuple(self.preemptions)
@@ -147,45 +140,6 @@ class AllocationPlan:
                 f"plan both preempts and re-tiles {conflict}; a "
                 f"preempted job holds no tiles — re-admit it instead"
             )
-
-    @classmethod
-    def trusted(
-        cls,
-        preemptions: Tuple[str, ...] = (),
-        admissions: Tuple[Tuple[str, int], ...] = (),
-        tiles: Tuple[Tuple[str, int], ...] = (),
-        bw_caps: Tuple[Tuple[str, Optional[float]], ...] = (),
-        stalls: Tuple[Tuple[str, float], ...] = (),
-    ) -> "AllocationPlan":
-        """Build a plan skipping field validation (the hot path).
-
-        Policies construct a plan at every decision point, and the
-        public constructor's normalisation — per-pair tuple coercion,
-        uniqueness checks, the preempt/retile conflict scan — was
-        ~10% of the engine's event loop.  Policies that build their
-        plans from live simulator state already satisfy those
-        invariants by construction, so the internal seam pays the
-        validation cost only at the API boundary (plans arriving from
-        outside code go through ``AllocationPlan(...)`` unchanged).
-
-        Callers MUST pass tuples of tuples in the already-normalised
-        shape; the only coercion performed is the outer ``tuple()``
-        (free for tuple inputs).  The
-        :class:`AllocationController` resolves trusted plans with
-        direct job-table indexing (an unknown id still fails cleanly)
-        and skips the finished-job re-check, which trusted callers
-        guarantee by only planning over live ``sim.ready`` /
-        ``sim.running`` jobs.
-        """
-        plan = object.__new__(cls)
-        st = object.__setattr__
-        st(plan, "preemptions", tuple(preemptions))
-        st(plan, "admissions", tuple(admissions))
-        st(plan, "tiles", tuple(tiles))
-        st(plan, "bw_caps", tuple(bw_caps))
-        st(plan, "stalls", tuple(stalls))
-        st(plan, "_trusted", True)
-        return plan
 
     @property
     def is_empty(self) -> bool:
@@ -232,12 +186,13 @@ class AllocationController:
        simulation instant (a stall ends at ``now + cycles`` however
        often it is charged), so coincident-event re-decisions cannot
        double-charge ``COMPUTE_RECONFIG_CYCLES``;
-    5. bumps the allocation epoch **once** for the whole plan — an
-       applied plan invalidates the engine's epoch solve exactly once,
-       an empty or all-no-op plan not at all.
+    5. leaves the allocation epoch to the engine primitives: each
+       mutation bumps it, and the engine compares it once per event,
+       so an applied plan costs one re-solve and an empty or
+       all-no-op plan none.
 
-    Caps-only plans — the regulation steady state — take
-    :meth:`apply_caps`, which fused policy hooks also call directly.
+    Fused policy hooks apply caps-only overlays — the regulation
+    steady state — through :meth:`apply_caps`, without a plan object.
 
     Attributes:
         sim: The simulator this controller mutates.
@@ -258,33 +213,6 @@ class AllocationController:
         self._memory_stall = sim.policy.memory_reconfig_cycles
 
     # ------------------------------------------------------------------
-
-    def _sanitize_trusted(self, plan: AllocationPlan) -> None:
-        """Re-run, under ``REPRO_CHECK=1``, exactly the validation a
-        trusted plan was allowed to skip: rebuild it through the
-        public constructor (field normalisation, uniqueness, the
-        preempt/retile conflict scan) and resolve it through the
-        validated :meth:`_resolve` (unknown *and* finished jobs).
-        A failure is a broken proof obligation at the PR 7 trust
-        boundary — a bug in the calling policy, not user input."""
-        try:
-            AllocationPlan(
-                preemptions=plan.preemptions,
-                admissions=plan.admissions,
-                tiles=plan.tiles,
-                bw_caps=plan.bw_caps,
-                stalls=plan.stalls,
-            )
-            self._resolve(plan)
-        except Exception as exc:
-            from repro.sim.engine import SimulationError
-
-            if not isinstance(exc, (ValueError, SimulationError)):
-                raise
-            raise sanitizer.SanitizerError(
-                f"trusted plan failed the validation it skipped: "
-                f"{exc}"
-            ) from exc
 
     def _resolve(self, plan: AllocationPlan) -> Dict[str, "Job"]:
         """Map the plan's job ids to live jobs, or fail cleanly."""
@@ -307,30 +235,6 @@ class AllocationController:
                 )
         return jobs
 
-    def _resolve_trusted(self, plan: AllocationPlan) -> Dict[str, "Job"]:
-        """Resolve a trusted plan by direct job-table indexing.
-
-        Trusted plans were built from live simulator state, so ids
-        resolve and phases are valid by construction; an unknown id
-        (a policy bug) still surfaces as a clean SimulationError
-        rather than a KeyError, but the per-id ``.get`` probe and
-        finished-phase re-check of :meth:`_resolve` are skipped.
-        """
-        sim_jobs = self.sim.jobs
-        jobs: Dict[str, "Job"] = {}
-        try:
-            for jid in plan.preemptions:
-                jobs[jid] = sim_jobs[jid]
-            for pairs in (plan.admissions, plan.tiles, plan.bw_caps,
-                          plan.stalls):
-                for jid, _ in pairs:
-                    jobs[jid] = sim_jobs[jid]
-        except KeyError as exc:
-            raise _simulation_error(
-                f"trusted plan references unknown job {exc.args[0]!r}"
-            ) from None
-        return jobs
-
     def apply(self, plan: Optional[AllocationPlan]) -> int:
         """Diff ``plan`` against live state and apply it atomically.
 
@@ -350,19 +254,7 @@ class AllocationController:
         if plan is None or plan is EMPTY_PLAN:
             self.plans_noop += 1
             return 0
-        if plan._trusted and sanitizer.enabled:
-            self._sanitize_trusted(plan)
-        if (
-            not plan.admissions and not plan.tiles
-            and not plan.preemptions and not plan.stalls
-        ):
-            if not plan._trusted:
-                self._resolve(plan)
-            return self.apply_caps(plan.bw_caps)
-        if plan._trusted:
-            jobs = self._resolve_trusted(plan)
-        else:
-            jobs = self._resolve(plan)
+        jobs = self._resolve(plan)
         sim = self.sim
         admitted = {jid for jid, _ in plan.admissions}
         # Classify retiles against pre-plan state: entries on jobs
@@ -378,25 +270,21 @@ class AllocationController:
             if jid in admitted or tiles >= jobs[jid].tiles
         ]
         applied = 0
-        sim.begin_allocation_batch()
-        try:
-            for jid in plan.preemptions:
-                sim.preempt(jobs[jid])
+        for jid in plan.preemptions:
+            sim.preempt(jobs[jid])
+            applied += 1
+        for jid, tiles in shrinks:
+            applied += self._retile(jobs[jid], tiles)
+        for jid, tiles in plan.admissions:
+            sim.start_job(jobs[jid], tiles)
+            applied += 1
+        for jid, tiles in late_retiles:
+            applied += self._retile(jobs[jid], tiles)
+        applied += self._write_caps(plan.bw_caps)
+        for jid, cycles in plan.stalls:
+            if cycles > 0:
+                sim.stall_job(jobs[jid], cycles)
                 applied += 1
-            for jid, tiles in shrinks:
-                applied += self._retile(jobs[jid], tiles)
-            for jid, tiles in plan.admissions:
-                sim.start_job(jobs[jid], tiles)
-                applied += 1
-            for jid, tiles in late_retiles:
-                applied += self._retile(jobs[jid], tiles)
-            applied += self._write_caps(plan.bw_caps)
-            for jid, cycles in plan.stalls:
-                if cycles > 0:
-                    sim.stall_job(jobs[jid], cycles)
-                    applied += 1
-        finally:
-            sim.end_allocation_batch()
         return self._count(applied)
 
     def apply_caps(
@@ -432,9 +320,8 @@ class AllocationController:
         Each entry is checked (the job is RUNNING, a cap is positive)
         and filtered as a no-op when it restates the live cap within
         tolerance.  Each changed cap charges the memory-reconfiguration
-        stall, and the allocation epoch moves once if anything changed
-        (deferred to the batch's end inside :meth:`apply`).  Counting
-        plans is the caller's job.
+        stall, and the allocation epoch moves once if anything changed.
+        Counting plans is the caller's job.
 
         Returns:
             The number of caps actually changed.
@@ -451,7 +338,7 @@ class AllocationController:
                 job = sim_jobs[jid]
             except KeyError:
                 raise _simulation_error(
-                    f"trusted plan references unknown job {jid!r}"
+                    f"plan references unknown job {jid!r}"
                 ) from None
             if job.phase is not running:
                 raise _simulation_error(f"{jid} is not running")

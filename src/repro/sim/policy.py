@@ -64,8 +64,8 @@ class Policy(abc.ABC):
     #: via :meth:`~repro.sim.plan.AllocationController.apply_caps`,
     #: skipping the plan object).  None means the engine drives
     #: :meth:`decide` plus a plan apply.  Under ``REPRO_CHECK=1`` the
-    #: engine ignores the hook so every plan passes the sanitizer's
-    #: trusted-plan re-validation.
+    #: engine ignores the hook, so every decision round goes through
+    #: the validating plan constructor.
     kernel_decide_apply = None
 
     #: Whether any decision of this policy reads a task's SLA target

@@ -870,6 +870,34 @@ class TestMergeInputHardening:
             main(["merge", str(shards)])
 
 
+    def test_merge_non_int_cell_index_exits_1(self, tmp_path):
+        """A partial whose cell ``index`` is not an int is refused in
+        one stderr line (it used to die with a TypeError traceback)."""
+        import os
+        import subprocess
+        import sys
+
+        shards = tmp_path / "shards"
+        for shard in ("1/2", "2/2"):
+            assert main(["sweep", "--scenarios", "ref-a-qos-m",
+                         "--tasks", "4", "--seeds", "1", "--shard", shard,
+                         "--out", str(shards)]) == 0
+        bad = shards / "partial-1-of-2.json"
+        partial = json.loads(bad.read_text())
+        partial["cells"][0]["index"] = {"a": 1}
+        bad.write_text(json.dumps(partial))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "merge", str(bad),
+             str(shards / "partial-2-of-2.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("merge: ")
+        assert "malformed cell payload" in proc.stderr
+
+
 class TestRemovedCadenceInput:
     """A manifest or shard partial whose spec names a decision cadence
     other than ``every-event`` (the engine's only schedule) is refused

@@ -569,6 +569,35 @@ class TestHttpTransport:
             with pytest.raises(TransportError, match="HTTP 404"):
                 t._post("/nonsense", {})
 
+    @pytest.mark.parametrize("bad", ["0", [0], {"a": 1}, None])
+    def test_submit_non_int_cell_index_replies_400(
+        self, bad, manifest, tiny_cells
+    ):
+        """A cell whose ``index`` is not an int is a malformed payload:
+        ``/submit`` replies 400 and folds nothing (it used to escape
+        the handler as a TypeError from sorting the indices)."""
+        import urllib.error
+        import urllib.request
+
+        coord = Coordinator(manifest, lease_ttl=None, max_lease_cost=10_000)
+        with CoordinatorServer(coord) as server:
+            lease = HttpTransport(server.url).lease_request("w")
+            assert len(lease["cell_indices"]) >= 2
+            partial = _partial_for(manifest, lease, tiny_cells)
+            partial["cells"][0]["index"] = bad
+            request = urllib.request.Request(
+                f"{server.url}/submit",
+                data=json.dumps(partial).encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=30)
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+            assert "malformed cell payload" in error
+        assert coord.acc.cells() == []
+
     def test_negative_content_length_refused(self, manifest):
         """A negative Content-Length gets a 400 at once: reading a
         body of length -1 would block the handler until the client

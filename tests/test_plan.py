@@ -53,6 +53,42 @@ def _sim(soc, mem, task_factory, n=2, policy=None, **kwargs):
     return Simulator(soc, tasks, policy, mem=mem, **kwargs)
 
 
+class _Scripted(Policy):
+    """Admits ``t0`` at the first event, then hands the second event
+    to ``second(sim)``; quiet afterwards."""
+
+    name = "scripted"
+
+    def __init__(self, second):
+        self.second = second
+        self.calls = 0
+
+    def decide(self, sim):
+        self.calls += 1
+        if self.calls == 1:
+            return AllocationPlan(admissions=(("t0", 2),))
+        if self.calls == 2:
+            return self.second(sim)
+        return EMPTY_PLAN
+
+
+def _two_events(soc, mem, task_factory, second):
+    """Run exactly two engine events: ``t0`` is admitted at cycle 0,
+    ``t1`` arrives at cycle 1 (before any block of ``t0`` can finish,
+    so nothing but the second decision moves the allocation), and the
+    second decision is ``second(sim)``.  Returns the simulator with
+    its counters written back."""
+    tasks = [
+        task_factory(task_id="t0"),
+        task_factory(task_id="t1", dispatch=1.0),
+    ]
+    sim = Simulator(soc, tasks, _Scripted(second), mem=mem, max_events=2)
+    with pytest.raises(SimulationError, match="exceeded 2 events"):
+        sim.run()
+    assert sim.policy.calls == 2
+    return sim
+
+
 class TestAllocationPlanValueObject:
     def test_empty_plan(self):
         assert EMPTY_PLAN.is_empty
@@ -123,34 +159,45 @@ class TestControllerDiffing:
     def test_atomic_allocation_coalesces_manual_mutations(
         self, soc, mem, task_factory
     ):
-        # The controller's batching pair: N mutations inside -> one
-        # epoch bump, and an empty batch bumps nothing.
-        sim = _sim(soc, mem, task_factory, n=2)
-        sim.dispatch_arrivals()
-        epoch = sim._alloc_epoch
-        sim.begin_allocation_batch()
-        sim.start_job(sim.jobs["t0"], 2)
-        sim.start_job(sim.jobs["t1"], 2)
-        sim.end_allocation_batch()
-        assert sim._alloc_epoch == epoch + 1
-        sim.begin_allocation_batch()
-        sim.end_allocation_batch()
-        assert sim._alloc_epoch == epoch + 1
+        # Two engine-primitive mutations between two solves (each
+        # bumps the epoch) cost the engine one re-solve.
+        def second(sim):
+            sim.start_job(sim.jobs["t1"], 2)
+            assert sim.set_tiles(sim.jobs["t0"], 4)
+            return EMPTY_PLAN
+
+        sim = _two_events(soc, mem, task_factory, second)
+        assert sim.block_time_recomputes == 2
+        assert sim.block_time_reuses == 0
 
     def test_plan_applies_atomically_one_epoch_bump(self, soc, mem,
                                                     task_factory):
+        # Admissions apply in plan order.
         sim = _sim(soc, mem, task_factory, n=3)
         sim.dispatch_arrivals()
-        epoch = sim._alloc_epoch
         applied = sim.controller.apply(
             AllocationPlan(
                 admissions=(("t0", 2), ("t1", 2), ("t2", 2)),
             )
         )
         assert applied == 3
-        # Three admissions, one cache invalidation.
-        assert sim._alloc_epoch == epoch + 1
         assert [j.job_id for j in sim.running] == ["t0", "t1", "t2"]
+        # A plan with several mutations costs one re-solve; a no-op
+        # plan (restating live state) costs none.
+        several = AllocationPlan(
+            admissions=(("t1", 2),), tiles=(("t0", 4),),
+            bw_caps=(("t0", 4.0),),
+        )
+        sim = _two_events(soc, mem, task_factory, lambda sim: several)
+        assert sim.controller.actions_applied == 1 + 3
+        assert sim.block_time_recomputes == 2
+        assert sim.block_time_reuses == 0
+        noop = AllocationPlan(tiles=(("t0", 2),), bw_caps=(("t0", None),))
+        sim = _two_events(soc, mem, task_factory, lambda sim: noop)
+        assert sim.controller.actions_applied == 1
+        assert sim.controller.plans_noop >= 1
+        assert sim.block_time_recomputes == 1
+        assert sim.block_time_reuses == 1
 
     def test_restating_live_state_is_free(self, soc, mem, task_factory):
         sim = _sim(soc, mem, task_factory)
@@ -384,48 +431,45 @@ class TestPolicyBridge:
 
 
 class TestTrustedPlans:
-    """ISSUE tentpole (a): AllocationPlan.trusted skips field
-    validation for plans built from live simulator state, and the
-    controller resolves them through the fast path without changing
-    any observable semantics."""
-
-    def test_trusted_equals_validated_plan(self):
-        a = AllocationPlan(admissions=(("t0", 2),), bw_caps=(("t1", 4.0),))
-        b = AllocationPlan.trusted(
-            admissions=(("t0", 2),), bw_caps=(("t1", 4.0),)
-        )
-        assert a == b and hash(a) == hash(b)
-        assert not a._trusted and b._trusted
+    """The controller behaviours the built-in policies' plans rely on:
+    plans built from live simulator state, through the one validating
+    constructor, and the fused caps-only path
+    (:meth:`AllocationController.apply_caps`) beside them."""
 
     def test_trusted_empty_plan_is_noop(self, soc, mem, task_factory):
         sim = _sim(soc, mem, task_factory)
         noops = sim.controller.plans_noop
-        assert sim.controller.apply(AllocationPlan.trusted()) == 0
+        assert sim.controller.apply(AllocationPlan()) == 0
         assert sim.controller.plans_noop == noops + 1
 
     def test_trusted_caps_only_charges_like_validated(
         self, soc, mem, task_factory
     ):
+        # A caps-only plan and the fused apply_caps path charge alike.
         sim = _sim(soc, mem, task_factory)
         sim.dispatch_arrivals()
-        sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))
-        job = sim.jobs["t0"]
-        applied = sim.controller.apply(
-            AllocationPlan.trusted(bw_caps=(("t0", 4.0),))
+        sim.controller.apply(
+            AllocationPlan(admissions=(("t0", 2), ("t1", 2)))
         )
-        assert applied == 1
-        assert job.bw_cap == 4.0
-        assert job.bw_reconfigs == 1
-        assert job.stall_cycles == pytest.approx(MEMORY_RECONFIG_CYCLES)
+        assert sim.controller.apply(
+            AllocationPlan(bw_caps=(("t0", 4.0),))
+        ) == 1
+        assert sim.controller.apply_caps((("t1", 4.0),)) == 1
+        for job in (sim.jobs["t0"], sim.jobs["t1"]):
+            assert job.bw_cap == 4.0
+            assert job.bw_reconfigs == 1
+            assert job.stall_cycles == pytest.approx(
+                MEMORY_RECONFIG_CYCLES
+            )
 
     def test_trusted_caps_restated_is_noop(self, soc, mem, task_factory):
         sim = _sim(soc, mem, task_factory)
         sim.dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))
-        sim.controller.apply(AllocationPlan.trusted(bw_caps=(("t0", 4.0),)))
+        sim.controller.apply(AllocationPlan(bw_caps=(("t0", 4.0),)))
         noops = sim.controller.plans_noop
         assert sim.controller.apply(
-            AllocationPlan.trusted(bw_caps=(("t0", 4.0),))
+            AllocationPlan(bw_caps=(("t0", 4.0),))
         ) == 0
         assert sim.controller.plans_noop == noops + 1
         assert sim.jobs["t0"].bw_reconfigs == 1
@@ -433,7 +477,7 @@ class TestTrustedPlans:
     def test_trusted_same_instant_toggle_dedupes_across_plans(
         self, soc, mem, task_factory
     ):
-        # A -> B -> A across three coincident trusted plans: the cap
+        # A -> B -> A across three coincident plans: the cap
         # changes all land, but the job serves exactly one
         # reconfiguration stall — stall_job saturates at now + cycles
         # within an instant.
@@ -441,9 +485,9 @@ class TestTrustedPlans:
         sim.dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))
         job = sim.jobs["t0"]
-        sim.controller.apply(AllocationPlan.trusted(bw_caps=(("t0", 4.0),)))
-        sim.controller.apply(AllocationPlan.trusted(bw_caps=(("t0", 8.0),)))
-        sim.controller.apply(AllocationPlan.trusted(bw_caps=(("t0", 4.0),)))
+        sim.controller.apply(AllocationPlan(bw_caps=(("t0", 4.0),)))
+        sim.controller.apply(AllocationPlan(bw_caps=(("t0", 8.0),)))
+        sim.controller.apply(AllocationPlan(bw_caps=(("t0", 4.0),)))
         assert job.bw_cap == 4.0
         assert job.bw_reconfigs == 3
         assert job.stall_cycles == pytest.approx(MEMORY_RECONFIG_CYCLES)
@@ -451,13 +495,13 @@ class TestTrustedPlans:
     def test_trusted_dedupe_shared_with_validated_path(
         self, soc, mem, task_factory
     ):
-        # Fast-path charges and *validated* plans at the same instant
+        # Fused apply_caps charges and plans at the same instant
         # share one saturating stall.
         sim = _sim(soc, mem, task_factory)
         sim.dispatch_arrivals()
         sim.controller.apply(AllocationPlan(admissions=(("t0", 2),)))
         job = sim.jobs["t0"]
-        sim.controller.apply(AllocationPlan.trusted(bw_caps=(("t0", 4.0),)))
+        sim.controller.apply_caps((("t0", 4.0),))
         sim.controller.apply(AllocationPlan(bw_caps=(("t0", 8.0),)))
         charged = job.stall_cycles
         sim.controller.apply(AllocationPlan(bw_caps=(("t0", 4.0),)))
@@ -465,40 +509,34 @@ class TestTrustedPlans:
         assert job.stall_cycles == pytest.approx(charged)
 
     def test_trusted_caps_unknown_job_fails_cleanly(
-        self, soc, mem, task_factory, monkeypatch
+        self, soc, mem, task_factory
     ):
-        # Pin the *unchecked* error path (REPRO_CHECK=1 intercepts
-        # broken trusted plans earlier; tests/test_sanitizer.py
-        # covers that).
-        import repro.sanitizer as sanitizer
-
-        monkeypatch.setattr(sanitizer, "enabled", False)
+        # Through a plan and through the fused apply_caps path.
         sim = _sim(soc, mem, task_factory)
         with pytest.raises(SimulationError, match="unknown job"):
             sim.controller.apply(
-                AllocationPlan.trusted(bw_caps=(("ghost", 4.0),))
+                AllocationPlan(bw_caps=(("ghost", 4.0),))
             )
+        with pytest.raises(SimulationError, match="unknown job"):
+            sim.controller.apply_caps((("ghost", 4.0),))
 
     def test_trusted_general_unknown_job_fails_cleanly(
-        self, soc, mem, task_factory, monkeypatch
+        self, soc, mem, task_factory
     ):
-        import repro.sanitizer as sanitizer
-
-        monkeypatch.setattr(sanitizer, "enabled", False)
         sim = _sim(soc, mem, task_factory)
         with pytest.raises(SimulationError, match="unknown job"):
             sim.controller.apply(
-                AllocationPlan.trusted(admissions=(("ghost", 2),))
+                AllocationPlan(admissions=(("ghost", 2),))
             )
 
     def test_trusted_mixed_plan_uses_general_path(
         self, soc, mem, task_factory
     ):
-        # Admissions + caps in one trusted plan: the general resolve
-        # applies both in canonical order.
+        # Admissions + caps in one plan apply in canonical order: the
+        # cap lands on the job just admitted.
         sim = _sim(soc, mem, task_factory)
         sim.dispatch_arrivals()
-        applied = sim.controller.apply(AllocationPlan.trusted(
+        applied = sim.controller.apply(AllocationPlan(
             admissions=(("t0", 2),), bw_caps=(("t0", 4.0),),
         ))
         assert applied == 2

@@ -5,6 +5,8 @@ results to an unchecked run), each hook actually catches an injected
 violation of its invariant, and the errors are SanitizerError (an
 AssertionError — always a bug, never user input)."""
 
+from dataclasses import replace
+
 import pytest
 
 import repro.sanitizer as sanitizer
@@ -14,7 +16,6 @@ from repro.experiments.results import cell_manifest
 from repro.scenarios import ScenarioSpec
 from repro.sim import reference
 from repro.sim.engine import Simulator
-from repro.sim.plan import AllocationPlan
 
 
 @pytest.fixture()
@@ -127,62 +128,34 @@ class TestSolverSpotCheck:
         )
 
 
-class TestTrustedPlanRevalidation:
-    def test_duplicate_caps_caught(
+class TestIsolatedLatencyFloor:
+    def _tasks(self, task_factory):
+        # t1 claims an isolated latency no co-run can achieve.
+        fast = task_factory(task_id="t1")
+        return [
+            task_factory(task_id="t0"),
+            replace(fast, isolated_cycles=10.0 * fast.isolated_cycles),
+        ]
+
+    def test_task_faster_than_alone_caught(
         self, soc, mem, task_factory, sanitized
     ):
-        tasks = [task_factory(task_id="t0")]
-        sim = Simulator(soc, tasks, MoCAPolicy(), mem=mem)
-        sim.dispatch_arrivals()
-        sim.start_job(sim.ready[0], tiles=2)
-        # The trusted caps-only hot path would apply this silently
-        # (last write wins); under REPRO_CHECK it is a broken proof
-        # obligation.
-        plan = AllocationPlan.trusted(
-            bw_caps=(("t0", 4.0), ("t0", 2.0))
+        sim = Simulator(
+            soc, self._tasks(task_factory), MoCAPolicy(), mem=mem
         )
         with pytest.raises(
-            sanitizer.SanitizerError, match="duplicate"
+            sanitizer.SanitizerError,
+            match="task 't1' finished in .* below its isolated latency",
         ):
-            sim.controller.apply(plan)
+            sim.run()
 
-    def test_finished_job_caught(
-        self, soc, mem, task_factory, sanitized
-    ):
-        tasks = [task_factory(task_id=f"t{i}") for i in range(2)]
-        sim = Simulator(soc, tasks, MoCAPolicy(), mem=mem)
-        sim.run()
-        assert sim.jobs["t0"].phase.name == "FINISHED"
-        plan = AllocationPlan.trusted(bw_caps=(("t0", 4.0),))
-        with pytest.raises(
-            sanitizer.SanitizerError, match="finished"
-        ):
-            sim.controller.apply(plan)
-
-    def test_valid_trusted_plan_passes(
-        self, soc, mem, task_factory, sanitized
-    ):
-        tasks = [task_factory(task_id="t0")]
-        sim = Simulator(soc, tasks, MoCAPolicy(), mem=mem)
-        sim.dispatch_arrivals()
-        sim.start_job(sim.ready[0], tiles=2)
-        plan = AllocationPlan.trusted(bw_caps=(("t0", 4.0),))
-        sim.controller.apply(plan)  # no raise
-
-    def test_unchecked_mode_skips_revalidation(
+    def test_unchecked_mode_skips_the_floor(
         self, soc, mem, task_factory, unsanitized
     ):
-        # Without REPRO_CHECK the duplicate sails through the hot
-        # path (last write wins) — pinned so the sanitizer test
-        # above is known to be testing the sanitizer, not apply().
-        tasks = [task_factory(task_id="t0")]
-        sim = Simulator(soc, tasks, MoCAPolicy(), mem=mem)
-        sim.dispatch_arrivals()
-        sim.start_job(sim.ready[0], tiles=2)
-        plan = AllocationPlan.trusted(
-            bw_caps=(("t0", 4.0), ("t0", 2.0))
+        sim = Simulator(
+            soc, self._tasks(task_factory), MoCAPolicy(), mem=mem
         )
-        sim.controller.apply(plan)  # no raise
+        sim.run()  # no raise
 
 
 class TestLedgerInvariants:

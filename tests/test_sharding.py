@@ -14,6 +14,7 @@ from repro.experiments.results import (
     cell_from_dict,
     cell_manifest,
     cell_to_dict,
+    failure_from_dict,
 )
 from repro.experiments.runner import default_policies
 from repro.experiments.faults import FaultPlan
@@ -351,6 +352,23 @@ class TestMergeRefusals:
         del mangled["cells"][0]["summary"]
         with pytest.raises(ValueError, match="malformed cell"):
             merge_partials([mangled])
+
+    @pytest.mark.parametrize("field", ["index", "spec_index", "seed"])
+    def test_non_int_cell_fields_rejected_cleanly(self, field, partials):
+        from repro.experiments.results import CellFailure, failure_to_dict
+
+        for bad in ("0", [0], {"a": 1}, None, True, 1.0):
+            mangled = copy.deepcopy(partials[0])
+            mangled["cells"][0][field] = bad
+            with pytest.raises(ValueError, match="malformed cell"):
+                merge_partials([mangled] + list(partials[1:]))
+            failure = failure_to_dict(CellFailure(
+                index=0, spec_index=0, label="x", policy="moca",
+                seed=1, kind="error", attempts=1, message="boom",
+            ))
+            failure[field] = bad
+            with pytest.raises(ValueError, match=f"{field} must be an"):
+                failure_from_dict(failure)
 
     def test_foreign_document_rejected(self, partials):
         alien = {"format": "something-else"}
